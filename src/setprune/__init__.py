@@ -12,12 +12,12 @@ from .graphio import (Graph, assign_knapsack_costs, from_edges, generate,
                       load_edge_list, parse_edge_list, read_id_file,
                       write_edge_list, write_id_file)
 from .metrics import EvalRecord, evaluate_pruning, sweep_budgets
-from .objectives import (CoverageOracle, CustomOracle, CutOracle,
+from .objectives import (CoverageOracle, CustomOracle, CutOracle, EvalState,
                          InfluenceOracle, LiveEdgeSamplePool, Oracle,
                          SimilarityCutOracle, SimilarityKernel,
                          coverage_value, cut_value, estimate_gamma,
                          influence_value, load_similarity_kernel,
-                         simgraphcut_value)
+                         oracle_state, simgraphcut_value)
 from .pruning import (DeletionEvent, LadderParams, PruneParams, PruneReport,
                       SinglePrunerState, alpha_multi, alpha_single,
                       budget_ladder, check_nhi, geometric_recovery_steps,

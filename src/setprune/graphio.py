@@ -21,12 +21,13 @@ DEFAULT_COST_ALPHA = 1.0 / 20.0
 
 @dataclass(frozen=True, eq=False)
 class Graph:
-    """Compressed adjacency with per-node costs.
+    """Compressed adjacency with per-node costs, each finite and positive.
 
     ``indices[indptr[v]:indptr[v+1]]`` are the neighbors of ``v`` (out-neighbors
     in directed mode). Undirected edges are stored in both directions; self
-    loops are dropped at construction. ``orig_ids[v]`` maps a dense id back to
-    the id found in the source file, when the graph came from one.
+    loops are dropped by ``from_edges`` and rejected here. ``orig_ids[v]``
+    maps a dense id back to the id found in the source file, when the graph
+    came from one.
     """
 
     n: int
@@ -41,10 +42,15 @@ class Graph:
             raise InputError("node count must be non-negative")
         if self.costs is None:
             object.__setattr__(self, "costs", np.ones(self.n, dtype=np.float64))
+        costs = np.asarray(self.costs, dtype=np.float64)
+        if not (np.isfinite(costs).all() and (costs > 0).all()):
+            raise InputError("costs must be finite and positive")
         if len(self.indptr) != self.n + 1:
             raise InputError("indptr length must be n + 1")
         if self.indices.size and (self.indices.min() < 0 or self.indices.max() >= self.n):
             raise InputError("neighbor id out of range")
+        if np.any(self.indices == np.repeat(np.arange(self.n), np.diff(self.indptr))):
+            raise InputError("self loops are not allowed")
 
     @property
     def degrees(self) -> np.ndarray:

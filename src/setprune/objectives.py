@@ -8,6 +8,16 @@ evaluation. Evaluating the same set twice returns bit-identical values,
 including the cascade estimator, whose randomness lives entirely in the
 frozen sample pool.
 
+Callers that grow one set element by element (the pruner's working set, a
+greedy solution) ask the oracle for a per-caller state with ``state()``.
+``st.marginal(e, f_S)`` is one counted query and equals
+``eval(S | {e}) - f_S`` bit for bit; ``st.add(e)`` commits ``e`` without a
+query; ``st.reset(S)`` makes the state hold ``S`` and returns f(S), one
+counted query unless ``S`` is empty. Undirected cut and undirected influence
+keep incremental statistics, so a marginal does not rescan ``S``; every
+other oracle, and any oracle-like wrapper without ``state()``, gets an
+``EvalState`` that answers through ``marginal`` and ``eval``.
+
 The module-level ``*_value`` functions are plain reference implementations
 of the same objectives, computed directly from their definitions; the oracle
 classes use faster internal representations and are cross-checked against
@@ -16,15 +26,18 @@ them in the test suite.
 
 from __future__ import annotations
 
+import operator
 import threading
 
 import numpy as np
 
-from .errors import InputError
+from .errors import InputError, ParseError
 
 __all__ = [
     "QueryCounter",
     "Oracle",
+    "EvalState",
+    "oracle_state",
     "CoverageOracle",
     "CutOracle",
     "InfluenceOracle",
@@ -86,15 +99,57 @@ class Oracle:
     def marginal(self, e, S, f_S):
         """Gain of adding ``e`` to ``S`` given the cached value ``f_S``.
 
-        Costs exactly one fresh query; zero when ``e`` is already in ``S``.
+        Costs exactly one fresh query, an evaluation of ``S | {e}``; zero
+        when ``e`` is already in ``S``. Callers that grow a set should use
+        ``state()``, which may answer without rescanning ``S``.
         """
         return self.eval(set(S) | {e}) - f_S
+
+    def state(self):
+        """A fresh per-caller state holding the empty set."""
+        return EvalState(self)
 
     def _value(self, S):
         raise NotImplementedError
 
     def _bad_id(self, v):
         return InputError(f"element id {v!r} outside ground set of size {self.n}")
+
+    def _check_id(self, v) -> int:
+        v = operator.index(v)
+        if not 0 <= v < self.n:
+            raise self._bad_id(v)
+        return v
+
+
+class EvalState:
+    """Per-caller state that answers through the oracle's ``marginal`` and
+    ``eval``: the path for oracles without incremental statistics and for
+    oracle-like wrappers that have no ``state()``."""
+
+    __slots__ = ("oracle", "members")
+
+    def __init__(self, oracle):
+        self.oracle = oracle
+        self.members = set()
+
+    def marginal(self, e, f_S):
+        return self.oracle.marginal(e, self.members, f_S)
+
+    def add(self, e):
+        if not 0 <= e < self.oracle.n:
+            raise InputError(f"element id {e!r} outside ground set of size {self.oracle.n}")
+        self.members.add(e)
+
+    def reset(self, S):
+        self.members = set(S)
+        return self.oracle.eval(self.members) if self.members else 0.0
+
+
+def oracle_state(oracle):
+    """``oracle.state()``, or an ``EvalState`` when the oracle has none."""
+    make = getattr(oracle, "state", None)
+    return make() if make is not None else EvalState(oracle)
 
 
 class CoverageOracle(Oracle):
@@ -152,6 +207,9 @@ class CutOracle(Oracle):
             self._adj = adj
         self._deg = [m.bit_count() for m in self._adj]
 
+    def state(self):
+        return EvalState(self) if self.graph.directed else _CutState(self)
+
     def _value(self, S):
         n = self.n
         vs = list(S)
@@ -165,6 +223,41 @@ class CutOracle(Oracle):
         for v in vs:
             total += deg[v] - (adj[v] & smask).bit_count()
         return total
+
+
+class _CutState:
+    """Undirected cut: the member mask and its integer cut value. Adding
+    ``e`` outside S changes the cut by deg(e) - 2 |N(e) & S|."""
+
+    __slots__ = ("_oracle", "_mask", "_value")
+
+    def __init__(self, oracle: CutOracle):
+        self._oracle = oracle
+        self._mask = 0
+        self._value = 0
+
+    def _gain(self, e: int) -> int:
+        if self._mask >> e & 1:
+            return 0
+        return self._oracle._deg[e] - 2 * (self._oracle._adj[e] & self._mask).bit_count()
+
+    def marginal(self, e, f_S):
+        gain = self._gain(self._oracle._check_id(e))
+        self._oracle.counter.bump()
+        return (self._value + gain) - f_S
+
+    def add(self, e):
+        e = self._oracle._check_id(e)
+        self._value += self._gain(e)
+        self._mask |= 1 << e
+
+    def reset(self, S):
+        members = {self._oracle._check_id(v) for v in S}
+        self._mask = 0
+        for v in members:
+            self._mask |= 1 << v
+        self._value = self._oracle.eval(members) if members else 0
+        return self._value if members else 0.0
 
 
 class _DisjointSet:
@@ -196,6 +289,11 @@ class LiveEdgeSamplePool:
     the set reachable from the seeds over the ``m`` samples gives a
     deterministic Monte Carlo estimate of expected spread. Undirected live
     edges are traversable in both directions.
+
+    Undirected pools keep the samples' connected components as two arrays:
+    ``roots[i, v]`` is the component id of node ``v`` in sample ``i``, unique
+    across all samples (``i * n + root``), and ``sizes[c]`` is the size of
+    component ``c`` (zero for ids that name no component).
     """
 
     def __init__(self, graph, p: float, m: int = 100, seed: int = 0):
@@ -211,9 +309,10 @@ class LiveEdgeSamplePool:
         edges = graph.edge_array()
         rng = np.random.default_rng(seed)
         self.samples = []
-        self._components = []  # undirected fast path: (labels, sizes) per sample
-        self._adjacency = []  # directed fast path: out-adjacency per sample
-        for _ in range(self.m):
+        self._adjacency = []  # directed: out-adjacency per sample
+        if not self.directed:
+            self.roots = np.empty((self.m, self.n), dtype=np.int64)
+        for i in range(self.m):
             live = edges[rng.random(len(edges)) < p] if len(edges) else edges
             self.samples.append(live)
             if self.directed:
@@ -225,41 +324,46 @@ class LiveEdgeSamplePool:
                 dsu = _DisjointSet(self.n)
                 for u, v in live:
                     dsu.union(int(u), int(v))
-                labels = [dsu.find(v) for v in range(self.n)]
-                sizes = [0] * self.n
-                for root in labels:
-                    sizes[root] += 1
-                self._components.append((labels, sizes))
+                self.roots[i] = [dsu.find(v) for v in range(self.n)]
+        if not self.directed:
+            self.roots += np.arange(self.m, dtype=np.int64)[:, None] * self.n
+            self.sizes = np.bincount(self.roots.ravel(), minlength=self.m * self.n)
 
-    def mean_reach(self, S) -> float:
-        """Average number of nodes reachable from S across the samples."""
+    def _check_ids(self, S) -> list:
         vs = list(S)
         for v in vs:
             if not 0 <= v < self.n:
                 raise InputError(
                     f"element id {v!r} outside ground set of size {self.n}")
+        return vs
+
+    def mean_reach(self, S) -> float:
+        """Average number of nodes reachable from S across the samples."""
+        vs = self._check_ids(S)
+        if not self.directed:
+            roots = self.roots[:, vs]
+            if len(vs) > 1:  # one node's roots differ across samples already
+                roots = _distinct(roots)
+            return int(self.sizes[roots].sum()) / self.m
         total = 0
-        if self.directed:
-            for adj in self._adjacency:
-                visited = set(vs)
-                stack = list(vs)
-                while stack:
-                    u = stack.pop()
-                    for w in adj.get(u, ()):
-                        if w not in visited:
-                            visited.add(w)
-                            stack.append(w)
-                total += len(visited)
-        else:
-            for labels, sizes in self._components:
-                seen = set()
-                add = seen.add
-                for v in vs:
-                    root = labels[v]
-                    if root not in seen:
-                        add(root)
-                        total += sizes[root]
+        for adj in self._adjacency:
+            visited = set(vs)
+            stack = list(vs)
+            while stack:
+                u = stack.pop()
+                for w in adj.get(u, ()):
+                    if w not in visited:
+                        visited.add(w)
+                        stack.append(w)
+            total += len(visited)
         return total / self.m
+
+
+def _distinct(a):
+    """Distinct values of a non-negative integer array. ``np.unique`` would
+    import ``numpy.ma`` on first use, about 1 MB of resident memory."""
+    r = np.sort(a, axis=None)
+    return r[np.diff(r, prepend=-1) != 0]
 
 
 class InfluenceOracle(Oracle):
@@ -271,8 +375,52 @@ class InfluenceOracle(Oracle):
         super().__init__(pool.n)
         self.pool = pool
 
+    def state(self):
+        return EvalState(self) if self.pool.directed else _InfluenceState(self)
+
     def _value(self, S):
         return self.pool.mean_reach(S)
+
+
+class _InfluenceState:
+    """Undirected spread: which sample components S touches, as an
+    ``m * n`` boolean mask, and the exact integer reach total ``T``.
+
+    A marginal returns ``(T + gain) / m - f_S``, the same float a fresh
+    ``eval(S | {e}) - f_S`` computes, so no threshold comparison can flip.
+    """
+
+    __slots__ = ("_oracle", "_covered", "_total")
+
+    def __init__(self, oracle: InfluenceOracle):
+        self._oracle = oracle
+        self._covered = np.zeros(oracle.pool.sizes.size, dtype=bool)
+        self._total = 0
+
+    def _fresh_roots(self, e):
+        roots = self._oracle.pool.roots[:, self._oracle._check_id(e)]
+        return roots[~self._covered[roots]]
+
+    def marginal(self, e, f_S):
+        gain = int(self._oracle.pool.sizes[self._fresh_roots(e)].sum())
+        self._oracle.counter.bump()
+        return (self._total + gain) / self._oracle.pool.m - f_S
+
+    def add(self, e):
+        fresh = self._fresh_roots(e)
+        self._total += int(self._oracle.pool.sizes[fresh].sum())
+        self._covered[fresh] = True
+
+    def reset(self, S):
+        pool = self._oracle.pool
+        roots = _distinct(pool.roots[:, pool._check_ids(S)])
+        self._covered[:] = False
+        self._covered[roots] = True
+        self._total = int(pool.sizes[roots].sum())
+        if not roots.size:
+            return 0.0
+        self._oracle.counter.bump()
+        return self._total / pool.m
 
 
 class SimilarityKernel:
@@ -319,7 +467,10 @@ class SimilarityKernel:
 
 def load_similarity_kernel(matrix_path, query_path, lam: float = 10.0) -> SimilarityKernel:
     """Load a kernel from a CSV of row-major floats plus a query-id list file."""
-    s = np.loadtxt(matrix_path, delimiter=",", ndmin=2, dtype=np.float64)
+    try:
+        s = np.loadtxt(matrix_path, delimiter=",", ndmin=2, dtype=np.float64)
+    except ValueError as exc:
+        raise ParseError(f"malformed similarity matrix: {exc}") from None
     query_ids = []
     with open(query_path, "rt") as fh:
         for line_no, line in enumerate(fh, start=1):
@@ -327,8 +478,6 @@ def load_similarity_kernel(matrix_path, query_path, lam: float = 10.0) -> Simila
                 try:
                     query_ids.append(int(tok))
                 except ValueError:
-                    from .errors import ParseError
-
                     raise ParseError(f"non-integer query id {tok!r}", line_no) from None
     return SimilarityKernel(s, query_ids, lam=lam)
 

@@ -20,6 +20,7 @@ import time
 from dataclasses import dataclass, field
 
 from .errors import InputError
+from .objectives import oracle_state
 
 __all__ = [
     "PruneParams",
@@ -44,6 +45,22 @@ __all__ = [
 _LADDER_RTOL = 1e-12
 
 
+def _require_finite(**values):
+    for name, value in values.items():
+        if not math.isfinite(value):
+            raise InputError(f"{name} must be finite, got {value!r}")
+
+
+def _check_ladder_args(kappa_min: float, kappa_max: float, eta: float):
+    _require_finite(kappa_min=kappa_min, kappa_max=kappa_max, eta=eta)
+    if not 0 < kappa_min <= kappa_max:
+        raise InputError("need 0 < kappa_min <= kappa_max")
+    if not 0 < eta <= 0.5:
+        raise InputError("eta must lie in (0, 1/2]")
+    if 1.0 - eta == 1.0:
+        raise InputError(f"eta {eta!r} is too small for the ladder to shrink")
+
+
 @dataclass(frozen=True)
 class PruneParams:
     """Single-budget pruner knobs: budget, add-threshold scale, deletion rate."""
@@ -53,6 +70,7 @@ class PruneParams:
     epsilon: float
 
     def __post_init__(self):
+        _require_finite(kappa=self.kappa, delta=self.delta, epsilon=self.epsilon)
         if self.kappa <= 0:
             raise InputError("kappa must be positive")
         if self.delta <= 0:
@@ -72,10 +90,8 @@ class LadderParams:
     epsilon: float
 
     def __post_init__(self):
-        if not 0 < self.kappa_min <= self.kappa_max:
-            raise InputError("need 0 < kappa_min <= kappa_max")
-        if not 0 < self.eta <= 0.5:
-            raise InputError("eta must lie in (0, 1/2]")
+        _check_ladder_args(self.kappa_min, self.kappa_max, self.eta)
+        _require_finite(delta=self.delta, epsilon=self.epsilon)
         if self.delta <= 0:
             raise InputError("delta must be positive")
         if self.epsilon <= 0:
@@ -104,13 +120,14 @@ class SinglePrunerState:
     of the working set; cached values equal fresh oracle evaluations of their
     sets; every retained element and the best singleton fit the budget.
     ``ever_added`` accumulates every element that ever entered the working
-    set, for deletion-loss instrumentation.
+    set, for deletion-loss instrumentation. ``oracle_state`` is the
+    oracle's per-caller state for the working set, made on the first query.
     """
 
     __slots__ = (
         "working", "working_set", "checkpoint", "checkpoint_set",
         "best_single", "f_working", "f_checkpoint", "f_best_single",
-        "ever_added", "add_records", "events", "deletions", "processed",
+        "ever_added", "events", "deletions", "processed", "oracle_state",
     )
 
     def __init__(self):
@@ -123,10 +140,10 @@ class SinglePrunerState:
         self.f_checkpoint = 0.0
         self.f_best_single = 0.0
         self.ever_added = set()
-        self.add_records = []       # (element, gain at add, cost)
         self.events = []
         self.deletions = 0
         self.processed = 0
+        self.oracle_state = None
 
     def pruned_set(self) -> set:
         out = set(self.working_set)
@@ -177,14 +194,19 @@ def process_element(state: SinglePrunerState, oracle, cost_fn, params: PrunePara
 
     Costs at most two fresh oracle queries (one when the working set is
     empty, where the singleton value doubles as the marginal), plus one
-    re-evaluation when a deletion actually removes elements.
+    re-evaluation when a deletion actually removes elements. Raises
+    InputError when ``cost_fn(e)`` is not positive (NaN included).
     """
     if n < 1:
         raise InputError("ground-set size n must be >= 1")
     state.processed += 1
     cost = cost_fn(e)
+    if not cost > 0:
+        raise InputError(f"cost of element {e!r} must be positive, got {cost!r}")
     if cost > params.kappa:
         return state
+    if state.oracle_state is None:
+        state.oracle_state = oracle_state(oracle)
     already_in = e in state.working_set
     if already_in:
         # Duplicate of a retained element: marginal is zero by idempotence,
@@ -196,14 +218,14 @@ def process_element(state: SinglePrunerState, oracle, cost_fn, params: PrunePara
         f_single = oracle.eval({e})
         gain = f_single - state.f_working
     else:
-        gain = oracle.marginal(e, state.working_set, state.f_working)
+        gain = state.oracle_state.marginal(e, state.f_working)
         f_single = oracle.eval({e})
     if not already_in and gain >= params.delta * cost * state.f_working / params.kappa:
         state.working.append(e)
         state.working_set.add(e)
         state.ever_added.add(e)
         state.f_working += gain
-        state.add_records.append((e, gain, cost))
+        state.oracle_state.add(e)
     if f_single > state.f_best_single:
         state.best_single = e
         state.f_best_single = f_single
@@ -216,7 +238,7 @@ def process_element(state: SinglePrunerState, oracle, cost_fn, params: PrunePara
             state.working_set.difference_update(removed_set)
             # Fresh evaluation rather than a cache adjustment: deletions are
             # the one place the incremental value would go stale.
-            state.f_working = oracle.eval(state.working_set) if state.working else 0.0
+            state.f_working = state.oracle_state.reset(state.working_set)
             state.deletions += 1
         state.checkpoint = tuple(state.working)
         state.checkpoint_set = set(state.working)
@@ -279,10 +301,7 @@ def budget_ladder(kappa_min: float, kappa_max: float, eta: float) -> list:
     Exactly the set {kappa_max * (1-eta)^i : i >= 0,
     (1-eta) * kappa_min <= rung <= kappa_max}, sorted descending.
     """
-    if not 0 < kappa_min <= kappa_max:
-        raise InputError("need 0 < kappa_min <= kappa_max")
-    if not 0 < eta <= 0.5:
-        raise InputError("eta must lie in (0, 1/2]")
+    _check_ladder_args(kappa_min, kappa_max, eta)
     lo = (1.0 - eta) * kappa_min
     cutoff = lo * (1.0 - _LADDER_RTOL)
     rungs = []
@@ -295,10 +314,7 @@ def budget_ladder(kappa_min: float, kappa_max: float, eta: float) -> list:
 
 def ladder_size(kappa_min: float, kappa_max: float, eta: float) -> int:
     """Closed-form rung count of ``budget_ladder`` for the same arguments."""
-    if not 0 < kappa_min <= kappa_max:
-        raise InputError("need 0 < kappa_min <= kappa_max")
-    if not 0 < eta <= 0.5:
-        raise InputError("eta must lie in (0, 1/2]")
+    _check_ladder_args(kappa_min, kappa_max, eta)
     span = math.log(kappa_max / ((1.0 - eta) * kappa_min))
     step = math.log(1.0 / (1.0 - eta))
     return int(math.floor(span / step + 1e-9)) + 1

@@ -4,8 +4,10 @@
 greedy implementations; stale heap keys are upper bounds on true marginals
 for submodular objectives, so re-verifying the top of the heap before each
 commit reproduces the naive greedy selection exactly, including id-order
-tie-breaking. ``brute_force_opt`` is the exhaustive verification oracle used
-to check retention guarantees at desk scale.
+tie-breaking. Both keep the solution in the oracle's per-caller state, so
+re-verifying a stale key does not rescan the solution where the oracle has
+incremental statistics. ``brute_force_opt`` is the exhaustive verification
+oracle used to check retention guarantees at desk scale.
 """
 
 from __future__ import annotations
@@ -14,6 +16,7 @@ import heapq
 from dataclasses import dataclass
 
 from .errors import InputError
+from .objectives import oracle_state
 
 __all__ = [
     "Solution",
@@ -61,13 +64,15 @@ def greedy_cardinality(oracle, U, k: int) -> Solution:
         # stamp equals the current solution size.
         heap = [(-oracle.eval({v}), v, 0) for v in ids]
         heapq.heapify(heap)
+        st = oracle_state(oracle)
         while heap and len(chosen) < k:
             neg_gain, v, stamp = heapq.heappop(heap)
             if stamp == len(chosen):
                 chosen.add(v)
+                st.add(v)
                 value += -neg_gain
             else:
-                gain = oracle.marginal(v, chosen, value)
+                gain = st.marginal(v, value)
                 heapq.heappush(heap, (-gain, v, len(chosen)))
     final_value = oracle.eval(chosen) if chosen else 0.0
     return Solution(
@@ -112,16 +117,18 @@ def greedy_knapsack(oracle, cost_fn, U, kappa: float) -> Solution:
                 best_single_value = f_single
             heap.append((-f_single / costs[v], v, 0, f_single))
         heapq.heapify(heap)
+        st = oracle_state(oracle)
         while heap:
             _, v, stamp, gain = heapq.heappop(heap)
             if spent + costs[v] > kappa:
                 continue
             if stamp == len(chosen):
                 chosen.add(v)
+                st.add(v)
                 value += gain
                 spent += costs[v]
             else:
-                gain = oracle.marginal(v, chosen, value)
+                gain = st.marginal(v, value)
                 heapq.heappush(heap, (-gain / costs[v], v, len(chosen), gain))
     if best_single is not None and best_single_value > value:
         chosen = {best_single}

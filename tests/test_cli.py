@@ -47,6 +47,25 @@ def test_prune_rejects_inverted_budget_range(tmp_path):
     assert rc == 2
 
 
+def test_prune_non_finite_budget_is_config_error(tmp_path):
+    graph = _write_graph(tmp_path)
+    for flag in (["--kappa-max", "inf"], ["--kappa-min", "nan", "--kappa-max", "4"]):
+        rc = main(["prune", "--graph", str(graph), "--pruner", "quickprune", *flag,
+                   "--out-ids", str(tmp_path / "i"), "--out-report", str(tmp_path / "r")])
+        assert rc == 2
+
+
+def test_prune_malformed_kernel_csv_is_parse_error(tmp_path):
+    kernel = tmp_path / "k.csv"
+    kernel.write_text("1,0.5\nabc,1\n")
+    queries = tmp_path / "q.txt"
+    queries.write_text("0\n")
+    rc = main(["prune", "--objective", "simgraphcut", "--kernel", str(kernel),
+               "--queries", str(queries), "--pruner", "quickprune", "--kappa-max", "2",
+               "--out-ids", str(tmp_path / "i"), "--out-report", str(tmp_path / "r")])
+    assert rc == 3
+
+
 def test_prune_missing_graph_file_is_io_error(tmp_path):
     rc = main(["prune", "--graph", str(tmp_path / "absent.txt"),
                "--pruner", "quickprune", "--kappa-max", "5",

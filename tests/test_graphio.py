@@ -1,3 +1,4 @@
+import dataclasses
 import gzip
 import io
 
@@ -111,6 +112,22 @@ def test_costs_isolated_node_degenerate():
     g = sp.from_edges(3, [(0, 1)])  # node 2 has degree zero
     with pytest.raises(InputError):
         sp.assign_knapsack_costs(g)
+
+
+@pytest.mark.parametrize("costs", [[1.0, -1.0, np.nan, 1.0], [1.0, 0.0, 1.0, 1.0],
+                                   [1.0, 1.0, np.inf, 1.0]])
+def test_graph_rejects_costs_that_are_not_finite_and_positive(costs):
+    path = sp.generate("path", 4)
+    with pytest.raises(InputError, match="costs"):
+        dataclasses.replace(path, costs=np.array(costs))
+    with pytest.raises(InputError, match="costs"):
+        sp.Graph(path.n, path.indptr, path.indices, costs=np.array(costs))
+
+
+def test_graph_rejects_self_loops():
+    # node 0 lists itself: the cut oracle's incremental gain assumes no loops
+    with pytest.raises(InputError, match="self loops"):
+        sp.Graph(2, np.array([0, 2, 3]), np.array([0, 1, 0]))
 
 
 def test_costs_unknown_mode(star6):

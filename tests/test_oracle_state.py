@@ -1,0 +1,145 @@
+"""Per-caller oracle states against fresh evaluation.
+
+Every state, incremental or generic, must answer ``marginal`` with exactly
+the float a fresh ``eval(S | {e}) - f_S`` gives, ``reset`` with exactly
+``eval(S)``, and count one query per marginal and per non-empty reset.
+"""
+
+import math
+import random
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import setprune as sp
+from setprune.errors import InputError
+
+from conftest import random_graph, random_similarity_kernel, unit_cost
+
+KINDS = ("cut", "cut-directed", "influence", "influence-directed",
+         "coverage", "simgraphcut", "custom")
+N = 9
+
+
+def _directed_graph(n, seed):
+    rng = random.Random(seed)
+    arcs = [(u, v) for u in range(n) for v in range(n) if u != v and rng.random() < 0.3]
+    return sp.from_edges(n, arcs, directed=True)
+
+
+def build_oracle(kind, seed):
+    if kind == "cut":
+        return sp.CutOracle(random_graph(N, 0.35, seed))
+    if kind == "cut-directed":
+        return sp.CutOracle(_directed_graph(N, seed))
+    if kind == "influence":
+        return sp.InfluenceOracle(sp.LiveEdgeSamplePool(random_graph(N, 0.4, seed),
+                                                        p=0.5, m=7, seed=seed))
+    if kind == "influence-directed":
+        return sp.InfluenceOracle(sp.LiveEdgeSamplePool(_directed_graph(N, seed),
+                                                        p=0.5, m=7, seed=seed))
+    if kind == "coverage":
+        return sp.CoverageOracle(random_graph(N, 0.3, seed))
+    if kind == "simgraphcut":
+        return sp.SimilarityCutOracle(random_similarity_kernel(2, N, seed)[0])
+    weights = [1.0 + 0.37 * ((seed + 3 * v) % 11) for v in range(N)]
+    return sp.CustomOracle(N, lambda S: math.sqrt(math.fsum(weights[v] for v in sorted(S))))
+
+
+ids = st.integers(min_value=0, max_value=N - 1)
+ops = st.lists(st.one_of(
+    st.tuples(st.just("add"), ids),
+    st.tuples(st.just("marginal"), ids, st.sampled_from([0.0, 0.25, 1e-9])),
+    st.tuples(st.just("reset"), st.frozensets(ids)),
+), max_size=25)
+
+
+@given(st.sampled_from(KINDS), st.integers(min_value=0, max_value=500), ops)
+@settings(max_examples=150, deadline=None)
+def test_state_matches_fresh_eval(kind, seed, steps):
+    oracle = build_oracle(kind, seed)
+    state = oracle.state()
+    S = set()
+    for step in steps:
+        before = oracle.query_count
+        if step[0] == "add":
+            state.add(step[1])
+            assert oracle.query_count == before
+            S.add(step[1])
+        elif step[0] == "marginal":
+            e, offset = step[1], step[2]
+            f_S = (oracle.eval(S) if S else 0.0) + offset
+            before = oracle.query_count
+            got = state.marginal(e, f_S)
+            assert oracle.query_count == before + 1
+            expect = oracle.eval(S | {e}) - f_S
+            assert got == expect and type(got) is type(expect)
+            if e in S and offset == 0.0:
+                assert got == 0
+        else:
+            got = state.reset(step[1])
+            assert oracle.query_count == before + (1 if step[1] else 0)
+            S = set(step[1])
+            assert got == (oracle.eval(S) if S else 0.0)
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_state_rejects_ids_outside_ground_set(kind):
+    oracle = build_oracle(kind, 1)
+    state = oracle.state()
+    for bad in (-1, N):
+        with pytest.raises(InputError):
+            state.marginal(bad, 0.0)
+        with pytest.raises(InputError):
+            state.add(bad)
+        with pytest.raises(InputError):
+            state.reset({0, bad})
+
+
+def test_incremental_states_only_where_undirected():
+    for kind in KINDS:
+        generic = type(build_oracle(kind, 2).state()) is sp.EvalState
+        assert generic == (kind not in ("cut", "influence")), kind
+
+
+class PlainOracle:
+    """Forwards eval and marginal only, so callers fall back to EvalState."""
+
+    def __init__(self, inner):
+        self.inner = inner
+        self.n = inner.n
+
+    def eval(self, S):
+        return self.inner.eval(S)
+
+    def marginal(self, e, S, f_S):
+        return self.inner.marginal(e, S, f_S)
+
+    @property
+    def query_count(self):
+        return self.inner.query_count
+
+
+def test_wrappers_without_state_fall_back_to_eval_state():
+    assert type(sp.oracle_state(PlainOracle(build_oracle("cut", 0)))) is sp.EvalState
+
+
+@pytest.mark.parametrize("kind", ["cut", "influence"])
+def test_pruner_and_solvers_unchanged_by_incremental_state(kind):
+    graph = random_graph(60, 0.1, 4)
+    if kind == "cut":
+        make = lambda: sp.CutOracle(graph)  # noqa: E731
+    else:
+        pool = sp.LiveEdgeSamplePool(graph, p=0.2, m=12, seed=4)
+        make = lambda: sp.InfluenceOracle(pool)  # noqa: E731
+    ladder = sp.LadderParams(2.0, 16.0, 0.5, 0.1, 0.1)
+    runs = []
+    for oracle in (make(), PlainOracle(make())):
+        pruned, report = sp.quickprune(range(60), oracle, unit_cost, ladder, 60)
+        sols = [sp.greedy_cardinality(oracle, range(60), k) for k in (3, 8)]
+        sols.append(sp.greedy_knapsack(oracle, lambda v: 1.0 + v % 3, pruned, 7.0))
+        runs.append((pruned, report.oracle_calls, report.per_budget_sizes,
+                     [(e.removed, e.value_before, e.value_after) for e in report.events],
+                     [(s.ids, s.value, s.oracle_calls) for s in sols]))
+    assert runs[0] == runs[1]

@@ -30,8 +30,36 @@ def test_ladder_params_validation():
             sp.LadderParams(*bad)
 
 
+def test_params_reject_non_finite_values():
+    for bad in ((math.inf, 0.1, 0.1), (1, math.nan, 0.1), (1, 0.1, math.inf)):
+        with pytest.raises(InputError, match="finite"):
+            sp.PruneParams(*bad)
+    for bad in ((1, math.inf, 0.5, 0.1, 0.1), (math.nan, 2, 0.5, 0.1, 0.1),
+                (1, 2, math.nan, 0.1, 0.1), (1, 2, 0.5, math.inf, 0.1),
+                (1, 2, 0.5, 0.1, math.nan)):
+        with pytest.raises(InputError, match="finite"):
+            sp.LadderParams(*bad)
+
+
+def test_ladder_rejects_non_finite_and_unshrinkable_arguments():
+    for fn in (sp.budget_ladder, sp.ladder_size):
+        for bad in ((1, math.inf, 0.5), (math.nan, 2, 0.5), (1, 2, math.nan)):
+            with pytest.raises(InputError, match="finite"):
+                fn(*bad)
+        with pytest.raises(InputError, match="shrink"):
+            fn(1, 2, 1e-300)  # 1 - eta rounds to 1: the ladder would never end
+
+
 # ---------------------------------------------------------------------------
 # process_element semantics
+
+@pytest.mark.parametrize("cost", [0.0, -1.0, math.nan])
+def test_process_element_rejects_non_positive_cost(star6, cost):
+    orc = sp.CoverageOracle(star6)
+    params = sp.PruneParams(kappa=2.0, delta=1.0, epsilon=0.1)
+    with pytest.raises(InputError, match="cost"):
+        sp.process_element(sp.SinglePrunerState(), orc, lambda v: cost, params, 6, 0)
+
 
 def test_oversized_element_is_skipped_without_queries(star6):
     orc = sp.CoverageOracle(star6)
