@@ -144,70 +144,56 @@ def cmd_prune(args):
     _require(opts, "out_ids", "out_report")
     oracle, cost_fn, ground, graph = _build_instance(opts)
     n = len(ground)
-    calls_before = oracle.query_count
     pruner = opts["pruner"]
-    per_budget_sizes = {}
-    deletions = 0
-    deletion_log = []
-    elapsed = 0.0
-    if pruner == "quickprune":
-        kmax = opts["kappa_max"] if opts["kappa_max"] is not None else opts["kappa"]
-        kmin = opts["kappa_min"] if opts["kappa_min"] is not None else kmax
-        if kmax is None:
-            raise InputError("quickprune requires --kappa-max (or --kappa)")
-        params = pruning.LadderParams(kappa_min=kmin, kappa_max=kmax,
-                                      eta=opts["eta"], delta=opts["delta"],
-                                      epsilon=opts["epsilon"])
-        pruned, report = pruning.quickprune(sorted(ground), oracle, cost_fn, params, n)
-        per_budget_sizes = report.per_budget_sizes
-        deletions = report.deletions
-        deletion_log = report.to_json_dict()["deletion_log"]
-        elapsed = report.elapsed
-    elif pruner == "quickprune-single":
-        kappa = opts["kappa"] if opts["kappa"] is not None else opts["kappa_max"]
+    if pruner in ("quickprune", "quickprune-single"):
+        # Each pruner reads its own budget flag first and the other's second.
+        single = pruner == "quickprune-single"
+        first, second = ("kappa", "kappa_max") if single else ("kappa_max", "kappa")
+        kappa = opts[first] if opts[first] is not None else opts[second]
         if kappa is None:
-            raise InputError("quickprune-single requires --kappa (or --kappa-max)")
-        params = pruning.PruneParams(kappa=kappa, delta=opts["delta"],
-                                     epsilon=opts["epsilon"])
-        pruned, report = pruning.quickprune_single(sorted(ground), oracle, cost_fn,
-                                                   params, n)
-        per_budget_sizes = report.per_budget_sizes
-        deletions = report.deletions
-        deletion_log = report.to_json_dict()["deletion_log"]
-        elapsed = report.elapsed
-    elif pruner == "ss":
-        config = baselines.BaselineConfig(kind="ss", r=opts["r"], c=opts["c"],
-                                          seed=opts["seed"])
-        pruned = baselines.ss_prune(oracle, ground, config)
-    elif pruner == "topk":
-        _require(opts, "target_size")
-        if graph is None:
-            raise InputError("topk needs a graph objective")
-        pruned = baselines.top_k_prune(graph, cost_fn, opts["target_size"])
-    elif pruner == "random":
-        _require(opts, "target_size")
-        pruned = baselines.random_prune(n, opts["target_size"], opts["seed"])
+            raise InputError(f"{pruner} requires --{first.replace('_', '-')} "
+                             f"(or --{second.replace('_', '-')})")
+        if single:
+            run = pruning.quickprune_single
+            params = pruning.PruneParams(kappa=kappa, delta=opts["delta"],
+                                         epsilon=opts["epsilon"])
+        else:
+            run = pruning.quickprune
+            kmin = opts["kappa_min"] if opts["kappa_min"] is not None else kappa
+            params = pruning.LadderParams(kappa_min=kmin, kappa_max=kappa,
+                                          eta=opts["eta"], delta=opts["delta"],
+                                          epsilon=opts["epsilon"])
+        pruned, report = run(sorted(ground), oracle, cost_fn, params, n)
     else:
-        raise InputError(f"unknown pruner {pruner!r}")
+        calls_before = oracle.query_count
+        if pruner == "ss":
+            config = baselines.BaselineConfig(kind="ss", r=opts["r"], c=opts["c"],
+                                              seed=opts["seed"])
+            pruned = baselines.ss_prune(oracle, ground, config)
+        elif pruner == "topk":
+            _require(opts, "target_size")
+            if graph is None:
+                raise InputError("topk needs a graph objective")
+            pruned = baselines.top_k_prune(graph, cost_fn, opts["target_size"])
+        elif pruner == "random":
+            _require(opts, "target_size")
+            pruned = baselines.random_prune(n, opts["target_size"], opts["seed"])
+        else:
+            raise InputError(f"unknown pruner {pruner!r}")
+        report = pruning.PruneReport(frozenset(pruned), oracle.query_count - calls_before,
+                                     deletions=0, per_budget_sizes={}, elapsed=0.0, n=n)
     graphio.write_id_file(pruned, opts["out_ids"])
-    report_dict = {
-        "pruner": pruner,
-        "params": {k: opts[k] for k in
-                   ("objective", "constraint", "kappa", "kappa_min", "kappa_max",
-                    "delta", "epsilon", "eta", "r", "c", "target_size", "seed")},
-        "n": n,
-        "pruned_size": len(pruned),
-        "oracle_calls": oracle.query_count - calls_before,
-        "deletions": deletions,
-        "per_budget_sizes": {str(k): v for k, v in per_budget_sizes.items()},
-        "deletion_log": deletion_log,
-        "elapsed_seconds": elapsed,
-        "ids_file": str(opts["out_ids"]),
-    }
+    report_dict = report.to_json_dict()
+    report_dict.update(
+        pruner=pruner,
+        params={k: opts[k] for k in
+                ("objective", "constraint", "kappa", "kappa_min", "kappa_max",
+                 "delta", "epsilon", "eta", "r", "c", "target_size", "seed")},
+        ids_file=str(opts["out_ids"]),
+    )
     with open(opts["out_report"], "wt") as fh:
         json.dump(report_dict, fh, indent=2, sort_keys=True)
-    print(f"pruned {n} -> {len(pruned)} elements "
-          f"({oracle.query_count - calls_before} oracle calls)")
+    print(f"pruned {n} -> {len(pruned)} elements ({report.oracle_calls} oracle calls)")
     return EXIT_OK
 
 

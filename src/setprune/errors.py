@@ -1,4 +1,6 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the finiteness check."""
+
+import math
 
 
 class InputError(ValueError):
@@ -13,3 +15,10 @@ class ParseError(ValueError):
             message = f"line {line_no}: {message}"
         super().__init__(message)
         self.line_no = line_no
+
+
+def require_finite(**values):
+    """Raise InputError naming the first keyword argument that is not finite."""
+    for name, value in values.items():
+        if not math.isfinite(value):
+            raise InputError(f"{name} must be finite, got {value!r}")

@@ -6,7 +6,8 @@ the best feasible singleton on the side, and discarding the previous
 checkpoint's elements whenever the running value has grown by more than a
 factor ``n / epsilon`` since that checkpoint. The multi-budget variant runs
 one such pruner per rung of a geometric budget ladder and returns the union
-of their outputs.
+of their outputs. Both go through one streaming driver: ``quickprune_single``
+is the one-rung case of the driver that ``quickprune`` runs over the ladder.
 
 Closed-form companions to the pruners live here as well: the pruned-set
 size bound, the worst-case retention ratios, the ladder-size formula, the
@@ -15,11 +16,13 @@ big-item cost check, and the geometric-growth step count they rest on.
 
 from __future__ import annotations
 
+import itertools
 import math
+import sys
 import time
 from dataclasses import dataclass, field
 
-from .errors import InputError
+from .errors import InputError, require_finite
 from .objectives import oracle_state
 
 __all__ = [
@@ -44,21 +47,30 @@ __all__ = [
 # repeated multiplication without admitting a genuinely out-of-range rung.
 _LADDER_RTOL = 1e-12
 
-
-def _require_finite(**values):
-    for name, value in values.items():
-        if not math.isfinite(value):
-            raise InputError(f"{name} must be finite, got {value!r}")
+# Most rungs a budget ladder may have; each rung runs its own pruner over the
+# whole stream, and the ladder is counted before any rung is built.
+MAX_RUNGS = 10_000
 
 
-def _check_ladder_args(kappa_min: float, kappa_max: float, eta: float):
-    _require_finite(kappa_min=kappa_min, kappa_max=kappa_max, eta=eta)
+def _check_ladder_args(kappa_min: float, kappa_max: float, eta: float) -> int:
+    """Validate ladder arguments; return the rung count, taken in log space."""
+    require_finite(kappa_min=kappa_min, kappa_max=kappa_max, eta=eta)
     if not 0 < kappa_min <= kappa_max:
         raise InputError("need 0 < kappa_min <= kappa_max")
     if not 0 < eta <= 0.5:
         raise InputError("eta must lie in (0, 1/2]")
     if 1.0 - eta == 1.0:
         raise InputError(f"eta {eta!r} is too small for the ladder to shrink")
+    lo = (1.0 - eta) * kappa_min
+    if lo < sys.float_info.min:
+        # Below the normal range a rung times (1 - eta) can round back to
+        # itself, and the ladder would never reach its cutoff.
+        raise InputError(f"lower cutoff (1 - eta) * kappa_min = {lo!r} underflows")
+    span = math.log(kappa_max) - math.log(lo)
+    rungs = int(math.floor(span / -math.log(1.0 - eta) + 1e-9)) + 1
+    if rungs > MAX_RUNGS:
+        raise InputError(f"budget ladder would have {rungs} rungs, more than {MAX_RUNGS}")
+    return rungs
 
 
 @dataclass(frozen=True)
@@ -70,7 +82,7 @@ class PruneParams:
     epsilon: float
 
     def __post_init__(self):
-        _require_finite(kappa=self.kappa, delta=self.delta, epsilon=self.epsilon)
+        require_finite(kappa=self.kappa, delta=self.delta, epsilon=self.epsilon)
         if self.kappa <= 0:
             raise InputError("kappa must be positive")
         if self.delta <= 0:
@@ -91,11 +103,7 @@ class LadderParams:
 
     def __post_init__(self):
         _check_ladder_args(self.kappa_min, self.kappa_max, self.eta)
-        _require_finite(delta=self.delta, epsilon=self.epsilon)
-        if self.delta <= 0:
-            raise InputError("delta must be positive")
-        if self.epsilon <= 0:
-            raise InputError("epsilon must be positive")
+        PruneParams(self.kappa_max, self.delta, self.epsilon)  # a rung's delta/epsilon checks
 
 
 @dataclass(frozen=True)
@@ -116,30 +124,28 @@ class DeletionEvent:
 class SinglePrunerState:
     """Mutable state of one single-budget pruner.
 
-    Invariants kept by ``process_element``: the checkpoint is always a subset
-    of the working set; cached values equal fresh oracle evaluations of their
-    sets; every retained element and the best singleton fit the budget.
-    ``ever_added`` accumulates every element that ever entered the working
-    set, for deletion-loss instrumentation. ``oracle_state`` is the
-    oracle's per-caller state for the working set, made on the first query.
+    Invariants kept by ``process_element``: the checkpoint is always a prefix
+    of ``working`` (between firings only appends happen, and ``working``
+    holds no duplicates), so it is stored as its length; cached values equal
+    fresh oracle evaluations of their sets; every retained element and the
+    best singleton fit the budget. ``oracle_state`` is the oracle's
+    per-caller state for the working set, made on the first query.
     """
 
     __slots__ = (
-        "working", "working_set", "checkpoint", "checkpoint_set",
+        "working", "working_set", "checkpoint_len",
         "best_single", "f_working", "f_checkpoint", "f_best_single",
-        "ever_added", "events", "deletions", "processed", "oracle_state",
+        "events", "deletions", "processed", "oracle_state",
     )
 
     def __init__(self):
         self.working = []           # retained elements, in add order
         self.working_set = set()
-        self.checkpoint = ()        # snapshot of `working` at last checkpoint
-        self.checkpoint_set = set()
+        self.checkpoint_len = 0     # working[:checkpoint_len] is the checkpoint
         self.best_single = None
         self.f_working = 0.0
         self.f_checkpoint = 0.0
         self.f_best_single = 0.0
-        self.ever_added = set()
         self.events = []
         self.deletions = 0
         self.processed = 0
@@ -183,7 +189,6 @@ class PruneReport:
                 }
                 for e in self.events
             ],
-            "instrumentation": self.instrumentation,
         }
 
 
@@ -223,25 +228,23 @@ def process_element(state: SinglePrunerState, oracle, cost_fn, params: PrunePara
     if not already_in and gain >= params.delta * cost * state.f_working / params.kappa:
         state.working.append(e)
         state.working_set.add(e)
-        state.ever_added.add(e)
         state.f_working += gain
         state.oracle_state.add(e)
     if f_single > state.f_best_single:
         state.best_single = e
         state.f_best_single = f_single
     if state.f_working > (n / params.epsilon) * state.f_checkpoint:
-        removed = tuple(state.checkpoint)
+        k = state.checkpoint_len
+        removed = tuple(state.working[:k])
         value_before = state.f_working
         if removed:
-            removed_set = state.checkpoint_set
-            state.working = [v for v in state.working if v not in removed_set]
-            state.working_set.difference_update(removed_set)
+            state.working = state.working[k:]
+            state.working_set.difference_update(removed)
             # Fresh evaluation rather than a cache adjustment: deletions are
             # the one place the incremental value would go stale.
             state.f_working = state.oracle_state.reset(state.working_set)
             state.deletions += 1
-        state.checkpoint = tuple(state.working)
-        state.checkpoint_set = set(state.working)
+        state.checkpoint_len = len(state.working)
         state.f_checkpoint = state.f_working
         state.events.append(DeletionEvent(
             stream_pos=state.processed - 1,
@@ -253,46 +256,66 @@ def process_element(state: SinglePrunerState, oracle, cost_fn, params: PrunePara
     return state
 
 
+def _prune(stream, oracle, cost_fn, rungs: list, n: int):
+    """Stream every element once through one single-budget pruner per
+    ``PruneParams`` in ``rungs`` (all sharing ``epsilon``); return the union
+    of their outputs, the run's report and the per-rung states."""
+    if n < 1:
+        raise InputError("ground-set size n must be >= 1")
+    if rungs[0].epsilon >= n:
+        raise InputError("epsilon must be smaller than the ground-set size")
+    start = time.monotonic()
+    calls_before = oracle.query_count
+    per_rung = [(params, SinglePrunerState()) for params in rungs]
+    for e in stream:
+        for params, state in per_rung:
+            process_element(state, oracle, cost_fn, params, n, e)
+    union = set()
+    sizes = {}
+    events = []
+    deletions = 0
+    for params, state in per_rung:
+        out = state.pruned_set()
+        sizes[params.kappa] = len(out)
+        union |= out
+        deletions += state.deletions
+        events.extend(state.events)
+    report = PruneReport(
+        pruned=frozenset(union),
+        oracle_calls=oracle.query_count - calls_before,
+        deletions=deletions,
+        per_budget_sizes=sizes,
+        elapsed=time.monotonic() - start,
+        n=n,
+        events=events,
+    )
+    return union, report, [state for _, state in per_rung]
+
+
 def quickprune_single(stream, oracle, cost_fn, params: PruneParams, n: int,
                       instrument: bool = False):
     """Prune the ground set for one budget in a single streaming pass.
 
     Returns ``(pruned_ids, report)`` where the pruned set is the retained
     working set plus the best feasible singleton. Each stream element is
-    touched exactly once; a rejected element is never revisited. With
+    touched exactly once; a rejected element is never revisited. This is
+    the one-rung case of the driver behind ``quickprune``. With
     ``instrument=True`` the report additionally carries the value of the
     surviving set and of everything ever added (two extra queries, issued
     after the pass and excluded from the reported call count).
     """
-    if n < 1:
-        raise InputError("ground-set size n must be >= 1")
-    if params.epsilon >= n:
-        raise InputError("epsilon must be smaller than the ground-set size")
-    start = time.monotonic()
-    calls_before = oracle.query_count
-    state = SinglePrunerState()
-    for e in stream:
-        process_element(state, oracle, cost_fn, params, n, e)
-    pruned = frozenset(state.pruned_set())
-    oracle_calls = oracle.query_count - calls_before
-    report = PruneReport(
-        pruned=pruned,
-        oracle_calls=oracle_calls,
-        deletions=state.deletions,
-        per_budget_sizes={params.kappa: len(pruned)},
-        elapsed=time.monotonic() - start,
-        n=n,
-        events=list(state.events),
-    )
+    pruned, report, (state,) = _prune(stream, oracle, cost_fn, [params], n)
     if instrument:
-        f_surviving = oracle.eval(state.working_set) if state.working_set else 0.0
-        f_ever_added = oracle.eval(state.ever_added) if state.ever_added else 0.0
+        # Deletions only ever drop a prefix of the add order, so the removed
+        # tuples followed by the working list are every add, in order.
+        ever_added = set(itertools.chain(*(ev.removed for ev in state.events),
+                                         state.working))
         report.instrumentation = {
-            "f_surviving": f_surviving,
-            "f_ever_added": f_ever_added,
-            "ever_added_size": len(state.ever_added),
+            "f_surviving": oracle.eval(state.working_set) if state.working_set else 0.0,
+            "f_ever_added": oracle.eval(ever_added) if ever_added else 0.0,
+            "ever_added_size": len(ever_added),
         }
-    return set(pruned), report
+    return pruned, report
 
 
 def budget_ladder(kappa_min: float, kappa_max: float, eta: float) -> list:
@@ -314,10 +337,7 @@ def budget_ladder(kappa_min: float, kappa_max: float, eta: float) -> list:
 
 def ladder_size(kappa_min: float, kappa_max: float, eta: float) -> int:
     """Closed-form rung count of ``budget_ladder`` for the same arguments."""
-    _check_ladder_args(kappa_min, kappa_max, eta)
-    span = math.log(kappa_max / ((1.0 - eta) * kappa_min))
-    step = math.log(1.0 / (1.0 - eta))
-    return int(math.floor(span / step + 1e-9)) + 1
+    return _check_ladder_args(kappa_min, kappa_max, eta)
 
 
 def quickprune(stream, oracle, cost_fn, params: LadderParams, n: int):
@@ -326,40 +346,9 @@ def quickprune(stream, oracle, cost_fn, params: LadderParams, n: int):
     One single-budget pruner runs per ladder rung; every stream element is
     fed to all of them; the result is the union of the per-rung outputs.
     """
-    if n < 1:
-        raise InputError("ground-set size n must be >= 1")
-    if params.epsilon >= n:
-        raise InputError("epsilon must be smaller than the ground-set size")
-    start = time.monotonic()
-    calls_before = oracle.query_count
-    rungs = budget_ladder(params.kappa_min, params.kappa_max, params.eta)
-    per_rung = [
-        (PruneParams(kappa=tau, delta=params.delta, epsilon=params.epsilon),
-         SinglePrunerState())
-        for tau in rungs
-    ]
-    for e in stream:
-        for rung_params, state in per_rung:
-            process_element(state, oracle, cost_fn, rung_params, n, e)
-    union = set()
-    sizes = {}
-    events = []
-    deletions = 0
-    for (rung_params, state), tau in zip(per_rung, rungs):
-        out = state.pruned_set()
-        sizes[tau] = len(out)
-        union |= out
-        deletions += state.deletions
-        events.extend(state.events)
-    report = PruneReport(
-        pruned=frozenset(union),
-        oracle_calls=oracle.query_count - calls_before,
-        deletions=deletions,
-        per_budget_sizes=sizes,
-        elapsed=time.monotonic() - start,
-        n=n,
-        events=events,
-    )
+    rungs = [PruneParams(kappa=tau, delta=params.delta, epsilon=params.epsilon)
+             for tau in budget_ladder(params.kappa_min, params.kappa_max, params.eta)]
+    union, report, _ = _prune(stream, oracle, cost_fn, rungs, n)
     return union, report
 
 
@@ -370,14 +359,18 @@ def size_bound(n: float, kappa: float, delta: float, c_min: float, epsilon: floa
     Natural logarithm throughout. ``c_min`` is the smallest cost among
     elements that fit the budget (others never enter the working set).
     """
+    require_finite(n=n, kappa=kappa, delta=delta, c_min=c_min, epsilon=epsilon)
     if min(n, kappa, delta, c_min, epsilon) <= 0:
         raise InputError("all size-bound arguments must be positive")
+    if delta * c_min == 0.0:
+        raise InputError("delta * c_min underflows to 0")
     if n / epsilon <= 1.0:
         raise InputError("size bound requires n / epsilon > 1")
     return 2.0 * (1.0 + kappa / (delta * c_min)) * math.log(n / epsilon) + 3.0
 
 
 def _validate_alpha_args(delta: float, epsilon: float, gamma: float):
+    require_finite(delta=delta, epsilon=epsilon, gamma=gamma)
     if delta <= 0:
         raise InputError("delta must be positive")
     if epsilon < 0:

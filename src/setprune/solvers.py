@@ -15,7 +15,7 @@ from __future__ import annotations
 import heapq
 from dataclasses import dataclass
 
-from .errors import InputError
+from .errors import InputError, require_finite
 from .objectives import oracle_state
 
 __all__ = [
@@ -92,6 +92,7 @@ def greedy_knapsack(oracle, cost_fn, U, kappa: float) -> Solution:
     stop fitting are dropped for good since the remaining budget only
     shrinks.
     """
+    require_finite(kappa=kappa)
     if kappa <= 0:
         raise InputError("kappa must be positive")
     ids = sorted(set(U))
@@ -187,6 +188,7 @@ def brute_force_opt(oracle, cost_fn, U, kappa: float) -> Solution:
 
 def cardinality_solver(oracle, cost_fn, U, budget) -> Solution:
     """Uniform-signature adapter for size-constrained sweeps."""
+    require_finite(budget=budget)
     return greedy_cardinality(oracle, U, int(budget))
 
 

@@ -1,7 +1,10 @@
 import csv
 import json
+import math
 import time
 
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 import setprune as sp
 from setprune.cli import main
@@ -49,7 +52,11 @@ def test_prune_rejects_inverted_budget_range(tmp_path):
 
 def test_prune_non_finite_budget_is_config_error(tmp_path):
     graph = _write_graph(tmp_path)
-    for flag in (["--kappa-max", "inf"], ["--kappa-min", "nan", "--kappa-max", "4"]):
+    for flag in (["--kappa-max", "inf"], ["--kappa-min", "nan", "--kappa-max", "4"],
+                 # ladders that could never be built: too many rungs, and a
+                 # lower cutoff that rounds to 0
+                 ["--kappa-min", "1", "--kappa-max", "2", "--eta", "1e-12"],
+                 ["--kappa-min", "5e-324", "--kappa-max", "1"]):
         rc = main(["prune", "--graph", str(graph), "--pruner", "quickprune", *flag,
                    "--out-ids", str(tmp_path / "i"), "--out-report", str(tmp_path / "r")])
         assert rc == 2
@@ -112,6 +119,32 @@ def test_prune_with_baselines(tmp_path):
             assert len(ids) == 10
 
 
+def test_prune_report_keys_are_shared_by_every_pruner(tmp_path):
+    graph = _write_graph(tmp_path, kind="erdos_renyi", n=40, params={"p": 0.15},
+                         seed=1)
+    keys = {"pruner", "params", "n", "pruned_size", "oracle_calls", "deletions",
+            "per_budget_sizes", "deletion_log", "elapsed_seconds", "ids_file"}
+    for pruner, extra in (("quickprune", ["--kappa-min", "2", "--kappa-max", "8"]),
+                          ("quickprune-single", ["--kappa", "4"]),
+                          ("ss", ["--r", "2", "--c", "4"]),
+                          ("topk", ["--target-size", "10"]),
+                          ("random", ["--target-size", "10"])):
+        report_file = tmp_path / f"{pruner}.json"
+        rc = main(["prune", "--graph", str(graph), "--pruner", pruner,
+                   "--out-ids", str(tmp_path / f"{pruner}.ids"),
+                   "--out-report", str(report_file)] + extra)
+        assert rc == 0
+        report = json.loads(report_file.read_text())
+        assert set(report) == keys
+        assert report["pruner"] == pruner
+        assert report["pruned_size"] == len(sp.read_id_file(tmp_path / f"{pruner}.ids"))
+        if pruner == "quickprune-single":
+            assert report["per_budget_sizes"] == {"4.0": report["pruned_size"]}
+        elif pruner != "quickprune":
+            assert report["per_budget_sizes"] == {} and report["deletion_log"] == []
+            assert report["deletions"] == 0 and report["elapsed_seconds"] == 0.0
+
+
 def test_config_file_with_flag_override(tmp_path):
     graph = _write_graph(tmp_path)
     cfg = tmp_path / "cfg.json"
@@ -144,6 +177,21 @@ def test_solve_writes_solution(tmp_path):
     assert rc == 0
     sol = json.loads(out.read_text())
     assert sol["ids"] == [0] and sol["value"] == 9
+
+
+def test_non_finite_solver_budget_is_config_error(tmp_path):
+    graph = _write_graph(tmp_path, kind="star", n=9)
+    ids_file = tmp_path / "all.ids"
+    sp.write_id_file(range(9), ids_file)
+    for constraint in ("size", "knapsack"):
+        for budget in ("nan", "inf", "-inf"):
+            common = ["--graph", str(graph), "--constraint", constraint]
+            assert main(["solve", *common, f"--budget={budget}",
+                         "--out", str(tmp_path / "s.json")]) == 2
+            assert main(["eval", *common, "--ids", str(ids_file), f"--budget={budget}",
+                         "--out", str(tmp_path / "e.csv")]) == 2
+            assert main(["sweep", *common, "--ids", str(ids_file),
+                         f"--budgets={budget}", "--out", str(tmp_path / "w.csv")]) == 2
 
 
 def test_eval_identity_pruning_row(tmp_path):
@@ -213,6 +261,11 @@ def test_bounds_bad_params_exit_code():
     rc = main(["bounds", "--n", "1000", "--kappa", "100", "--delta", "1",
                "--epsilon", "2", "--gamma", "1"])
     assert rc == 2
+    for flag in (["--epsilon", "nan"], ["--delta", "inf"], ["--gamma", "nan"],
+                 ["--n", "inf"], ["--kappa", "nan"]):
+        args = {"--n": "100", "--kappa": "4"}
+        args.update([flag])
+        assert main(["bounds", *[x for kv in args.items() for x in kv]]) == 2
 
 
 def test_coverage_eval_on_midsize_graph_is_fast(tmp_path):
@@ -229,3 +282,59 @@ def test_coverage_eval_on_midsize_graph_is_fast(tmp_path):
     assert main(["eval", "--graph", str(graph), "--ids", str(ids_file),
                  "--budget", "100", "--out", str(tmp_path / "e.csv")]) == 0
     assert time.monotonic() - start < 60
+
+
+# ---------------------------------------------------------------------------
+# bounded fuzz of the numeric flags: the CLI exits 0 or 2, never 4, never hangs
+
+FUZZ_FLOATS = st.one_of(
+    st.sampled_from([math.nan, math.inf, -math.inf, 0.0, -0.0, 5e-324, 1e-310,
+                     2.2250738585072014e-308, 1e308, -1e308, 1e-12, 0.1, 0.5, 1.0]),
+    st.floats(min_value=0.01, max_value=64.0),
+    st.floats())
+MAYBE_FLOAT = st.one_of(st.none(), FUZZ_FLOATS)
+
+
+def _flags(**values):
+    # "--flag=value" keeps argparse from reading a negative value as a flag
+    return [f"--{k.replace('_', '-')}={v!r}" for k, v in values.items() if v is not None]
+
+
+@st.composite
+def fuzz_argv(draw):
+    command = draw(st.sampled_from(["prune", "solve", "sweep", "bounds"]))
+    if command == "bounds":
+        return ["bounds", *_flags(n=draw(MAYBE_FLOAT), kappa=draw(MAYBE_FLOAT),
+                                  delta=draw(MAYBE_FLOAT), epsilon=draw(MAYBE_FLOAT),
+                                  gamma=draw(MAYBE_FLOAT))]
+    argv = [command, "--constraint", draw(st.sampled_from(["size", "knapsack"]))]
+    if command == "prune":
+        return argv + _flags(kappa_min=draw(MAYBE_FLOAT), kappa_max=draw(MAYBE_FLOAT),
+                             eta=draw(MAYBE_FLOAT))
+    if command == "solve":
+        return argv + _flags(budget=draw(FUZZ_FLOATS))
+    budgets = draw(st.lists(FUZZ_FLOATS, min_size=1, max_size=3))
+    return argv + _flags(budgets=budgets[0]) + [repr(b) for b in budgets[1:]]
+
+
+def _exit_code(argv):
+    try:
+        return main(argv)
+    except SystemExit as exc:  # argparse rejects the command line with exit 2
+        return exc.code
+
+
+@given(fuzz_argv())
+@settings(max_examples=100, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+def test_numeric_flag_fuzz_exits_zero_or_two(tmp_path, argv):
+    graph = tmp_path / "path30.txt"
+    if not graph.exists():
+        sp.write_edge_list(sp.generate("path", 30, {}, seed=0), graph)
+        sp.write_id_file(range(0, 30, 2), tmp_path / "half.ids")
+    files = {"prune": ["--out-ids", str(tmp_path / "i"), "--out-report", str(tmp_path / "r")],
+             "solve": ["--out", str(tmp_path / "s.json")],
+             "sweep": ["--ids", str(tmp_path / "half.ids"), "--out", str(tmp_path / "w.csv")],
+             "bounds": []}[argv[0]]
+    instance = [] if argv[0] == "bounds" else ["--graph", str(graph)]
+    assert _exit_code([argv[0], *instance, *argv[1:], *files]) in (0, 2)

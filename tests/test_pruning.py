@@ -42,12 +42,24 @@ def test_params_reject_non_finite_values():
 
 
 def test_ladder_rejects_non_finite_and_unshrinkable_arguments():
-    for fn in (sp.budget_ladder, sp.ladder_size):
+    for fn in (sp.budget_ladder, sp.ladder_size,
+               lambda *a: sp.LadderParams(*a, delta=0.1, epsilon=0.1)):
         for bad in ((1, math.inf, 0.5), (math.nan, 2, 0.5), (1, 2, math.nan)):
             with pytest.raises(InputError, match="finite"):
                 fn(*bad)
         with pytest.raises(InputError, match="shrink"):
             fn(1, 2, 1e-300)  # 1 - eta rounds to 1: the ladder would never end
+        # about 6.9e11 rungs: counted and refused before any rung is built
+        with pytest.raises(InputError, match="rungs"):
+            fn(1, 2, 1e-12)
+        # a lower cutoff of 0, or a subnormal one where (1 - eta) * rung can
+        # round back to the rung, would never end the ladder either
+        for bad in ((5e-324, 1.0, 0.5), (5e-324, 1.7e308, 0.5), (1e-323, 1e-323, 1e-4)):
+            with pytest.raises(InputError, match="underflows"):
+                fn(*bad)
+    # wide but finite ranges are counted without overflow
+    assert sp.ladder_size(1e-300, 1e300, 0.5) == len(sp.budget_ladder(1e-300, 1e300, 0.5))
+    assert sp.ladder_size(1.0, 1.7e308, 0.5) == 1025
 
 
 # ---------------------------------------------------------------------------
@@ -230,6 +242,41 @@ def test_deletion_loss_invariant_with_real_deletions():
     assert total_deletions > 0
 
 
+def _repeat_instance(kind, seed, n):
+    if kind == "coverage":
+        return sp.CoverageOracle(random_graph(n, 0.3, seed))
+    rng = random.Random(seed)
+    weights = [2.0 ** rng.randrange(12) * rng.uniform(0.9, 1.1) for _ in range(n)]
+    return sp.CustomOracle(n, lambda S: sum(weights[v] for v in S))
+
+
+@given(st.sampled_from(["modular", "coverage"]), st.integers(0, 10**6),
+       st.permutations(range(12)), st.lists(st.integers(0, 11), max_size=30),
+       st.sampled_from([0.5, 3.0, 8.0]), st.sampled_from([0.05, 0.3, 1.0]))
+@settings(max_examples=150, deadline=None)
+def test_deletions_drop_a_prefix_of_the_add_order(kind, seed, first, repeats, eps, delta):
+    # the stream repeats elements, so an element can be deleted and added
+    # again; the removed tuples followed by the final working list must still
+    # be every add, in order
+    n = 12
+    stream = first + repeats
+    params = sp.PruneParams(kappa=5.0, delta=delta, epsilon=eps)
+    state = sp.SinglePrunerState()
+    adds = []
+    orc = _repeat_instance(kind, seed, n)
+    for e in stream:
+        was_in = e in state.working_set
+        sp.process_element(state, orc, unit_cost, params, n, e)
+        if not was_in and e in state.working_set:
+            adds.append(e)
+    removed = [v for event in state.events for v in event.removed]
+    assert removed + state.working == adds
+    assert set(state.working) == state.working_set
+    _, report = sp.quickprune_single(stream, _repeat_instance(kind, seed, n), unit_cost,
+                                     params, n, instrument=True)
+    assert report.instrumentation["ever_added_size"] == len(set(adds))
+
+
 def test_size_invariant_on_unit_cost_runs():
     for seed in range(5):
         n = 30
@@ -362,6 +409,14 @@ def test_size_bound_validation():
         sp.size_bound(1.0, 1.0, 1.0, 1.0, 2.0)  # n / epsilon below 1
     with pytest.raises(InputError):
         sp.size_bound(-1, 1, 1, 1, 0.1)
+    for i in range(5):
+        for bad in (math.nan, math.inf):
+            args = [100.0, 4.0, 0.1, 1.0, 0.1]
+            args[i] = bad
+            with pytest.raises(InputError, match="finite"):
+                sp.size_bound(*args)
+    with pytest.raises(InputError, match="underflows"):
+        sp.size_bound(100, 4, 1e-200, 1e-200, 0.1)
 
 
 def test_alpha_values():
@@ -388,6 +443,11 @@ def test_alpha_validation():
         sp.alpha_single(1.0, 0.0, 1.5)
     with pytest.raises(InputError):
         sp.alpha_single(0.0, 0.0, 1.0)
+    for fn in (sp.alpha_single, sp.alpha_multi):
+        for bad in ((math.nan, 0.1, 1.0), (1.0, math.nan, 1.0), (1.0, 0.1, math.nan),
+                    (math.inf, 0.1, 1.0), (1.0, -math.inf, 1.0)):
+            with pytest.raises(InputError, match="finite"):
+                fn(*bad)
 
 
 def test_check_nhi():

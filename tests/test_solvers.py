@@ -125,6 +125,20 @@ def test_knapsack_nonpositive_budget_raises():
         sp.greedy_knapsack(orc, unit_cost, range(2), 0.0)
 
 
+def test_solvers_reject_non_finite_budgets(star6):
+    orc = sp.CoverageOracle(star6)
+    for solver in (sp.cardinality_solver, sp.knapsack_solver, sp.greedy_knapsack):
+        for budget in (math.nan, math.inf, -math.inf):
+            with pytest.raises(InputError, match="finite"):
+                solver(orc, unit_cost, range(6), budget)
+    # the sign rules are unchanged: a size budget may be 0, a knapsack one not
+    assert sp.cardinality_solver(orc, unit_cost, range(6), 0).ids == frozenset()
+    with pytest.raises(InputError):
+        sp.cardinality_solver(orc, unit_cost, range(6), -1)
+    with pytest.raises(InputError):
+        sp.knapsack_solver(orc, unit_cost, range(6), 0.0)
+
+
 # ---------------------------------------------------------------------------
 # exhaustive verification solver
 
