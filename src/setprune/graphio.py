@@ -24,10 +24,10 @@ class Graph:
     """Compressed adjacency with per-node costs, each finite and positive.
 
     ``indices[indptr[v]:indptr[v+1]]`` are the neighbors of ``v`` (out-neighbors
-    in directed mode). Undirected edges are stored in both directions; self
-    loops are dropped by ``from_edges`` and rejected here. ``orig_ids[v]``
-    maps a dense id back to the id found in the source file, when the graph
-    came from one.
+    in directed mode). Undirected edges are stored in both directions, which
+    is checked here; self loops are dropped by ``from_edges`` and rejected
+    here. ``orig_ids[v]`` maps a dense id back to the id found in the source
+    file, when the graph came from one.
     """
 
     n: int
@@ -49,8 +49,24 @@ class Graph:
             raise InputError("indptr length must be n + 1")
         if self.indices.size and (self.indices.min() < 0 or self.indices.max() >= self.n):
             raise InputError("neighbor id out of range")
-        if np.any(self.indices == np.repeat(np.arange(self.n), np.diff(self.indptr))):
+        # arc keys u * n + v fit in 32 bits up to n = 2^16, and sort twice as fast
+        key = np.uint32 if self.n <= 1 << 16 else np.int64
+        src = np.repeat(np.arange(self.n, dtype=key), np.diff(self.indptr))
+        if np.any(self.indices == src):
             raise InputError("self loops are not allowed")
+        if not self.directed:
+            # symmetric iff the arcs u -> v and their reversals v -> u are
+            # the same multiset: compare them as sorted keys, built in place
+            dst = self.indices.astype(key)
+            rev = dst * key(self.n)
+            rev += src
+            rev.sort()
+            src *= key(self.n)
+            src += dst
+            if np.any(src[1:] < src[:-1]):  # rows with unsorted neighbours
+                src.sort()
+            if not np.array_equal(src, rev):
+                raise InputError("undirected adjacency must be symmetric")
 
     @property
     def degrees(self) -> np.ndarray:
@@ -108,6 +124,7 @@ def from_edges(n: int, edges, directed: bool = False) -> Graph:
     if not seen:
         return Graph(n, np.zeros(n + 1, dtype=np.int64), np.empty(0, dtype=np.int64), directed)
     arr = np.array(sorted(seen), dtype=np.int64)
+    del seen  # the set of tuples outweighs every array below
     if directed:
         src, dst = arr[:, 0], arr[:, 1]
     else:

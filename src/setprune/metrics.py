@@ -15,7 +15,7 @@ import json
 import math
 from dataclasses import dataclass
 
-from .errors import InputError
+from .errors import InputError, require_finite
 
 __all__ = ["EvalRecord", "CSV_COLUMNS", "evaluate_pruning", "sweep_budgets",
            "write_csv", "write_json_lines"]
@@ -49,6 +49,12 @@ class EvalRecord:
         return {col: getattr(self, col) for col in CSV_COLUMNS}
 
 
+def _check_range(budget_range) -> None:
+    if budget_range is not None:
+        lo, hi = budget_range
+        require_finite(kappa_min=lo, kappa_max=hi)
+
+
 def evaluate_pruning(oracle, cost_fn, U, U_pruned, solver, budget,
                      pruner: str = "", oracle_calls_prune: int = 0,
                      budget_range=None) -> EvalRecord:
@@ -58,6 +64,7 @@ def evaluate_pruning(oracle, cost_fn, U, U_pruned, solver, budget,
     full-set solution has zero value, p_r is 1 if the pruned-set solution is
     also zero and NaN (with the undefined flag) otherwise.
     """
+    _check_range(budget_range)
     U = set(U)
     U_pruned = set(U_pruned)
     if not U:
@@ -104,6 +111,7 @@ def sweep_budgets(oracle, cost_fn, U, pruner_outputs: dict, budgets, solver,
     ordering is deterministic. Budgets outside ``budget_range`` are still
     evaluated but flagged.
     """
+    _check_range(budget_range)
     prune_calls = prune_calls or {}
     records = []
     for budget in budgets:

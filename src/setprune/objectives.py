@@ -215,6 +215,9 @@ class CutOracle(Oracle):
         vs = list(S)
         smask = 0
         for v in vs:
+            if type(v) is not int:
+                # ``1 << v`` on a numpy integer is fixed-width numpy arithmetic
+                v = operator.index(v)
             if not 0 <= v < n:
                 raise self._bad_id(v)
             smask |= 1 << v

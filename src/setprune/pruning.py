@@ -8,6 +8,7 @@ factor ``n / epsilon`` since that checkpoint. The multi-budget variant runs
 one such pruner per rung of a geometric budget ladder and returns the union
 of their outputs. Both go through one streaming driver: ``quickprune_single``
 is the one-rung case of the driver that ``quickprune`` runs over the ladder.
+The ladder pass asks each distinct oracle question once per element.
 
 Closed-form companions to the pruners live here as well: the pruned-set
 size bound, the worst-case retention ratios, the ladder-size formula, the
@@ -197,35 +198,66 @@ def process_element(state: SinglePrunerState, oracle, cost_fn, params: PrunePara
     """Feed one element through the single-budget pruning rules, in order:
     budget guard, add rule, best-singleton update, checkpoint deletion.
 
-    Costs at most two fresh oracle queries (one when the working set is
-    empty, where the singleton value doubles as the marginal), plus one
-    re-evaluation when a deletion actually removes elements. Raises
-    InputError when ``cost_fn(e)`` is not positive (NaN included).
+    Runs the query step (``_gain``), then the apply step (``_apply``);
+    ``_prune`` runs the same two steps, querying every rung before any
+    applies. Costs at most two fresh oracle queries (one when the
+    working set is empty, where the singleton value doubles as the
+    marginal), plus one re-evaluation when a deletion actually removes
+    elements. Raises InputError when ``cost_fn(e)`` is not positive (NaN
+    included).
     """
     if n < 1:
         raise InputError("ground-set size n must be >= 1")
     state.processed += 1
+    cost = _checked_cost(cost_fn, e)
+    if cost <= params.kappa:
+        f_single = oracle.eval({e})
+        gain = _gain(state, oracle, e, f_single, {})
+        _apply(state, params, n, e, cost, gain, f_single)
+    return state
+
+
+def _checked_cost(cost_fn, e):
     cost = cost_fn(e)
     if not cost > 0:
         raise InputError(f"cost of element {e!r} must be positive, got {cost!r}")
-    if cost > params.kappa:
-        return state
+    return cost
+
+
+def _gain(state: SinglePrunerState, oracle, e, f_single, answers: dict):
+    """Query step: the gain of ``e`` for the state's working set.
+
+    ``answers`` maps a cached working-set value to the ``(working, value,
+    gain)`` triples already asked for ``e`` with an equal value. A state
+    holding the same list under an equal value of the same type reuses the
+    gain instead of asking again: the oracle's answer depends only on the
+    set and the cached value. Mutates nothing but ``answers`` (and makes the
+    oracle state on first use).
+    """
     if state.oracle_state is None:
         state.oracle_state = oracle_state(oracle)
-    already_in = e in state.working_set
-    if already_in:
+    if e in state.working_set:
         # Duplicate of a retained element: marginal is zero by idempotence,
-        # which can never satisfy a positive threshold, and the singleton
-        # comparison was already made. One query keeps the accounting flat.
-        gain = 0.0
-        f_single = oracle.eval({e})
-    elif not state.working:
-        f_single = oracle.eval({e})
-        gain = f_single - state.f_working
-    else:
-        gain = state.oracle_state.marginal(e, state.f_working)
-        f_single = oracle.eval({e})
-    if not already_in and gain >= params.delta * cost * state.f_working / params.kappa:
+        # which can never satisfy a positive threshold.
+        return 0.0
+    if not state.working:
+        return f_single - state.f_working
+    f_working = state.f_working
+    asked = answers.setdefault(f_working, [])
+    for working, value, gain in asked:
+        # An int and a float value compare equal but give gains of
+        # different types (an incremental cut resets to an int).
+        if type(value) is type(f_working) and working == state.working:
+            return gain
+    gain = state.oracle_state.marginal(e, f_working)
+    asked.append((state.working, f_working, gain))
+    return gain
+
+
+def _apply(state: SinglePrunerState, params: PruneParams, n: int, e, cost,
+           gain, f_single) -> None:
+    """Apply step: add rule, best-singleton update, checkpoint deletion."""
+    if e not in state.working_set and gain >= params.delta * cost * state.f_working / params.kappa:
         state.working.append(e)
         state.working_set.add(e)
         state.f_working += gain
@@ -253,13 +285,19 @@ def process_element(state: SinglePrunerState, oracle, cost_fn, params: PrunePara
             value_before=value_before,
             value_after=state.f_working,
         ))
-    return state
 
 
 def _prune(stream, oracle, cost_fn, rungs: list, n: int):
     """Stream every element once through one single-budget pruner per
     ``PruneParams`` in ``rungs`` (all sharing ``epsilon``); return the union
-    of their outputs, the run's report and the per-rung states."""
+    of their outputs, the run's report and the per-rung states.
+
+    Each distinct question is asked once per element: f({e}) at most once,
+    when some rung's budget first admits ``e``, and one marginal per distinct
+    (working list, cached value) among the admitting rungs. Every admitting
+    rung runs the query step before any applies the element, so the
+    comparisons see unmutated states.
+    """
     if n < 1:
         raise InputError("ground-set size n must be >= 1")
     if rungs[0].epsilon >= n:
@@ -268,8 +306,18 @@ def _prune(stream, oracle, cost_fn, rungs: list, n: int):
     calls_before = oracle.query_count
     per_rung = [(params, SinglePrunerState()) for params in rungs]
     for e in stream:
+        cost = _checked_cost(cost_fn, e)
+        f_single = None
+        answers = {}
+        admitted = []
         for params, state in per_rung:
-            process_element(state, oracle, cost_fn, params, n, e)
+            state.processed += 1
+            if cost <= params.kappa:
+                if f_single is None:
+                    f_single = oracle.eval({e})
+                admitted.append((params, state, _gain(state, oracle, e, f_single, answers)))
+        for params, state, gain in admitted:
+            _apply(state, params, n, e, cost, gain, f_single)
     union = set()
     sizes = {}
     events = []
@@ -344,7 +392,11 @@ def quickprune(stream, oracle, cost_fn, params: LadderParams, n: int):
     """Prune for every budget in [kappa_min, kappa_max] in one streaming pass.
 
     One single-budget pruner runs per ladder rung; every stream element is
-    fed to all of them; the result is the union of the per-rung outputs.
+    fed to all of them; the result is the union of the per-rung outputs,
+    identical to running ``quickprune_single`` once per rung. Rungs share
+    their answers, so the pass costs at most one singleton query per
+    element, plus one marginal per distinct rung working set, plus one
+    re-evaluation per deletion.
     """
     rungs = [PruneParams(kappa=tau, delta=params.delta, epsilon=params.epsilon)
              for tau in budget_ladder(params.kappa_min, params.kappa_max, params.eta)]

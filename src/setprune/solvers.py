@@ -150,6 +150,7 @@ def brute_force_opt(oracle, cost_fn, U, kappa: float) -> Solution:
     ids, so ties resolve deterministically to the first maximizer found.
     Capped at 22 elements.
     """
+    require_finite(kappa=kappa)
     if kappa < 0:
         raise InputError("kappa must be non-negative")
     ids = sorted(set(U))

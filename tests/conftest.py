@@ -52,6 +52,27 @@ def ref_simcut(matrix, query_ids, lam, S):
 
 
 # ---------------------------------------------------------------------------
+# oracle wrappers
+
+class PlainOracle:
+    """Forwards eval and marginal only, so callers fall back to EvalState."""
+
+    def __init__(self, inner):
+        self.inner = inner
+        self.n = inner.n
+
+    def eval(self, S):
+        return self.inner.eval(S)
+
+    def marginal(self, e, S, f_S):
+        return self.inner.marginal(e, S, f_S)
+
+    @property
+    def query_count(self):
+        return self.inner.query_count
+
+
+# ---------------------------------------------------------------------------
 # naive solvers
 
 def naive_greedy_cardinality(oracle, U, k):

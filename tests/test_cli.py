@@ -192,6 +192,12 @@ def test_non_finite_solver_budget_is_config_error(tmp_path):
                          "--out", str(tmp_path / "e.csv")]) == 2
             assert main(["sweep", *common, "--ids", str(ids_file),
                          f"--budgets={budget}", "--out", str(tmp_path / "w.csv")]) == 2
+            # a non-finite budget range would flag every row out of range
+            for lo, hi in ((budget, "8"), ("1", budget)):
+                for command, budgets in (("sweep", "--budgets=4"), ("eval", "--budget=4")):
+                    assert main([command, *common, "--ids", str(ids_file), budgets,
+                                 f"--kappa-min={lo}", f"--kappa-max={hi}",
+                                 "--out", str(tmp_path / "w.csv")]) == 2
 
 
 def test_eval_identity_pruning_row(tmp_path):
@@ -314,7 +320,8 @@ def fuzz_argv(draw):
     if command == "solve":
         return argv + _flags(budget=draw(FUZZ_FLOATS))
     budgets = draw(st.lists(FUZZ_FLOATS, min_size=1, max_size=3))
-    return argv + _flags(budgets=budgets[0]) + [repr(b) for b in budgets[1:]]
+    return (argv + _flags(kappa_min=draw(MAYBE_FLOAT), kappa_max=draw(MAYBE_FLOAT))
+            + _flags(budgets=budgets[0]) + [repr(b) for b in budgets[1:]])
 
 
 def _exit_code(argv):

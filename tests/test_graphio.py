@@ -130,6 +130,26 @@ def test_graph_rejects_self_loops():
         sp.Graph(2, np.array([0, 2, 3]), np.array([0, 1, 0]))
 
 
+def test_graph_rejects_asymmetric_undirected_adjacency():
+    # node 0 lists 1 but 1 does not list 0: eval and the cut state disagree
+    with pytest.raises(InputError, match="symmetric"):
+        sp.Graph(3, np.array([0, 1, 1, 1]), np.array([1]))
+    # as many arcs each way, but 0 -> 1 twice and 1 -> 0 once
+    with pytest.raises(InputError, match="symmetric"):
+        sp.Graph(3, np.array([0, 2, 4, 5]), np.array([1, 1, 0, 2, 1]))
+    # the same arrays are a valid directed graph
+    sp.Graph(3, np.array([0, 1, 1, 1]), np.array([1]), directed=True)
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_graphs_from_edges_and_generators_pass_the_symmetry_check(seed):
+    for g in (sp.generate("erdos_renyi", 25, {"p": 0.2}, seed=seed), sp.generate("star", 7),
+              sp.generate("barabasi_albert", 40, {"m_attach": 3}, seed=seed),
+              sp.parse_edge_list(io.StringIO("5 9\n9 2\n2 5\n7 5\n5 9\n"))):
+        sp.Graph(g.n, g.indptr.copy(), g.indices.astype(np.int32), costs=g.costs)
+        dataclasses.replace(g, costs=g.costs * 2.0)
+
+
 def test_costs_unknown_mode(star6):
     with pytest.raises(InputError):
         sp.assign_knapsack_costs(star6, mode="bogus")

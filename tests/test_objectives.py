@@ -71,6 +71,24 @@ def test_marginal_cut_triangle(triangle):
     assert orc.marginal(1, {0}, f_s) == 0
 
 
+def test_cut_accepts_numpy_ids_beyond_machine_word():
+    # ids of 64 and more would overflow a fixed-width numpy shift
+    for directed in (False, True):
+        graph = sp.from_edges(200, [(i, i + 1) for i in range(199)], directed=directed)
+        orc = sp.CutOracle(graph)
+        for ids in ([100], [63, 64], [64, 65, 199], [0, 150, 151]):
+            expect = orc.eval(set(ids))
+            assert expect == ref_cut(graph, ids)
+            for as_numpy in ({np.int64(v) for v in ids}, {np.uint32(v) for v in ids},
+                             np.array(ids), np.array(ids, dtype=np.int32)):
+                got = orc.eval(as_numpy)
+                assert got == expect and type(got) is int
+        with pytest.raises(InputError):
+            orc.eval({np.int64(200)})
+        with pytest.raises(InputError):
+            orc.eval(np.array([5, -1]))
+
+
 def test_counter_tolerates_concurrent_increments(star6):
     orc = sp.CoverageOracle(star6)
 

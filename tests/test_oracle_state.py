@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 import setprune as sp
 from setprune.errors import InputError
 
-from conftest import random_graph, random_similarity_kernel, unit_cost
+from conftest import PlainOracle, random_graph, random_similarity_kernel, unit_cost
 
 KINDS = ("cut", "cut-directed", "influence", "influence-directed",
          "coverage", "simgraphcut", "custom")
@@ -101,24 +101,6 @@ def test_incremental_states_only_where_undirected():
     for kind in KINDS:
         generic = type(build_oracle(kind, 2).state()) is sp.EvalState
         assert generic == (kind not in ("cut", "influence")), kind
-
-
-class PlainOracle:
-    """Forwards eval and marginal only, so callers fall back to EvalState."""
-
-    def __init__(self, inner):
-        self.inner = inner
-        self.n = inner.n
-
-    def eval(self, S):
-        return self.inner.eval(S)
-
-    def marginal(self, e, S, f_S):
-        return self.inner.marginal(e, S, f_S)
-
-    @property
-    def query_count(self):
-        return self.inner.query_count
 
 
 def test_wrappers_without_state_fall_back_to_eval_state():

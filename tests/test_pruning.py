@@ -6,9 +6,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import setprune as sp
+from setprune import pruning
 from setprune.errors import InputError
 
-from conftest import random_costs, random_graph, unit_cost
+from conftest import PlainOracle, random_costs, random_graph, unit_cost
 
 
 # ---------------------------------------------------------------------------
@@ -389,6 +390,114 @@ def test_multi_query_budget():
     n_rungs = sp.ladder_size(2.0, 8.0, 0.5)
     assert len(report.per_budget_sizes) == n_rungs
     assert report.oracle_calls <= n_rungs * (2 * 30 + report.deletions)
+
+
+# ---------------------------------------------------------------------------
+# queries shared across rungs
+
+def _sharing_instance(kind, seed, n):
+    """A fresh oracle per call; weights rise steeply, so deletions fire."""
+    rng = random.Random(seed)
+    weights = [2.0 ** rng.randrange(16) * rng.uniform(0.9, 1.1) for _ in range(n)]
+    if kind == "modular":
+        return lambda: sp.CustomOracle(n, lambda S: sum(weights[v] for v in S))
+    if kind == "custom":  # concave over modular: submodular, not modular
+        return lambda: sp.CustomOracle(
+            n, lambda S: math.sqrt(math.fsum(weights[v] for v in sorted(S))))
+    graph = random_graph(n, 0.3, seed)
+    if kind == "coverage":
+        return lambda: sp.CoverageOracle(graph)
+    return lambda: sp.CutOracle(graph)  # incremental state; its reset gives an int
+
+
+def _outputs(pruned, sizes, events):
+    # repr keeps the value types and every bit of the floats
+    return (sorted(pruned), sizes,
+            [(e.stream_pos, e.trigger, e.removed, repr(e.value_before), repr(e.value_after))
+             for e in events])
+
+
+@given(st.sampled_from(["modular", "custom", "coverage", "cut"]), st.integers(0, 10**6),
+       st.permutations(range(12)), st.lists(st.integers(0, 11), max_size=24),
+       st.lists(st.sampled_from([0.5, 1.0, 1.5, 2.0, 3.0, 5.0]), min_size=12, max_size=12),
+       st.sampled_from([(1.0, 2.0, 0.5), (1.0, 6.0, 0.5), (0.8, 5.0, 0.3), (3.0, 3.0, 0.5)]),
+       st.sampled_from([0.5, 3.0, 11.0]), st.sampled_from([0.05, 0.3, 1.0]))
+@settings(max_examples=150, deadline=None)
+def test_ladder_equals_per_rung_single_runs_with_fewer_queries(
+        kind, seed, first, repeats, costs, ladder_range, eps, delta):
+    n = 12
+    stream = first + repeats
+    cost_fn = costs.__getitem__
+    make = _sharing_instance(kind, seed, n)
+    ladder = sp.LadderParams(*ladder_range, delta, eps)
+    taus = sp.budget_ladder(*ladder_range)
+    pruned, report = sp.quickprune(stream, make(), cost_fn, ladder, n)
+
+    union, sizes, events, calls = set(), {}, [], 0
+    for tau in taus:
+        single, single_report = sp.quickprune_single(
+            stream, make(), cost_fn, sp.PruneParams(tau, delta, eps), n)
+        union |= single
+        sizes.update(single_report.per_budget_sizes)
+        events.extend(single_report.events)
+        calls += single_report.oracle_calls
+    got = _outputs(pruned, report.per_budget_sizes, report.events)
+    assert got == _outputs(union, sizes, events)
+    assert report.deletions == sum(1 for e in events if e.removed)
+    # each element's singleton is asked once, however many rungs admit it,
+    # so the count is strictly lower as soon as two rungs admit an element
+    repeated_singletons = sum(max(0, sum(costs[e] <= tau for tau in taus) - 1)
+                              for e in stream)
+    assert report.oracle_calls <= calls - repeated_singletons
+
+    # an oracle without state() answers through EvalState: same runs, same counts
+    plain, plain_report = sp.quickprune(stream, PlainOracle(make()), cost_fn, ladder, n)
+    assert _outputs(plain, plain_report.per_budget_sizes, plain_report.events) == got
+    assert plain_report.oracle_calls == report.oracle_calls
+
+
+def test_query_step_shares_a_gain_only_for_the_same_list_and_value_type():
+    orc = sp.CutOracle(sp.generate("path", 8))
+
+    def holding(ids, as_float):
+        state = sp.SinglePrunerState()
+        state.working, state.working_set = list(ids), set(ids)
+        state.oracle_state = orc.state()
+        value = state.oracle_state.reset(ids)  # an int, as after a deletion
+        state.f_working = float(value) if as_float else value
+        return state
+
+    answers = {}
+    asked = orc.query_count
+    first = pruning._gain(holding([1, 2], True), orc, 5, 1, answers)
+    assert pruning._gain(holding([1, 2], True), orc, 5, 1, answers) is first
+    # an equal int value would get a float gain, and keep it
+    assert type(pruning._gain(holding([1, 2], False), orc, 5, 1, answers)) is int
+    # same value (2) and length, other set; same set in another order
+    pruning._gain(holding([2, 3], True), orc, 5, 1, answers)
+    pruning._gain(holding([2, 1], True), orc, 5, 1, answers)
+    assert orc.query_count - asked == 5 + 4  # resets, then marginals
+
+
+def test_rungs_with_one_working_set_ask_one_marginal():
+    # unit costs inside every budget and a steep modular objective: all
+    # rungs keep the same working list, so after the first element each
+    # element costs one singleton and one marginal, whatever the rung count
+    n = 40
+    weights = [1.5 ** v for v in range(n)]
+
+    def f(S):
+        return sum(weights[v] for v in S)
+
+    ladder = sp.LadderParams(2.0, 16.0, 0.5, 0.1, 0.5)
+    assert sp.ladder_size(2.0, 16.0, 0.5) == 5
+    pruned, report = sp.quickprune(range(n), sp.CustomOracle(n, f), unit_cost, ladder, n)
+    assert report.deletions > 0  # each rung re-evaluates on its own
+    assert report.oracle_calls == 1 + 2 * (n - 1) + report.deletions
+    single, _ = sp.quickprune_single(range(n), sp.CustomOracle(n, f), unit_cost,
+                                     sp.PruneParams(16.0, 0.1, 0.5), n)
+    assert pruned == single
+    assert len(set(report.per_budget_sizes.values())) == 1
 
 
 # ---------------------------------------------------------------------------

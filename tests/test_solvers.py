@@ -158,6 +158,14 @@ def test_brute_force_triangle_cut(triangle):
     assert sol.value == 2
 
 
+def test_brute_force_rejects_non_finite_budget(star6):
+    orc = sp.CoverageOracle(star6)
+    for bad in (math.nan, math.inf, -math.inf):
+        with pytest.raises(InputError, match="finite"):
+            sp.brute_force_opt(orc, unit_cost, range(5), bad)
+    assert orc.query_count == 0
+
+
 def test_brute_force_oversize_raises():
     orc = _modular(30, [1.0] * 30)
     with pytest.raises(InputError):
