@@ -17,7 +17,7 @@ from .objectives import (CoverageOracle, CustomOracle, CutOracle, EvalState,
                          SimilarityCutOracle, SimilarityKernel,
                          coverage_value, cut_value, estimate_gamma,
                          influence_value, load_similarity_kernel,
-                         oracle_state, simgraphcut_value)
+                         oracle_singletons, oracle_state, simgraphcut_value)
 from .pruning import (DeletionEvent, LadderParams, PruneParams, PruneReport,
                       SinglePrunerState, alpha_multi, alpha_single,
                       budget_ladder, check_nhi, geometric_recovery_steps,

@@ -9,6 +9,7 @@ import random
 from dataclasses import dataclass
 
 from .errors import InputError
+from .objectives import oracle_singletons
 
 __all__ = ["BaselineConfig", "top_k_prune", "random_prune", "ss_prune"]
 
@@ -22,15 +23,12 @@ class BaselineConfig:
     sparsifier.
     """
 
-    kind: str = "ss"
     target_size: int = None
     r: int = 8
     c: int = 8
     seed: int = 0
 
     def __post_init__(self):
-        if self.kind not in ("ss", "topk", "random"):
-            raise InputError(f"unknown baseline kind {self.kind!r}")
         if self.r < 1 or self.c < 1:
             raise InputError("r and c must be >= 1")
         if self.target_size is not None and self.target_size < 0:
@@ -74,7 +72,9 @@ def ss_prune(oracle, U, config: BaselineConfig) -> set:
     The pair term f(v | u) costs one fresh query per (u, v); the singleton
     value f({u}), the residual f(V minus u) and the total f(V) are each
     queried once per element and cached for the rest of the run, so the
-    oracle counter reflects every evaluation exactly once.
+    oracle counter reflects every evaluation exactly once. The singletons
+    are asked in one ``singletons`` batch for the first round's pool, which
+    holds every later pool.
     """
     ids = sorted(set(U))
     n = len(ids)
@@ -86,7 +86,7 @@ def ss_prune(oracle, U, config: BaselineConfig) -> set:
     rng = random.Random(config.seed)
     full = set(ids)
     f_total = oracle.eval(full)
-    singles = {}
+    singles = None
     residual_gain = {}
     kept = set()
     pool = list(ids)
@@ -98,11 +98,11 @@ def ss_prune(oracle, U, config: BaselineConfig) -> set:
         pool = [u for u in pool if u not in probe_set]
         if not pool:
             break
+        if singles is None:
+            singles = dict(zip(pool, oracle_singletons(oracle, pool)))
         probes = sorted(probes)
         scores = {}
         for u in pool:
-            if u not in singles:
-                singles[u] = oracle.eval({u})
             if u not in residual_gain:
                 residual_gain[u] = f_total - oracle.eval(full - {u})
             f_u = singles[u]

@@ -167,7 +167,7 @@ def cmd_prune(args):
     else:
         calls_before = oracle.query_count
         if pruner == "ss":
-            config = baselines.BaselineConfig(kind="ss", r=opts["r"], c=opts["c"],
+            config = baselines.BaselineConfig(r=opts["r"], c=opts["c"],
                                               seed=opts["seed"])
             pruned = baselines.ss_prune(oracle, ground, config)
         elif pruner == "topk":

@@ -1,4 +1,4 @@
-"""Exception types shared across the package, and the finiteness check."""
+"""Exception types shared across the package, and the finiteness and cost checks."""
 
 import math
 
@@ -22,3 +22,15 @@ def require_finite(**values):
     for name, value in values.items():
         if not math.isfinite(value):
             raise InputError(f"{name} must be finite, got {value!r}")
+
+
+def checked_costs(cost_fn, ids) -> list:
+    """``[cost_fn(e) for e in ids]``; InputError for the first cost that is
+    not positive (NaN included)."""
+    costs = []
+    for e in ids:
+        cost = cost_fn(e)
+        if not cost > 0:
+            raise InputError(f"cost of element {e!r} must be positive, got {cost!r}")
+        costs.append(cost)
+    return costs

@@ -40,6 +40,17 @@ class Graph:
     def __post_init__(self):
         if self.n < 0:
             raise InputError("node count must be non-negative")
+        for name in ("indptr", "indices"):
+            arr = np.asarray(getattr(self, name))
+            if arr.ndim != 1:
+                raise InputError(f"{name} must be a 1-D array")
+            if arr.dtype.kind not in "iu" and arr.size:
+                raise InputError(f"{name} must hold integers, got dtype {arr.dtype}")
+            if arr.dtype.kind != "i":
+                # an empty list converts to floats; unsigned arrays would wrap
+                # in the checks below (values past 2^63 become negative here)
+                arr = arr.astype(np.int64)
+            object.__setattr__(self, name, arr)
         if self.costs is None:
             object.__setattr__(self, "costs", np.ones(self.n, dtype=np.float64))
         costs = np.asarray(self.costs, dtype=np.float64)
@@ -47,6 +58,9 @@ class Graph:
             raise InputError("costs must be finite and positive")
         if len(self.indptr) != self.n + 1:
             raise InputError("indptr length must be n + 1")
+        if (self.indptr[0] != 0 or self.indptr[-1] != self.indices.size
+                or np.any(np.diff(self.indptr) < 0)):
+            raise InputError("indptr must rise from 0 to the length of indices")
         if self.indices.size and (self.indices.min() < 0 or self.indices.max() >= self.n):
             raise InputError("neighbor id out of range")
         # arc keys u * n + v fit in 32 bits up to n = 2^16, and sort twice as fast

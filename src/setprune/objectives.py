@@ -18,6 +18,14 @@ keep incremental statistics, so a marginal does not rescan ``S``; every
 other oracle, and any oracle-like wrapper without ``state()``, gets an
 ``EvalState`` that answers through ``marginal`` and ``eval``.
 
+Callers that need many singleton values at once (the pruner per block of
+the stream, the greedy solvers to seed their heaps) ask for them in one
+``singletons(ids)`` call: ``[eval({v}) for v in ids]`` bit for bit and in
+type, counted as ``len(ids)`` queries, with every id checked before any is
+counted. Cut and undirected influence read the values from per-element
+vectors built with the oracle; other oracles loop over ``eval``, and
+``oracle_singletons`` does the same for wrappers without ``singletons()``.
+
 The module-level ``*_value`` functions are plain reference implementations
 of the same objectives, computed directly from their definitions; the oracle
 classes use faster internal representations and are cross-checked against
@@ -38,6 +46,7 @@ __all__ = [
     "Oracle",
     "EvalState",
     "oracle_state",
+    "oracle_singletons",
     "CoverageOracle",
     "CutOracle",
     "InfluenceOracle",
@@ -63,9 +72,9 @@ class QueryCounter:
         self._lock = threading.Lock()
         self._count = 0
 
-    def bump(self):
+    def bump(self, k: int = 1):
         with self._lock:
-            self._count += 1
+            self._count += k
 
     @property
     def count(self) -> int:
@@ -109,6 +118,11 @@ class Oracle:
         """A fresh per-caller state holding the empty set."""
         return EvalState(self)
 
+    def singletons(self, ids):
+        """``[eval({v}) for v in ids]``: ``len(ids)`` counted queries, none
+        counted when an id is not an integer in ``[0, n)``."""
+        return _eval_singletons(self, ids)
+
     def _value(self, S):
         raise NotImplementedError
 
@@ -150,6 +164,32 @@ def oracle_state(oracle):
     """``oracle.state()``, or an ``EvalState`` when the oracle has none."""
     make = getattr(oracle, "state", None)
     return make() if make is not None else EvalState(oracle)
+
+
+def oracle_singletons(oracle, ids) -> list:
+    """``oracle.singletons(ids)``, or the base class's loop over ``eval``
+    when the oracle has no ``singletons`` method."""
+    batch = getattr(oracle, "singletons", None)
+    return batch(ids) if batch is not None else _eval_singletons(oracle, ids)
+
+
+def _eval_singletons(oracle, ids) -> list:
+    vs = list(ids)
+    _checked_ids(vs, oracle.n)
+    return [oracle.eval({v}) for v in vs]
+
+
+def _checked_ids(ids, n: int) -> list:
+    """``ids`` as a list of ints, or InputError for the first one that is
+    not an integer in ``[0, n)``."""
+    try:
+        vs = list(map(operator.index, ids))
+    except TypeError as exc:
+        raise InputError(f"element ids must be integers: {exc}") from None
+    if vs and not (min(vs) >= 0 and max(vs) < n):
+        bad = next(v for v in vs if not 0 <= v < n)
+        raise InputError(f"element id {bad!r} outside ground set of size {n}")
+    return vs
 
 
 class CoverageOracle(Oracle):
@@ -209,6 +249,14 @@ class CutOracle(Oracle):
 
     def state(self):
         return EvalState(self) if self.graph.directed else _CutState(self)
+
+    def singletons(self, ids):
+        # no self loops, so f({v}) is the (in-)degree in ``_adj``, which
+        # counts a duplicated arc once
+        vs = _checked_ids(ids, self.n)
+        self.counter.bump(len(vs))
+        deg = self._deg
+        return [deg[v] for v in vs]
 
     def _value(self, S):
         n = self.n
@@ -296,7 +344,9 @@ class LiveEdgeSamplePool:
     Undirected pools keep the samples' connected components as two arrays:
     ``roots[i, v]`` is the component id of node ``v`` in sample ``i``, unique
     across all samples (``i * n + root``), and ``sizes[c]`` is the size of
-    component ``c`` (zero for ids that name no component).
+    component ``c`` (zero for ids that name no component). ``reach[v]`` is
+    the summed size of ``v``'s components over the samples, so
+    ``reach[v] / m`` is the spread of ``{v}``.
     """
 
     def __init__(self, graph, p: float, m: int = 100, seed: int = 0):
@@ -315,6 +365,7 @@ class LiveEdgeSamplePool:
         self._adjacency = []  # directed: out-adjacency per sample
         if not self.directed:
             self.roots = np.empty((self.m, self.n), dtype=np.int64)
+            self.reach = np.zeros(self.n, dtype=np.int64)
         for i in range(self.m):
             live = edges[rng.random(len(edges)) < p] if len(edges) else edges
             self.samples.append(live)
@@ -327,7 +378,9 @@ class LiveEdgeSamplePool:
                 dsu = _DisjointSet(self.n)
                 for u, v in live:
                     dsu.union(int(u), int(v))
-                self.roots[i] = [dsu.find(v) for v in range(self.n)]
+                row = self.roots[i]
+                row[:] = [dsu.find(v) for v in range(self.n)]
+                self.reach += np.bincount(row, minlength=self.n)[row]
         if not self.directed:
             self.roots += np.arange(self.m, dtype=np.int64)[:, None] * self.n
             self.sizes = np.bincount(self.roots.ravel(), minlength=self.m * self.n)
@@ -380,6 +433,15 @@ class InfluenceOracle(Oracle):
 
     def state(self):
         return EvalState(self) if self.pool.directed else _InfluenceState(self)
+
+    def singletons(self, ids):
+        if self.pool.directed:
+            return super().singletons(ids)
+        vs = _checked_ids(ids, self.n)
+        self.counter.bump(len(vs))
+        m = self.pool.m
+        # exact integer totals over m, the division ``mean_reach`` makes
+        return [t / m for t in self.pool.reach[vs].tolist()]
 
     def _value(self, S):
         return self.pool.mean_reach(S)

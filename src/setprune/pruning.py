@@ -23,8 +23,8 @@ import sys
 import time
 from dataclasses import dataclass, field
 
-from .errors import InputError, require_finite
-from .objectives import oracle_state
+from .errors import InputError, checked_costs, require_finite
+from .objectives import oracle_singletons, oracle_state
 
 __all__ = [
     "PruneParams",
@@ -51,6 +51,11 @@ _LADDER_RTOL = 1e-12
 # Most rungs a budget ladder may have; each rung runs its own pruner over the
 # whole stream, and the ladder is counted before any rung is built.
 MAX_RUNGS = 10_000
+
+# Stream elements `_prune` reads at a time: their costs are taken and
+# their singleton values asked in one batch before the block is fed through
+# the rungs element by element.
+_BLOCK = 256
 
 
 def _check_ladder_args(kappa_min: float, kappa_max: float, eta: float) -> int:
@@ -209,19 +214,12 @@ def process_element(state: SinglePrunerState, oracle, cost_fn, params: PrunePara
     if n < 1:
         raise InputError("ground-set size n must be >= 1")
     state.processed += 1
-    cost = _checked_cost(cost_fn, e)
+    (cost,) = checked_costs(cost_fn, (e,))
     if cost <= params.kappa:
         f_single = oracle.eval({e})
         gain = _gain(state, oracle, e, f_single, {})
         _apply(state, params, n, e, cost, gain, f_single)
     return state
-
-
-def _checked_cost(cost_fn, e):
-    cost = cost_fn(e)
-    if not cost > 0:
-        raise InputError(f"cost of element {e!r} must be positive, got {cost!r}")
-    return cost
 
 
 def _gain(state: SinglePrunerState, oracle, e, f_single, answers: dict):
@@ -292,11 +290,14 @@ def _prune(stream, oracle, cost_fn, rungs: list, n: int):
     ``PruneParams`` in ``rungs`` (all sharing ``epsilon``); return the union
     of their outputs, the run's report and the per-rung states.
 
-    Each distinct question is asked once per element: f({e}) at most once,
-    when some rung's budget first admits ``e``, and one marginal per distinct
-    (working list, cached value) among the admitting rungs. Every admitting
-    rung runs the query step before any applies the element, so the
-    comparisons see unmutated states.
+    Each distinct question is asked once per element: f({e}) once when some
+    rung's budget admits ``e``, and one marginal per distinct (working list,
+    cached value) among the admitting rungs. The stream is read in blocks of
+    ``_BLOCK`` elements; each block's costs are checked, and the singleton
+    values of the elements that fit the largest budget are asked in one
+    ``singletons`` batch, before its elements go through the rungs one at a
+    time. Every admitting rung runs the query step before any applies the
+    element, so the comparisons see unmutated states.
     """
     if n < 1:
         raise InputError("ground-set size n must be >= 1")
@@ -305,19 +306,22 @@ def _prune(stream, oracle, cost_fn, rungs: list, n: int):
     start = time.monotonic()
     calls_before = oracle.query_count
     per_rung = [(params, SinglePrunerState()) for params in rungs]
-    for e in stream:
-        cost = _checked_cost(cost_fn, e)
-        f_single = None
-        answers = {}
-        admitted = []
-        for params, state in per_rung:
-            state.processed += 1
-            if cost <= params.kappa:
-                if f_single is None:
-                    f_single = oracle.eval({e})
-                admitted.append((params, state, _gain(state, oracle, e, f_single, answers)))
-        for params, state, gain in admitted:
-            _apply(state, params, n, e, cost, gain, f_single)
+    top = max(params.kappa for params in rungs)
+    stream = iter(stream)
+    while block := list(itertools.islice(stream, _BLOCK)):
+        costs = checked_costs(cost_fn, block)
+        singles = iter(oracle_singletons(
+            oracle, [e for e, cost in zip(block, costs) if cost <= top]))
+        for e, cost in zip(block, costs):
+            f_single = next(singles) if cost <= top else None
+            answers = {}
+            admitted = []
+            for params, state in per_rung:
+                state.processed += 1
+                if cost <= params.kappa:
+                    admitted.append((params, state, _gain(state, oracle, e, f_single, answers)))
+            for params, state, gain in admitted:
+                _apply(state, params, n, e, cost, gain, f_single)
     union = set()
     sizes = {}
     events = []

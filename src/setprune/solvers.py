@@ -4,10 +4,12 @@
 greedy implementations; stale heap keys are upper bounds on true marginals
 for submodular objectives, so re-verifying the top of the heap before each
 commit reproduces the naive greedy selection exactly, including id-order
-tie-breaking. Both keep the solution in the oracle's per-caller state, so
+tie-breaking. Both seed their heaps with one ``singletons`` batch of f({v})
+values, and keep the solution in the oracle's per-caller state, so
 re-verifying a stale key does not rescan the solution where the oracle has
 incremental statistics. ``brute_force_opt`` is the exhaustive verification
-oracle used to check retention guarantees at desk scale.
+oracle used to check retention guarantees at desk scale. Costs must be
+positive (NaN is refused) in every solver that takes a cost function.
 """
 
 from __future__ import annotations
@@ -15,8 +17,8 @@ from __future__ import annotations
 import heapq
 from dataclasses import dataclass
 
-from .errors import InputError, require_finite
-from .objectives import oracle_state
+from .errors import InputError, checked_costs, require_finite
+from .objectives import oracle_singletons, oracle_state
 
 __all__ = [
     "Solution",
@@ -62,7 +64,7 @@ def greedy_cardinality(oracle, U, k: int) -> Solution:
     if k > 0 and ids:
         # Heap entries are (-gain, id, stamp); an entry is fresh iff its
         # stamp equals the current solution size.
-        heap = [(-oracle.eval({v}), v, 0) for v in ids]
+        heap = [(-f, v, 0) for f, v in zip(oracle_singletons(oracle, ids), ids)]
         heapq.heapify(heap)
         st = oracle_state(oracle)
         while heap and len(chosen) < k:
@@ -97,13 +99,8 @@ def greedy_knapsack(oracle, cost_fn, U, kappa: float) -> Solution:
         raise InputError("kappa must be positive")
     ids = sorted(set(U))
     start_calls = oracle.query_count
-    costs = {}
-    feasible = []
-    for v in ids:
-        c = float(cost_fn(v))
-        if c <= kappa:
-            costs[v] = c
-            feasible.append(v)
+    costs = {v: c for v, c in zip(ids, map(float, checked_costs(cost_fn, ids))) if c <= kappa}
+    feasible = list(costs)
     chosen = set()
     value = 0.0
     spent = 0.0
@@ -111,8 +108,7 @@ def greedy_knapsack(oracle, cost_fn, U, kappa: float) -> Solution:
     best_single_value = 0.0
     if feasible:
         heap = []
-        for v in feasible:
-            f_single = oracle.eval({v})
+        for v, f_single in zip(feasible, oracle_singletons(oracle, feasible)):
             if f_single > best_single_value:
                 best_single = v
                 best_single_value = f_single
@@ -157,7 +153,7 @@ def brute_force_opt(oracle, cost_fn, U, kappa: float) -> Solution:
     if len(ids) > 22:
         raise InputError(f"exhaustive search capped at 22 elements, got {len(ids)}")
     start_calls = oracle.query_count
-    elems = [(v, float(cost_fn(v))) for v in ids if cost_fn(v) <= kappa]
+    elems = [(v, float(c)) for v, c in zip(ids, checked_costs(cost_fn, ids)) if c <= kappa]
     best_ids = frozenset()
     best_value = 0.0
     best_cost = 0.0

@@ -213,7 +213,7 @@ def test_criterion_06_query_cost_vs_sparsification_baseline():
         graph = sp.generate("barabasi_albert", 2000, {"m_attach": 5}, seed=seed)
         ss_oracle = sp.CoverageOracle(graph)
         sp.ss_prune(ss_oracle, range(2000),
-                    sp.BaselineConfig(kind="ss", r=8, c=8, seed=seed))
+                    sp.BaselineConfig(r=8, c=8, seed=seed))
         qp_oracle = sp.CoverageOracle(graph)
         sp.quickprune_single(range(2000), qp_oracle, unit_cost,
                              sp.PruneParams(100.0, 0.1, 0.1), 2000)

@@ -69,26 +69,24 @@ def test_random_prune_bounds_and_determinism():
 
 
 def test_baseline_config_validation():
-    sp.BaselineConfig(kind="ss")
+    sp.BaselineConfig()
     with pytest.raises(InputError):
-        sp.BaselineConfig(kind="bogus")
+        sp.BaselineConfig(r=0)
     with pytest.raises(InputError):
-        sp.BaselineConfig(kind="ss", r=0)
-    with pytest.raises(InputError):
-        sp.BaselineConfig(kind="topk", target_size=-1)
+        sp.BaselineConfig(target_size=-1)
 
 
 def test_ss_returns_everything_below_merge_threshold():
     g = random_graph(20, 0.3, 0)
     orc = sp.CoverageOracle(g)
     # r * ln(20) is about 24, above the ground-set size
-    got = sp.ss_prune(orc, range(20), sp.BaselineConfig(kind="ss", r=8, c=8, seed=0))
+    got = sp.ss_prune(orc, range(20), sp.BaselineConfig(r=8, c=8, seed=0))
     assert got == set(range(20))
 
 
 def test_ss_reproducible_and_within_ground_set():
     g = random_graph(120, 0.05, 4)
-    config = sp.BaselineConfig(kind="ss", r=2, c=4, seed=9)
+    config = sp.BaselineConfig(r=2, c=4, seed=9)
     a = sp.ss_prune(sp.CoverageOracle(g), range(120), config)
     b = sp.ss_prune(sp.CoverageOracle(g), range(120), config)
     assert a == b
@@ -99,7 +97,7 @@ def test_ss_reproducible_and_within_ground_set():
 def test_ss_query_accounting_is_exact():
     g = random_graph(80, 0.08, 2)
     spy = SpyOracle(sp.CoverageOracle(g))
-    sp.ss_prune(spy, range(80), sp.BaselineConfig(kind="ss", r=2, c=4, seed=1))
+    sp.ss_prune(spy, range(80), sp.BaselineConfig(r=2, c=4, seed=1))
     n = 80
     sizes = [len(s) for s in spy.calls]
     full = [s for s in spy.calls if len(s) == n]
@@ -119,7 +117,7 @@ def test_ss_uses_multiplies_more_queries_than_streaming_prune():
     n = 200
     g = random_graph(n, 0.05, 8)
     ss_oracle = sp.CoverageOracle(g)
-    sp.ss_prune(ss_oracle, range(n), sp.BaselineConfig(kind="ss", r=8, c=8, seed=0))
+    sp.ss_prune(ss_oracle, range(n), sp.BaselineConfig(r=8, c=8, seed=0))
     qp_oracle = sp.CoverageOracle(g)
     sp.quickprune_single(range(n), qp_oracle, unit_cost,
                          sp.PruneParams(kappa=20.0, delta=0.1, epsilon=0.1), n)

@@ -141,6 +141,32 @@ def test_graph_rejects_asymmetric_undirected_adjacency():
     sp.Graph(3, np.array([0, 1, 1, 1]), np.array([1]), directed=True)
 
 
+def test_graph_converts_array_likes_and_rejects_other_arrays():
+    g = sp.Graph(3, [0, 1, 2, 2], [1, 0])
+    assert g.indptr.dtype.kind == g.indices.dtype.kind == "i"
+    assert sp.CutOracle(g).eval({0}) == 1
+    assert sp.Graph(2, [0, 0, 0], []).num_edges == 0
+    for dtype in (np.uint32, np.uint64):
+        g = sp.Graph(3, np.array([0, 1, 2, 2], dtype=dtype), np.array([1, 0], dtype=dtype))
+        assert g.indptr.dtype == g.indices.dtype == np.int64
+        assert sp.CutOracle(g).eval({0}) == 1
+        with pytest.raises(InputError, match="rise"):  # np.diff would wrap
+            sp.Graph(3, np.array([0, 3, 2, 2], dtype=dtype), np.array([1, 0], dtype=dtype))
+    with pytest.raises(InputError, match="range"):
+        sp.Graph(3, [0, 1, 2, 2], np.array([2**64 - 1, 0], dtype=np.uint64))
+    for indptr, indices, what in (([0, 1, 2, 2], [1.0, 0.0], "integers"),
+                                  ([0.0, 1.0, 2.0, 2.0], [1, 0], "integers"),
+                                  ([0, 1, 2, 2], [True, False], "integers"),
+                                  ([[0, 1, 2, 2]], [1, 0], "1-D"),
+                                  (np.array(3), [1, 0], "1-D"),
+                                  ([0, 1, 2, 2], [[1, 0]], "1-D"),
+                                  ([0, 3, 2, 2], [1, 0], "rise"),
+                                  ([1, 1, 2, 2], [1, 0], "rise"),
+                                  ([0, 1, 2, 3], [1, 0], "rise")):
+        with pytest.raises(InputError, match=what):
+            sp.Graph(3, indptr, indices)
+
+
 @pytest.mark.parametrize("seed", range(4))
 def test_graphs_from_edges_and_generators_pass_the_symmetry_check(seed):
     for g in (sp.generate("erdos_renyi", 25, {"p": 0.2}, seed=seed), sp.generate("star", 7),

@@ -1,13 +1,16 @@
-"""Per-caller oracle states against fresh evaluation.
+"""Per-caller oracle states and singleton batches against fresh evaluation.
 
 Every state, incremental or generic, must answer ``marginal`` with exactly
 the float a fresh ``eval(S | {e}) - f_S`` gives, ``reset`` with exactly
 ``eval(S)``, and count one query per marginal and per non-empty reset.
+``singletons(ids)`` must equal ``[eval({v}) for v in ids]`` in value and
+type and count one query per id.
 """
 
 import math
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -125,3 +128,86 @@ def test_pruner_and_solvers_unchanged_by_incremental_state(kind):
                      [(e.removed, e.value_before, e.value_after) for e in report.events],
                      [(s.ids, s.value, s.oracle_calls) for s in sols]))
     assert runs[0] == runs[1]
+
+
+def _raw_csr(n, arcs):
+    """A Graph straight from CSR lists, keeping every arc given, so an arc
+    listed twice is stored twice."""
+    arcs = sorted(arcs)
+    indptr = [0] * (n + 1)
+    for u, _ in arcs:
+        indptr[u + 1] += 1
+    for v in range(n):
+        indptr[v + 1] += indptr[v]
+    return [v for _, v in arcs], indptr
+
+
+def _duplicated_arcs_graph(seed, directed):
+    """Raw CSR graph over N nodes whose arcs are listed once or twice (both
+    directions of a duplicated undirected edge, to stay symmetric)."""
+    rng = random.Random(seed)
+    arcs = []
+    for u in range(N):
+        for v in range(N if directed else u):
+            if u != v and rng.random() < 0.35:
+                copies = rng.choice((1, 2))
+                arcs += [(u, v)] * copies
+                if not directed:
+                    arcs += [(v, u)] * copies
+    indices, indptr = _raw_csr(N, arcs)
+    return sp.Graph(N, indptr, indices, directed=directed)
+
+
+def build_singleton_oracle(kind, seed):
+    if kind == "plain":
+        return PlainOracle(build_oracle("cut", seed))
+    if kind.endswith("-dup"):
+        graph = _duplicated_arcs_graph(seed, directed="directed" in kind)
+        if kind.startswith("cut"):
+            return sp.CutOracle(graph)
+        if kind.startswith("coverage"):
+            return sp.CoverageOracle(graph)
+        return sp.InfluenceOracle(sp.LiveEdgeSamplePool(graph, p=0.5, m=7, seed=seed))
+    return build_oracle(kind, seed)
+
+
+SINGLETON_KINDS = KINDS + ("cut-dup", "cut-directed-dup", "coverage-dup",
+                           "influence-dup", "plain")
+any_id = st.one_of(ids, ids.map(np.int64))
+
+
+@given(st.sampled_from(SINGLETON_KINDS), st.integers(min_value=0, max_value=500),
+       st.lists(any_id, max_size=30))
+@settings(max_examples=200, deadline=None)
+def test_singletons_match_fresh_evals(kind, seed, vs):
+    oracle = build_singleton_oracle(kind, seed)
+    before = oracle.query_count
+    got = sp.oracle_singletons(oracle, vs)
+    assert oracle.query_count == before + len(vs)
+    expect = [oracle.eval({v}) for v in vs]
+    assert repr(got) == repr(expect)  # values and types: 3 and 3.0 differ
+    assert [type(x) for x in got] == [type(x) for x in expect]
+    if kind != "plain":
+        before = oracle.query_count
+        assert repr(oracle.singletons(iter(vs))) == repr(expect)
+        assert oracle.query_count == before + len(vs)
+
+
+def test_duplicated_arcs_count_once_in_singletons():
+    # node 0 lists its one neighbour twice: degree 2, but the cut of {0} is
+    # one edge and the cover of {0} is two nodes
+    graph = sp.Graph(2, [0, 2, 4], [1, 1, 0, 0])
+    assert graph.degrees.tolist() == [2, 2]
+    assert sp.CutOracle(graph).singletons([0, 1]) == [1, 1]
+    assert sp.CoverageOracle(graph).singletons([0, 1]) == [2, 2]
+
+
+@pytest.mark.parametrize("kind", SINGLETON_KINDS)
+def test_singletons_reject_bad_ids_before_counting(kind):
+    oracle = build_singleton_oracle(kind, 3)
+    assert sp.oracle_singletons(oracle, []) == []
+    assert oracle.query_count == 0
+    for bad in (-1, N, np.int64(64), 1.5):
+        with pytest.raises(InputError):
+            sp.oracle_singletons(oracle, [0, 1, bad, 2])
+        assert oracle.query_count == 0

@@ -501,6 +501,71 @@ def test_rungs_with_one_working_set_ask_one_marginal():
 
 
 # ---------------------------------------------------------------------------
+# the stream read in blocks
+
+@pytest.mark.parametrize("kind", ["modular", "custom", "coverage", "cut"])
+@pytest.mark.parametrize("blocks, extra", [(1, -1), (1, 0), (1, 1), (2, 3)])
+def test_blocks_change_no_output_and_no_count(kind, blocks, extra, monkeypatch):
+    length = blocks * pruning._BLOCK + extra
+    n = 40
+    rng = random.Random(length)
+    stream = [rng.randrange(n) for _ in range(length)]
+    for b in range(pruning._BLOCK, length, pruning._BLOCK):
+        stream[b] = stream[b - 1]  # a repeat on each side of a block boundary
+    costs = [rng.choice([0.5, 1.0, 3.0, 6.0, 12.0, 20.0]) for _ in range(n)]
+    cost_fn = costs.__getitem__
+    make = _sharing_instance(kind, length, n)
+    ladder = sp.LadderParams(2.0, 16.0, 0.5, 0.3, 0.5)
+    taus = sp.budget_ladder(2.0, 16.0, 0.5)
+    pruned, report = sp.quickprune((e for e in stream), make(), cost_fn, ladder, n)
+    got = _outputs(pruned, report.per_budget_sizes, report.events)
+
+    union, sizes, events, calls = set(), {}, [], 0
+    for tau in taus:
+        oracle, state = make(), sp.SinglePrunerState()
+        params = sp.PruneParams(tau, ladder.delta, ladder.epsilon)
+        for e in stream:
+            sp.process_element(state, oracle, cost_fn, params, n, e)
+        union |= state.pruned_set()
+        sizes[tau] = len(state.pruned_set())
+        events.extend(state.events)
+        calls += oracle.query_count
+    assert got == _outputs(union, sizes, events)
+    repeated_singletons = sum(max(0, sum(costs[e] <= tau for tau in taus) - 1)
+                              for e in stream)
+    assert report.oracle_calls <= calls - repeated_singletons
+
+    # read one element at a time, the pass asks exactly the same questions
+    monkeypatch.setattr(pruning, "_BLOCK", 1)
+    one, one_report = sp.quickprune(iter(stream), make(), cost_fn, ladder, n)
+    assert _outputs(one, one_report.per_budget_sizes, one_report.events) == got
+    assert one_report.oracle_calls == report.oracle_calls
+
+
+class _BatchSpy(PlainOracle):
+    """Records each singleton batch it is asked for."""
+
+    def __init__(self, inner):
+        super().__init__(inner)
+        self.batches = []
+
+    def singletons(self, ids):
+        self.batches.append(list(ids))
+        return self.inner.singletons(ids)
+
+
+def test_each_block_asks_one_batch_for_the_elements_that_fit_the_top_rung():
+    size = pruning._BLOCK
+    n = 2 * size + 3
+    costs = [1.0 + 5.0 * (v % 5) for v in range(n)]  # 21.0 fits no rung
+    spy = _BatchSpy(sp.CutOracle(random_graph(n, 0.02, 1)))
+    sp.quickprune(range(n), spy, costs.__getitem__,
+                  sp.LadderParams(2.0, 16.0, 0.5, 0.1, 0.1), n)
+    assert spy.batches == [[v for v in range(start, min(start + size, n)) if costs[v] <= 16.0]
+                           for start in range(0, n, size)]
+
+
+# ---------------------------------------------------------------------------
 # closed-form bounds
 
 def test_size_bound_examples():

@@ -139,6 +139,18 @@ def test_solvers_reject_non_finite_budgets(star6):
         sp.knapsack_solver(orc, unit_cost, range(6), 0.0)
 
 
+@pytest.mark.parametrize("cost", [0.0, -1.0, math.nan])
+@pytest.mark.parametrize("solver", [sp.greedy_knapsack, sp.brute_force_opt])
+def test_solvers_reject_costs_that_are_not_positive(star6, solver, cost):
+    # 0.0 divided by zero, -1.0 returned a solution of negative cost and
+    # NaN an empty one; each is now refused before any query
+    orc = sp.CoverageOracle(star6)
+    costs = [1.0, 1.0, cost, 1.0, 1.0, 1.0]
+    with pytest.raises(InputError, match="cost"):
+        solver(orc, costs.__getitem__, range(6), 3.0)
+    assert orc.query_count == 0
+
+
 # ---------------------------------------------------------------------------
 # exhaustive verification solver
 
