@@ -10,7 +10,8 @@ from __future__ import annotations
 
 import dataclasses
 import gzip
-from dataclasses import dataclass
+import zlib
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -27,7 +28,8 @@ class Graph:
     in directed mode). Undirected edges are stored in both directions, which
     is checked here; self loops are dropped by ``from_edges`` and rejected
     here. ``orig_ids[v]`` maps a dense id back to the id found in the source
-    file, when the graph came from one.
+    file, when the graph came from one. The adjacency arrays are checked
+    once and then held as read-only views.
     """
 
     n: int
@@ -37,9 +39,29 @@ class Graph:
     costs: np.ndarray = None
     orig_ids: np.ndarray = None
 
+    # the (indptr, indices, n, directed) that passed the adjacency checks;
+    # dataclasses.replace carries it over, so a copy that keeps those arrays
+    # checks only its other fields
+    _checked: tuple = field(default=None, repr=False)
+
     def __post_init__(self):
         if self.n < 0:
             raise InputError("node count must be non-negative")
+        checked = self._checked
+        if not (checked is not None and checked[0] is self.indptr
+                and checked[1] is self.indices and checked[2:] == (self.n, self.directed)):
+            self._check_adjacency()
+        if self.costs is None:
+            object.__setattr__(self, "costs", np.ones(self.n, dtype=np.float64))
+        costs = np.asarray(self.costs, dtype=np.float64)
+        if not (np.isfinite(costs).all() and (costs > 0).all()):
+            raise InputError("costs must be finite and positive")
+        if self.orig_ids is not None:
+            orig = np.asarray(self.orig_ids)
+            if orig.shape != (self.n,) or (orig.dtype.kind not in "iu" and orig.size):
+                raise InputError("orig_ids must hold one integer id per node")
+
+    def _check_adjacency(self):
         for name in ("indptr", "indices"):
             arr = np.asarray(getattr(self, name))
             if arr.ndim != 1:
@@ -51,11 +73,6 @@ class Graph:
                 # in the checks below (values past 2^63 become negative here)
                 arr = arr.astype(np.int64)
             object.__setattr__(self, name, arr)
-        if self.costs is None:
-            object.__setattr__(self, "costs", np.ones(self.n, dtype=np.float64))
-        costs = np.asarray(self.costs, dtype=np.float64)
-        if not (np.isfinite(costs).all() and (costs > 0).all()):
-            raise InputError("costs must be finite and positive")
         if len(self.indptr) != self.n + 1:
             raise InputError("indptr length must be n + 1")
         if (self.indptr[0] != 0 or self.indptr[-1] != self.indices.size
@@ -81,6 +98,14 @@ class Graph:
                 src.sort()
             if not np.array_equal(src, rev):
                 raise InputError("undirected adjacency must be symmetric")
+        # read-only views, so that the checked arrays cannot change under a copy
+        views = []
+        for name in ("indptr", "indices"):
+            view = getattr(self, name).view()
+            view.flags.writeable = False
+            object.__setattr__(self, name, view)
+            views.append(view)
+        object.__setattr__(self, "_checked", (*views, self.n, self.directed))
 
     @property
     def degrees(self) -> np.ndarray:
@@ -122,50 +147,83 @@ class Graph:
 
 
 def from_edges(n: int, edges, directed: bool = False) -> Graph:
-    """Build a Graph from an iterable of (u, v) pairs with ids in [0, n).
+    """Build a Graph from (u, v) integer pairs with ids in [0, n): an
+    iterable of pairs or an (E, 2) array.
 
-    Duplicate edges are collapsed and self loops dropped.
+    Duplicate edges are collapsed (and, undirected, reversed ones) and self
+    loops dropped. Rows list their neighbours in ascending order.
     """
     if n < 0:
         raise InputError("node count must be non-negative")
-    seen = set()
-    for u, v in edges:
-        if not (0 <= u < n and 0 <= v < n):
-            raise InputError(f"edge ({u}, {v}) outside node range [0, {n})")
-        if u == v:
-            continue
-        seen.add((u, v) if directed else (min(u, v), max(u, v)))
-    if not seen:
-        return Graph(n, np.zeros(n + 1, dtype=np.int64), np.empty(0, dtype=np.int64), directed)
-    arr = np.array(sorted(seen), dtype=np.int64)
-    del seen  # the set of tuples outweighs every array below
-    if directed:
-        src, dst = arr[:, 0], arr[:, 1]
-    else:
-        src = np.concatenate([arr[:, 0], arr[:, 1]])
-        dst = np.concatenate([arr[:, 1], arr[:, 0]])
-    order = np.lexsort((dst, src))
-    src, dst = src[order], dst[order]
+    try:
+        arr = np.array(edges if isinstance(edges, np.ndarray) else list(edges))
+    except ValueError:
+        raise InputError("edges must be (u, v) pairs") from None
+    if arr.size == 0:
+        arr = np.empty((0, 2), dtype=np.int64)
+    if arr.ndim != 2 or arr.shape[1] != 2:
+        raise InputError("edges must be (u, v) pairs")
+    if arr.dtype.kind not in "iuO":
+        raise InputError(f"node ids must be integers, got dtype {arr.dtype}")
+    bad = (arr < 0) | (arr >= n)  # object arrays hold ids past int64
+    if bad.any():
+        u, v = arr[np.flatnonzero(bad.any(axis=1))[0]]
+        raise InputError(f"edge ({u}, {v}) outside node range [0, {n})")
+    return _csr(n, arr[:, 0].astype(np.int64), arr[:, 1].astype(np.int64), directed)
+
+
+# arc keys u * n + v stay below 2^63 for every n up to this
+_MAX_KEY_N = 3_037_000_499
+
+
+def _csr(n: int, src: np.ndarray, dst: np.ndarray, directed: bool, orig_ids=None) -> Graph:
+    """The Graph over [0, n) of the arcs src[i] -> dst[i] (int64 ids in
+    range): self loops dropped, and duplicates collapsed on the keys
+    u * n + v (lo * n + hi when undirected, then stored both ways)."""
+    if n > _MAX_KEY_N:
+        raise InputError(f"node count {n} is too large")
+    keep = src != dst
+    src, dst = src[keep], dst[keep]
+    if not directed:
+        src, dst = np.minimum(src, dst), np.maximum(src, dst)
+    src *= n
+    src += dst
+    keys = np.sort(src)
+    keys = keys[np.diff(keys, prepend=-1) != 0]  # keys are >= 0
+    if not directed:
+        lo, hi = np.divmod(keys, n)
+        keys = np.concatenate([keys, hi * n + lo])
+        keys.sort()
+    src, dst = np.divmod(keys, n)
     indptr = np.zeros(n + 1, dtype=np.int64)
-    np.add.at(indptr, src + 1, 1)
-    indptr = np.cumsum(indptr)
-    return Graph(n, indptr, dst, directed)
+    np.cumsum(np.bincount(src, minlength=n), out=indptr[1:])
+    return Graph(n, indptr, dst, directed, orig_ids=orig_ids)
+
+
+def _from_ids(ids: np.ndarray, directed: bool) -> Graph:
+    """The Graph of the edges (ids[0], ids[1]), (ids[2], ids[3]), ... over
+    non-negative int64 ids, re-indexed densely in sorted order of the ids."""
+    orig, dense = np.unique(ids, return_inverse=True)
+    dense = dense.astype(np.int64, copy=False)
+    return _csr(orig.size, dense[0::2], dense[1::2], directed, orig_ids=orig)
+
+
+_MAX_ID = 2**63 - 1
 
 
 def parse_edge_list(lines, directed: bool = False) -> Graph:
     """Parse whitespace-separated "u v" lines into a densely indexed Graph.
 
-    ``#`` lines are comments and blank lines are skipped. Node ids are
-    remapped to 0..n-1 in sorted order of the original ids; the mapping is
-    kept on ``graph.orig_ids``. Malformed lines raise ParseError with the
-    1-based line number.
+    ``lines`` holds ``str`` or UTF-8 ``bytes`` lines. ``#`` lines are
+    comments and blank lines are skipped; ids are anything ``int()`` reads
+    that lies in [0, 2^63). Node ids are remapped to 0..n-1 in sorted order
+    of the original ids; the mapping is kept on ``graph.orig_ids``. A
+    malformed line, or one that is not UTF-8, raises ParseError with its
+    1-based line number, and the first such line is the one reported.
     """
-    raw_edges = []
-    node_ids = set()
+    ids = []
     for line_no, line in enumerate(lines, start=1):
-        if isinstance(line, bytes):
-            line = line.decode("utf-8")
-        stripped = line.strip()
+        stripped = _decoded(line, line_no).strip()
         if not stripped or stripped.startswith("#"):
             continue
         parts = stripped.split()
@@ -177,20 +235,97 @@ def parse_edge_list(lines, directed: bool = False) -> Graph:
             raise ParseError(f"non-integer node id in {stripped!r}", line_no) from None
         if u < 0 or v < 0:
             raise ParseError("node ids must be non-negative", line_no)
-        node_ids.add(u)
-        node_ids.add(v)
-        raw_edges.append((u, v))
-    orig = np.array(sorted(node_ids), dtype=np.int64)
-    remap = {int(o): i for i, o in enumerate(orig)}
-    n = len(orig)
-    graph = from_edges(n, ((remap[u], remap[v]) for u, v in raw_edges), directed=directed)
-    return dataclasses.replace(graph, orig_ids=orig)
+        if max(u, v) > _MAX_ID:
+            raise ParseError(f"node id {max(u, v)} is larger than 2^63 - 1", line_no)
+        ids += (u, v)
+    return _from_ids(np.array(ids, dtype=np.int64), directed)
+
+
+def _decoded(line, line_no: int) -> str:
+    if not isinstance(line, bytes):
+        return line
+    try:
+        return line.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"byte {line[exc.start]:#04x} is not UTF-8 text", line_no) from None
+
+
+# byte classes for _fast_ids: 0 anything else, 1 digit, 2 blank, 3 newline
+_BYTE_CLASS = np.zeros(256, dtype=np.uint8)
+_BYTE_CLASS[ord("0"):ord("9") + 1] = 1
+_BYTE_CLASS[[ord(" "), ord("\t"), ord("\r")]] = 2
+_BYTE_CLASS[ord("\n")] = 3
+_MAX_DIGITS = 18  # 10^18 - 1 < 2^63 - 1
+
+
+def _fast_ids(data: bytes):
+    """The node ids of an edge list, in file order, as one int64 array; or
+    None unless numpy proves that ``parse_edge_list`` would accept every
+    line, so that the caller falls back to it.
+
+    Proven well formed: every byte is an ASCII digit, space, tab, CR or LF;
+    every CR starts a CRLF (a lone CR is a line break to text mode); every
+    line holds zero or two tokens; no token has more than 18 digits.
+    """
+    buf = np.frombuffer(data, dtype=np.uint8)
+    cls = _BYTE_CLASS.take(buf)
+    if not cls.all():
+        return None
+    cr = np.flatnonzero(buf == ord("\r"))
+    if cr.size and (cr[-1] + 1 == buf.size or np.any(buf[cr + 1] != ord("\n"))):
+        return None
+    # +1 where a run of digits starts, -1 just past where it ends
+    step = np.diff((cls == 1).view(np.int8), prepend=np.int8(0), append=np.int8(0))
+    starts = np.flatnonzero(step == 1)
+    ends = np.flatnonzero(step == -1)
+    del step
+    if starts.size == 0:
+        return np.empty(0, dtype=np.int64)
+    width = int((ends - starts).max())
+    if width > _MAX_DIGITS:
+        return None
+    # two tokens per line: each pair shares a line, the next pair starts a new one
+    lines = np.searchsorted(np.flatnonzero(cls == 3), starts)
+    if (starts.size % 2 or np.any(lines[0::2] != lines[1::2])
+            or np.any(lines[2::2] == lines[1:-1:2])):
+        return None
+    # Horner's rule over right-aligned digit columns, one column per pass
+    ids = np.zeros(starts.size, dtype=np.int64)
+    for offset in range(width, 0, -1):
+        pos = ends - offset
+        digit = buf[np.maximum(pos, 0)].astype(np.int64)
+        digit -= ord("0")
+        digit[pos < starts] = 0
+        ids *= 10
+        ids += digit
+    return ids
+
+
+def _read_bytes(path) -> bytes:
+    if not str(path).endswith(".gz"):
+        with open(path, "rb") as fh:
+            return fh.read()
+    try:
+        with gzip.open(path, "rb") as fh:
+            return fh.read()
+    except (gzip.BadGzipFile, EOFError, zlib.error) as exc:
+        raise ParseError(f"corrupt gzip data: {exc}") from None
 
 
 def load_edge_list(path, directed: bool = False) -> Graph:
-    opener = gzip.open if str(path).endswith(".gz") else open
-    with opener(path, "rt") as fh:
-        return parse_edge_list(fh, directed=directed)
+    """Read an edge-list file (gzip when the name ends in ``.gz``) in the
+    format of ``parse_edge_list``, giving the same Graph or ParseError.
+
+    The whole file is read as bytes. A file that holds only ASCII digits
+    and blanks in two-id lines is parsed by numpy; any other file (comments,
+    signs, other characters or line breaks, a line without exactly two ids,
+    an id past 18 digits) goes through ``parse_edge_list``'s line loop.
+    """
+    data = _read_bytes(path)
+    ids = _fast_ids(data)
+    if ids is None:
+        return parse_edge_list(data.splitlines(), directed=directed)
+    return _from_ids(ids, directed)
 
 
 def write_edge_list(graph: Graph, path) -> None:
@@ -202,17 +337,19 @@ def write_edge_list(graph: Graph, path) -> None:
 
 
 def read_id_file(path) -> set:
-    """Read a newline-delimited element-id file."""
+    """Read a newline-delimited element-id file (UTF-8 text, any line
+    breaks). A line that is not UTF-8 or not an integer raises ParseError."""
+    with open(path, "rb") as fh:
+        lines = fh.read().splitlines()
     ids = set()
-    with open(path, "rt") as fh:
-        for line_no, line in enumerate(fh, start=1):
-            stripped = line.strip()
-            if not stripped:
-                continue
-            try:
-                ids.add(int(stripped))
-            except ValueError:
-                raise ParseError(f"non-integer id {stripped!r}", line_no) from None
+    for line_no, line in enumerate(lines, start=1):
+        stripped = _decoded(line, line_no).strip()
+        if not stripped:
+            continue
+        try:
+            ids.add(int(stripped))
+        except ValueError:
+            raise ParseError(f"non-integer id {stripped!r}", line_no) from None
     return ids
 
 

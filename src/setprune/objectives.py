@@ -23,8 +23,9 @@ the stream, the greedy solvers to seed their heaps) ask for them in one
 ``singletons(ids)`` call: ``[eval({v}) for v in ids]`` bit for bit and in
 type, counted as ``len(ids)`` queries, with every id checked before any is
 counted. Cut and undirected influence read the values from per-element
-vectors built with the oracle; other oracles loop over ``eval``, and
-``oracle_singletons`` does the same for wrappers without ``singletons()``.
+vectors built with the oracle, and ``CustomOracle`` calls its set function
+once per id; other oracles loop over ``eval``, and ``oracle_singletons``
+does the same for wrappers without ``singletons()``.
 
 The module-level ``*_value`` functions are plain reference implementations
 of the same objectives, computed directly from their definitions; the oracle
@@ -577,13 +578,26 @@ class SimilarityCutOracle(Oracle):
 
 
 class CustomOracle(Oracle):
-    """Wrap an arbitrary set function; normalizes by subtracting f(empty)."""
+    """Wrap an arbitrary set function; normalizes by subtracting f(empty).
+
+    ``singletons`` calls the set function directly, not through ``eval``: a
+    subclass that overrides ``eval`` must override ``singletons`` too.
+    """
 
     def __init__(self, n: int, fn, kind: str = "custom"):
         super().__init__(n)
         self.kind = kind
         self._fn = fn
         self._offset = float(fn(frozenset()))
+
+    def singletons(self, ids):
+        """``[eval({v}) for v in ids]``, with the ids checked once and the
+        ``len(ids)`` queries counted in one step."""
+        vs = list(ids)
+        _checked_ids(vs, self.n)
+        self.counter.bump(len(vs))
+        fn, offset = self._fn, self._offset
+        return [fn(frozenset((v,))) - offset for v in vs]
 
     def _value(self, S):
         vs = frozenset(S)

@@ -6,13 +6,16 @@ definitions) so they can serve as oracles for the optimized library code.
 
 from __future__ import annotations
 
+import io
 import itertools
 import random
 
 import numpy as np
 import pytest
+from hypothesis import strategies as st
 
 import setprune as sp
+from setprune.errors import ParseError
 
 
 # ---------------------------------------------------------------------------
@@ -49,6 +52,104 @@ def ref_simcut(matrix, query_ids, lam, S):
         for j in S:
             penalty += matrix[i][j]
     return lam * reward - penalty
+
+
+def ref_parse_edge_list(data: bytes, directed: bool):
+    """(sorted original ids, neighbour lists over dense ids) of an edge-list
+    file read line by line in text mode: UTF-8, universal newlines, ``#``
+    comments, two ``int()`` ids in [0, 2^63) per other non-blank line.
+    Raises ParseError at the first bad line; a byte that is not UTF-8 makes
+    its own line bad."""
+    try:
+        data.decode("utf-8")
+        undecodable = False
+    except UnicodeDecodeError as exc:
+        head = data[:exc.start]
+        data = data[:max(head.rfind(b"\n"), head.rfind(b"\r")) + 1]
+        undecodable = True
+    edges = []
+    line_no = 0
+    for line_no, line in enumerate(io.TextIOWrapper(io.BytesIO(data), encoding="utf-8"),
+                                   start=1):
+        stripped = line.strip()
+        if not stripped or stripped.startswith("#"):
+            continue
+        parts = stripped.split()
+        if len(parts) != 2:
+            raise ParseError("expected two ids", line_no)
+        try:
+            u, v = int(parts[0]), int(parts[1])
+        except ValueError:
+            raise ParseError("non-integer id", line_no) from None
+        if not (0 <= u < 2**63 and 0 <= v < 2**63):
+            raise ParseError("id out of range", line_no)
+        edges.append((u, v))
+    if undecodable:
+        raise ParseError("not UTF-8", line_no + 1)
+    ids = sorted({x for edge in edges for x in edge})
+    dense = {x: i for i, x in enumerate(ids)}
+    nbrs = [set() for _ in ids]
+    for u, v in edges:
+        if u != v:
+            nbrs[dense[u]].add(dense[v])
+            if not directed:
+                nbrs[dense[v]].add(dense[u])
+    return ids, [sorted(row) for row in nbrs]
+
+
+# ---------------------------------------------------------------------------
+# edge-list and id files for the ingest differential and the CLI fuzz
+
+_IDS = st.one_of(st.integers(0, 40).map(str), st.integers(0, 10**18 - 1).map(str),
+                 st.integers(0, 99).map("{:05d}".format))
+# ids that int() reads but the numpy path leaves to the line loop
+_ODD_IDS = st.sampled_from(["+5", "1_0", "\u0663", "\uff17", "9" * 19, str(2**63 - 1)])
+_BAD_IDS = st.sampled_from(["-3", "x", "1.5", "0x1", "#", str(2**63), str(10**25)])
+_BLANKS = st.sampled_from([" ", "\t", "  ", " \t "])
+# blanks to str.split() but no line breaks to text mode
+_ODD_BLANKS = st.sampled_from(["\u00a0", "\u2003", "\u3000", "\u2028", "\x0b", "\x0c",
+                               "\x1c", "\x85"])
+_ENDINGS = st.sampled_from(["\n", "\r\n"])
+_NOT_UTF8 = st.sampled_from([b"\xff", b"\xc3", b"\x80", b"\xed\xa0\x80"])
+ODDITIES = ("ids", "bad_ids", "blanks", "cr", "comments", "widths", "bytes")
+
+
+@st.composite
+def line_file_bytes(draw, width=2, oddities=ODDITIES):
+    """Contents of a line-oriented input file: lines of ``width`` ids (an
+    edge list at 2, an id file at 1), blank lines and, last, maybe no line
+    break. With no ``oddities`` it holds only what the numpy edge-list path
+    must accept: ASCII digits, spaces and tabs, LF or CRLF, ids of at most
+    18 digits. Otherwise each file draws which of these it may also hold:
+    ids in other forms that ``int()`` reads, tokens that are no ids, Unicode
+    blanks, lone CRs (a line break to text mode), comments, lines of other
+    widths, and bytes that are not UTF-8."""
+    odd = draw(st.sets(st.sampled_from(oddities))) if oddities else set()
+    ids = st.one_of(_IDS, *[s for key, s in (("ids", _ODD_IDS), ("bad_ids", _BAD_IDS))
+                            if key in odd])
+    blanks = st.one_of(_BLANKS, _ODD_BLANKS) if "blanks" in odd else _BLANKS
+    endings = _ENDINGS
+    if "cr" in odd:
+        blanks = st.one_of(blanks, st.just("\r"))
+        endings = st.sampled_from(["\n", "\r\n", "\r", "\r\r\n"])
+    widths = range(2 * width + 1) if "widths" in odd else [width, width, 0]
+    lines = []
+    for _ in range(draw(st.integers(0, 12))):
+        if "comments" in odd and draw(st.integers(0, 4)) == 0:
+            body = "#" + draw(st.text(max_size=6))
+        else:
+            tokens = [draw(ids) for _ in range(draw(st.sampled_from(widths)))]
+            body = draw(blanks).join(tokens)
+            if draw(st.booleans()):
+                body = draw(blanks) + body + draw(blanks)
+        lines.append(body + draw(endings))
+    if lines and draw(st.booleans()):
+        lines[-1] = lines[-1].rstrip("\r\n")
+    data = "".join(lines).encode("utf-8")
+    if "bytes" in odd:
+        at = draw(st.integers(0, len(data)))
+        data = data[:at] + draw(_NOT_UTF8) + data[at:]
+    return data
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,5 @@
 import csv
+import gzip
 import json
 import math
 import time
@@ -7,6 +8,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import setprune as sp
+from conftest import line_file_bytes
 from setprune.cli import main
 
 
@@ -345,3 +347,42 @@ def test_numeric_flag_fuzz_exits_zero_or_two(tmp_path, argv):
              "bounds": []}[argv[0]]
     instance = [] if argv[0] == "bounds" else ["--graph", str(graph)]
     assert _exit_code([argv[0], *instance, *argv[1:], *files]) in (0, 2)
+
+
+def test_unreadable_edge_and_id_files_exit_three(tmp_path, capsys):
+    graph = _write_graph(tmp_path)
+    out = ["--out-ids", str(tmp_path / "i"), "--out-report", str(tmp_path / "r")]
+    for name, data in (("bad.txt", b"0 1\n\xff 2\n"),
+                       ("big.txt", b"0 1\n1 100000000000000000000000\n"),
+                       ("bad.txt.gz", b"\x1f\x8b\x08\x00garbage")):
+        (tmp_path / name).write_bytes(data)
+        rc = main(["prune", "--graph", str(tmp_path / name), "--pruner", "quickprune",
+                   "--kappa-max", "4", *out])
+        assert rc == 3
+        assert "line 2" in capsys.readouterr().err or name.endswith(".gz")
+    (tmp_path / "bad.ids").write_bytes(b"1\n2\xff\n")
+    rc = main(["sweep", "--graph", str(graph), "--ids", str(tmp_path / "bad.ids"),
+               "--budgets", "2", "--out", str(tmp_path / "w.csv")])
+    assert rc == 3
+    assert "line 2" in capsys.readouterr().err
+
+
+# bounded fuzz of the input files: the CLI exits 0, 2 or 3, never 4
+
+@given(st.one_of(line_file_bytes(), line_file_bytes(oddities=())),
+       st.one_of(line_file_bytes(width=1), line_file_bytes(width=1, oddities=())),
+       st.booleans(), st.sampled_from(["coverage", "cut"]),
+       st.sampled_from(["size", "knapsack"]))
+@settings(max_examples=60, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+def test_edge_and_id_file_fuzz_exits_zero_two_or_three(tmp_path, edges, ids, gz,
+                                                        objective, constraint):
+    graph = tmp_path / ("g.txt.gz" if gz else "g.txt")
+    graph.write_bytes(gzip.compress(edges) if gz else edges)
+    (tmp_path / "f.ids").write_bytes(ids)
+    instance = ["--graph", str(graph), "--objective", objective, "--constraint", constraint]
+    assert main(["prune", *instance, "--pruner", "quickprune", "--kappa-max", "4",
+                 "--out-ids", str(tmp_path / "i"),
+                 "--out-report", str(tmp_path / "r")]) in (0, 2, 3)
+    assert main(["sweep", *instance, "--ids", str(tmp_path / "f.ids"), "--budgets", "2",
+                 "4", "--out", str(tmp_path / "w.csv")]) in (0, 2, 3)

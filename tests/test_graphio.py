@@ -4,10 +4,12 @@ import io
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 import setprune as sp
+from conftest import line_file_bytes, ref_parse_edge_list
+from setprune import graphio
 from setprune.errors import InputError, ParseError
 
 
@@ -78,6 +80,133 @@ def test_id_file_round_trip(tmp_path):
     path.write_text("1\nx\n")
     with pytest.raises(ParseError):
         sp.read_id_file(path)
+
+
+def _assert_graph_is(graph, expect, directed):
+    ids, nbrs = expect
+    assert graph.n == len(ids) and graph.directed == directed
+    assert graph.orig_ids.dtype == np.int64 and graph.orig_ids.tolist() == ids
+    assert graph.indptr.dtype == graph.indices.dtype == np.int64
+    assert [graph.neighbors(v).tolist() for v in range(graph.n)] == nbrs
+
+
+# ASCII digits and blanks only, so the fast path's own checks of line breaks
+# and token counts decide which path a file takes
+ASCII_FILES = line_file_bytes(oddities=("cr", "widths"))
+
+
+@given(st.one_of(line_file_bytes(), ASCII_FILES), st.booleans(), st.booleans())
+# one file past each of the fast path's checks
+@example(b"1\n2\n", False, False).via("one id per line, paired across lines")
+@example(b"1 2 3 4\n", False, False).via("four ids on one line")
+@example(b"1 2 3\n", False, False).via("an odd number of ids")
+@example(b"1\r2\n", False, False).via("a lone CR between two ids")
+@example(b"1 2\r", False, False).via("a lone CR at the end")
+@example(b"1 " + b"9" * 19 + b"\n", False, False).via("an id past 18 digits")
+@example(b"1 +2\n", True, True).via("a byte outside digits and blanks")
+@settings(max_examples=400, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+def test_load_matches_the_text_mode_line_loop(tmp_path, data, directed, gz):
+    # load_edge_list (numpy fast path or its line-loop fallback) and
+    # parse_edge_list over the file in text mode both equal the reference,
+    # or fail at the reference's line
+    path = tmp_path / ("e.txt.gz" if gz else "e.txt")
+    path.write_bytes(gzip.compress(data) if gz else data)
+    parsers = [lambda: sp.load_edge_list(path, directed=directed)]
+    if _is_utf8(data):  # else text mode raises UnicodeDecodeError
+        parsers.append(lambda: sp.parse_edge_list(
+            io.TextIOWrapper(io.BytesIO(data), encoding="utf-8"), directed=directed))
+    fast = graphio._fast_ids(data)
+    try:
+        expect = ref_parse_edge_list(data, directed)
+    except ParseError as exc:
+        assert fast is None
+        for parse in parsers:
+            with pytest.raises(ParseError) as err:
+                parse()
+            assert err.value.line_no == exc.line_no
+        return
+    for parse in parsers:
+        _assert_graph_is(parse(), expect, directed)
+    if fast is not None:
+        _assert_graph_is(graphio._from_ids(fast, directed), expect, directed)
+
+
+def _is_utf8(data):
+    try:
+        data.decode("utf-8")
+    except UnicodeDecodeError:
+        return False
+    return True
+
+
+@given(line_file_bytes(oddities=()))
+@settings(max_examples=100, deadline=None)
+def test_fast_path_takes_every_plain_digit_file(data):
+    assert graphio._fast_ids(data) is not None
+
+
+def test_non_utf8_and_oversized_ids_fail_at_their_line(tmp_path):
+    path = tmp_path / "e.txt"
+    for data, line_no in ((b"1 2\n\xff 3\n", 2), (b"# caf\xe9\n1 2\n", 1),
+                          (b"1 2\n2 3\n1 100000000000000000000000\n", 3),
+                          (b"0 9223372036854775808\n", 1)):
+        path.write_bytes(data)
+        with pytest.raises(ParseError) as err:
+            sp.load_edge_list(path)
+        assert err.value.line_no == line_no
+    path.write_bytes(b"0 9223372036854775807\n")
+    assert sp.load_edge_list(path).orig_ids.tolist() == [0, 2**63 - 1]
+    path.write_bytes(b"4\n\xff\n")
+    with pytest.raises(ParseError, match="line 2"):
+        sp.read_id_file(path)
+
+
+def test_corrupt_gzip_is_a_parse_error(tmp_path):
+    data = gzip.compress(b"1 2\n" * 500)
+    path = tmp_path / "e.txt.gz"
+    for bad in (data[:len(data) // 2], data[:20] + bytes(30) + data[50:]):
+        path.write_bytes(bad)
+        with pytest.raises(ParseError):
+            sp.load_edge_list(path)
+
+
+def test_load_and_cost_assignment_check_the_adjacency_once(tmp_path, monkeypatch):
+    path = tmp_path / "e.txt"
+    sp.write_edge_list(sp.generate("barabasi_albert", 60, {"m_attach": 3}, seed=1), path)
+    checks = []
+    check = sp.Graph._check_adjacency
+    monkeypatch.setattr(sp.Graph, "_check_adjacency",
+                        lambda self: checks.append(self.n) or check(self))
+    g = sp.assign_knapsack_costs(sp.load_edge_list(path))
+    assert checks == [60]
+    dataclasses.replace(g, orig_ids=g.orig_ids[::-1].copy(), costs=g.costs * 2)
+    assert checks == [60]
+    with pytest.raises(ValueError):  # the checked arrays are read-only
+        g.indices[0] = g.indices[1]
+    # a copy with new arrays, or over another node count or direction, is checked
+    dataclasses.replace(g, indices=g.indices.copy())
+    dataclasses.replace(g, directed=True)
+    with pytest.raises(InputError, match="indptr length"):
+        dataclasses.replace(g, n=59, costs=g.costs[:59], orig_ids=None)
+    assert checks == [60, 60, 60, 59]
+    with pytest.raises(InputError, match="orig_ids"):
+        dataclasses.replace(g, orig_ids=g.orig_ids[:5])
+
+
+def test_from_edges_takes_pairs_and_rejects_other_input():
+    expect = sp.from_edges(4, [(0, 1), (1, 2), (2, 0), (3, 3)])
+    for edges in (np.array([[1, 0], [2, 1], [0, 2], [1, 2]], dtype=np.int32),
+                  iter([(np.int64(0), 1), (2, 1), (0, 2)])):
+        got = sp.from_edges(4, edges)
+        assert np.array_equal(got.indptr, expect.indptr)
+        assert np.array_equal(got.indices, expect.indices)
+    assert sp.from_edges(3, []).num_edges == sp.from_edges(0, ()).n == 0
+    for edges, what in (([(0, 3)], "outside"), ([(-1, 0)], "outside"),
+                        ([(0, 2**70)], "outside"), ([(0.0, 1.0)], "integers"),
+                        ([(0, 1, 2)], "pairs"), ([(0, 1), (2,)], "pairs")):
+        with pytest.raises(InputError, match=what):
+            sp.from_edges(3, edges)
 
 
 # ---------------------------------------------------------------------------
