@@ -14,10 +14,9 @@ from .graphio import (Graph, assign_knapsack_costs, from_edges, generate,
 from .metrics import EvalRecord, evaluate_pruning, sweep_budgets
 from .objectives import (CoverageOracle, CustomOracle, CutOracle, EvalState,
                          InfluenceOracle, LiveEdgeSamplePool, Oracle,
-                         SimilarityCutOracle, SimilarityKernel,
-                         coverage_value, cut_value, estimate_gamma,
+                         SimilarityCutOracle, SimilarityKernel, estimate_gamma,
                          influence_value, load_similarity_kernel,
-                         oracle_singletons, oracle_state, simgraphcut_value)
+                         oracle_singletons, oracle_state)
 from .pruning import (DeletionEvent, LadderParams, PruneParams, PruneReport,
                       SinglePrunerState, alpha_multi, alpha_single,
                       budget_ladder, check_nhi, geometric_recovery_steps,

@@ -55,7 +55,8 @@ def _data_path(path):
 
 
 def _merge_config(args, keys):
-    """Resolve each key as: flag value if given, else config file, else default."""
+    """Resolve each key as: flag value if given, else config file (checked
+    by ``_config_value``), else default."""
     cfg = {}
     if getattr(args, "config", None):
         with open(args.config, "rt") as fh:
@@ -72,10 +73,27 @@ def _merge_config(args, keys):
         if flag is not None:
             resolved[key] = flag
         elif key in cfg:
-            resolved[key] = cfg[key]
+            resolved[key] = _config_value(getattr(args, "flags", {}).get(key), key, cfg[key])
         else:
             resolved[key] = DEFAULTS.get(key)
     return resolved
+
+
+def _config_value(flag, key, value):
+    """``value`` if it has the type its argparse flag declares, else
+    InputError: ``type=float`` takes any JSON number but a bool, ``type=int``
+    an integer, ``--directed`` (``store_const``) a bool, an untyped flag a
+    string, and an ``nargs`` flag a list of these."""
+    if flag is None:  # a key this command reads but has no flag for
+        return value
+    kind = flag.type or (type(flag.const) if flag.const is not None else str)
+    allowed = (int, float) if kind is float else (kind,)
+    many = flag.nargs == "+"
+    items = value if many else [value]
+    if (many and type(value) is not list) or any(type(v) not in allowed for v in items):
+        shape = f"a list of {kind.__name__}" if many else kind.__name__
+        raise InputError(f"config key {key!r} must be {shape}, got {value!r}")
+    return value
 
 
 def _build_instance(opts):
@@ -364,6 +382,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_bounds.add_argument("--c-min", dest="c_min", type=float)
     p_bounds.set_defaults(func=cmd_bounds)
 
+    for command in sub.choices.values():
+        command.set_defaults(flags={flag.dest: flag for flag in command._actions})
     return parser
 
 

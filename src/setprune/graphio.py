@@ -51,11 +51,10 @@ class Graph:
         if not (checked is not None and checked[0] is self.indptr
                 and checked[1] is self.indices and checked[2:] == (self.n, self.directed)):
             self._check_adjacency()
-        if self.costs is None:
-            object.__setattr__(self, "costs", np.ones(self.n, dtype=np.float64))
-        costs = np.asarray(self.costs, dtype=np.float64)
+        costs = np.ones(self.n) if self.costs is None else np.asarray(self.costs, np.float64)
         if not (np.isfinite(costs).all() and (costs > 0).all()):
             raise InputError("costs must be finite and positive")
+        object.__setattr__(self, "costs", costs)
         if self.orig_ids is not None:
             orig = np.asarray(self.orig_ids)
             if orig.shape != (self.n,) or (orig.dtype.kind not in "iu" and orig.size):

@@ -6,17 +6,26 @@ live-edge sample pool, similarity kernel) at construction, normalizes so the
 empty set scores zero, and bumps a thread-safe counter exactly once per
 evaluation. Evaluating the same set twice returns bit-identical values,
 including the cascade estimator, whose randomness lives entirely in the
-frozen sample pool.
+frozen sample pool. Every ``eval``, ``singletons`` batch and state method
+checks its ids once, at the boundary: an id that is not an integer in
+``[0, n)`` raises ``InputError``, and a repeated id counts once.
+
+Cut and coverage answer from the graph's deduplicated CSR rows, held as one
+tuple of neighbour ids per node, so their memory and build time are linear
+in nodes plus arcs.
 
 Callers that grow one set element by element (the pruner's working set, a
 greedy solution) ask the oracle for a per-caller state with ``state()``.
 ``st.marginal(e, f_S)`` is one counted query and equals
 ``eval(S | {e}) - f_S`` bit for bit; ``st.add(e)`` commits ``e`` without a
 query; ``st.reset(S)`` makes the state hold ``S`` and returns f(S), one
-counted query unless ``S`` is empty. Undirected cut and undirected influence
-keep incremental statistics, so a marginal does not rescan ``S``; every
-other oracle, and any oracle-like wrapper without ``state()``, gets an
-``EvalState`` that answers through ``marginal`` and ``eval``.
+counted query unless ``S`` is empty. Cut (either direction), coverage and
+undirected influence keep incremental statistics, so a marginal does not
+rescan ``S``: the cut state keeps per-node hit counts and answers in O(1),
+the coverage state keeps the covered set and answers in O(deg e).
+Similarity cut, custom and directed influence oracles, and any oracle-like
+wrapper without ``state()``, get an ``EvalState`` that answers through
+``marginal`` and ``eval``.
 
 Callers that need many singleton values at once (the pruner per block of
 the stream, the greedy solvers to seed their heaps) ask for them in one
@@ -27,10 +36,9 @@ vectors built with the oracle, and ``CustomOracle`` calls its set function
 once per id; other oracles loop over ``eval``, and ``oracle_singletons``
 does the same for wrappers without ``singletons()``.
 
-The module-level ``*_value`` functions are plain reference implementations
-of the same objectives, computed directly from their definitions; the oracle
-classes use faster internal representations and are cross-checked against
-them in the test suite.
+``influence_value`` is a plain reference implementation of the spread
+estimate, a BFS over each stored live-edge sample; the test suite checks
+``InfluenceOracle`` against it.
 """
 
 from __future__ import annotations
@@ -56,10 +64,7 @@ __all__ = [
     "LiveEdgeSamplePool",
     "SimilarityKernel",
     "load_similarity_kernel",
-    "coverage_value",
-    "cut_value",
     "influence_value",
-    "simgraphcut_value",
     "estimate_gamma",
 ]
 
@@ -85,9 +90,9 @@ class QueryCounter:
 class Oracle:
     """Counted, normalized evaluation of a monotone set function.
 
-    Subclasses implement ``_value(S)`` over element ids ``0..n-1``. The
-    public ``eval`` issues exactly one counted query per call and returns
-    f(S) - f(empty set).
+    Subclasses implement ``_value(S)`` over a set of distinct int ids in
+    ``0..n-1``. The public ``eval`` checks the ids, issues exactly one
+    counted query per call and returns f(S) - f(empty set).
     """
 
     kind = "custom"
@@ -103,8 +108,9 @@ class Oracle:
         return self.counter.count
 
     def eval(self, S):
+        members = _checked_ids(S, self.n, into=set)
         self.counter.bump()
-        return self._value(S)
+        return self._value(members)
 
     def marginal(self, e, S, f_S):
         """Gain of adding ``e`` to ``S`` given the cached value ``f_S``.
@@ -127,15 +133,6 @@ class Oracle:
     def _value(self, S):
         raise NotImplementedError
 
-    def _bad_id(self, v):
-        return InputError(f"element id {v!r} outside ground set of size {self.n}")
-
-    def _check_id(self, v) -> int:
-        v = operator.index(v)
-        if not 0 <= v < self.n:
-            raise self._bad_id(v)
-        return v
-
 
 class EvalState:
     """Per-caller state that answers through the oracle's ``marginal`` and
@@ -152,12 +149,10 @@ class EvalState:
         return self.oracle.marginal(e, self.members, f_S)
 
     def add(self, e):
-        if not 0 <= e < self.oracle.n:
-            raise InputError(f"element id {e!r} outside ground set of size {self.oracle.n}")
-        self.members.add(e)
+        self.members.add(_check_id(e, self.oracle.n))
 
     def reset(self, S):
-        self.members = set(S)
+        self.members = _checked_ids(S, self.oracle.n, into=set)
         return self.oracle.eval(self.members) if self.members else 0.0
 
 
@@ -175,22 +170,59 @@ def oracle_singletons(oracle, ids) -> list:
 
 
 def _eval_singletons(oracle, ids) -> list:
-    vs = list(ids)
-    _checked_ids(vs, oracle.n)
+    vs = _checked_ids(ids, oracle.n)
     return [oracle.eval({v}) for v in vs]
 
 
-def _checked_ids(ids, n: int) -> list:
-    """``ids`` as a list of ints, or InputError for the first one that is
-    not an integer in ``[0, n)``."""
+def _checked_ids(ids, n: int, into=list):
+    """``ids`` as ints, collected ``into`` a list (or a set), or InputError
+    for the first one that is not an integer in ``[0, n)``."""
     try:
-        vs = list(map(operator.index, ids))
+        vs = into(map(operator.index, ids))
     except TypeError as exc:
         raise InputError(f"element ids must be integers: {exc}") from None
     if vs and not (min(vs) >= 0 and max(vs) < n):
         bad = next(v for v in vs if not 0 <= v < n)
         raise InputError(f"element id {bad!r} outside ground set of size {n}")
     return vs
+
+
+def _check_id(v, n: int) -> int:
+    """``v`` as an int, or InputError unless it is an integer in ``[0, n)``."""
+    try:
+        v = operator.index(v)
+    except TypeError as exc:
+        raise InputError(f"element ids must be integers: {exc}") from None
+    if not 0 <= v < n:
+        raise InputError(f"element id {v!r} outside ground set of size {n}")
+    return v
+
+
+def _rows(graph, transpose=False, closed=False) -> list:
+    """The graph's arcs as one ascending tuple of neighbour ids per node:
+    out-neighbours, or in-neighbours when ``transpose``, with each node in
+    its own row when ``closed``. An arc the CSR lists twice appears once.
+    The rows share one int object per node id."""
+    n = graph.n
+    if not n:
+        return []
+    src = np.repeat(np.arange(n, dtype=np.int64), np.diff(graph.indptr))
+    dst = graph.indices.astype(np.int64)
+    if transpose:
+        src, dst = dst, src
+    if closed:
+        ids = np.arange(n, dtype=np.int64)
+        src, dst = np.concatenate([src, ids]), np.concatenate([dst, ids])
+    keys = np.sort(src * n + dst)
+    keys = keys[np.diff(keys, prepend=-1) != 0]  # keys are >= 0
+    src, dst = np.divmod(keys, n)
+    bounds = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(np.bincount(src, minlength=n), out=bounds[1:])
+    # an object array indexes one shared int per node, not a new int per arc
+    heads = np.array(range(n), dtype=object)[dst].tolist()
+    b = bounds.tolist()
+    # tuples of ints drop out of the garbage collector's traversals
+    return [tuple(heads[b[v]:b[v + 1]]) for v in range(n)]
 
 
 class CoverageOracle(Oracle):
@@ -201,23 +233,48 @@ class CoverageOracle(Oracle):
     def __init__(self, graph):
         super().__init__(graph.n)
         self.graph = graph
-        masks = []
-        for v in range(graph.n):
-            m = 1 << v
-            for u in graph.neighbors(v):
-                m |= 1 << int(u)
-            masks.append(m)
-        self._nbhd = masks
+        self._nbhd = _rows(graph, closed=True)
+
+    def state(self):
+        return _CoverageState(self)
+
+    def _cover(self, S) -> set:
+        nbhd = self._nbhd
+        covered = set()
+        for v in S:
+            covered.update(nbhd[v])
+        return covered
 
     def _value(self, S):
-        n = self.n
-        nbhd = self._nbhd
-        mask = 0
-        for v in S:
-            if not 0 <= v < n:
-                raise self._bad_id(v)
-            mask |= nbhd[v]
-        return mask.bit_count()
+        return len(self._cover(S))
+
+
+class _CoverageState:
+    """Coverage: the set of nodes S covers. Adding ``e`` covers
+    N[e] minus what is covered already, found in O(deg e)."""
+
+    __slots__ = ("_oracle", "_covered")
+
+    def __init__(self, oracle: CoverageOracle):
+        self._oracle = oracle
+        self._covered = set()
+
+    def marginal(self, e, f_S):
+        row = self._oracle._nbhd[_check_id(e, self._oracle.n)]
+        gain = len(row) - len(self._covered.intersection(row))
+        self._oracle.counter.bump()
+        return (len(self._covered) + gain) - f_S
+
+    def add(self, e):
+        self._covered.update(self._oracle._nbhd[_check_id(e, self._oracle.n)])
+
+    def reset(self, S):
+        members = _checked_ids(S, self._oracle.n)
+        self._covered = self._oracle._cover(members)
+        if not members:
+            return 0.0
+        self._oracle.counter.bump()
+        return len(self._covered)
 
 
 class CutOracle(Oracle):
@@ -231,85 +288,72 @@ class CutOracle(Oracle):
     def __init__(self, graph):
         super().__init__(graph.n)
         self.graph = graph
-        if graph.directed:
-            in_masks = [0] * graph.n
-            for u in range(graph.n):
-                bit = 1 << u
-                for v in graph.neighbors(u):
-                    in_masks[int(v)] |= bit
-            self._adj = in_masks
-        else:
-            adj = []
-            for v in range(graph.n):
-                m = 0
-                for u in graph.neighbors(v):
-                    m |= 1 << int(u)
-                adj.append(m)
-            self._adj = adj
-        self._deg = [m.bit_count() for m in self._adj]
+        self._out = _rows(graph)
+        self._in = _rows(graph, transpose=True) if graph.directed else self._out
+        self._indeg = [len(row) for row in self._in]
 
     def state(self):
-        return EvalState(self) if self.graph.directed else _CutState(self)
+        return _CutState(self)
 
     def singletons(self, ids):
-        # no self loops, so f({v}) is the (in-)degree in ``_adj``, which
-        # counts a duplicated arc once
+        # no self loops, so f({v}) is the in-degree, duplicated arcs counted once
         vs = _checked_ids(ids, self.n)
         self.counter.bump(len(vs))
-        deg = self._deg
-        return [deg[v] for v in vs]
+        indeg = self._indeg
+        return [indeg[v] for v in vs]
 
     def _value(self, S):
-        n = self.n
-        vs = list(S)
-        smask = 0
-        for v in vs:
-            if type(v) is not int:
-                # ``1 << v`` on a numpy integer is fixed-width numpy arithmetic
-                v = operator.index(v)
-            if not 0 <= v < n:
-                raise self._bad_id(v)
-            smask |= 1 << v
-        adj, deg = self._adj, self._deg
+        # arcs into each member of S from outside S
+        rows, indeg = self._in, self._indeg
         total = 0
-        for v in vs:
-            total += deg[v] - (adj[v] & smask).bit_count()
+        for v in S:
+            total += indeg[v] - len(S.intersection(rows[v]))
         return total
 
 
 class _CutState:
-    """Undirected cut: the member mask and its integer cut value. Adding
-    ``e`` outside S changes the cut by deg(e) - 2 |N(e) & S|."""
+    """Cut in either direction: the members of S, the integer cut value and
+    ``hits[v] = |in(v) & S| + |out(v) & S|``. Adding ``e`` outside S gains
+    the arcs into e from outside S and loses the arcs from e into S, so the
+    gain is indeg(e) - hits[e]; undirected, in(v) = out(v) = N(v)."""
 
-    __slots__ = ("_oracle", "_mask", "_value")
+    __slots__ = ("_oracle", "_members", "_hits", "_value")
 
     def __init__(self, oracle: CutOracle):
         self._oracle = oracle
-        self._mask = 0
+        self._members = set()
+        self._hits = [0] * oracle.n
         self._value = 0
 
-    def _gain(self, e: int) -> int:
-        if self._mask >> e & 1:
-            return 0
-        return self._oracle._deg[e] - 2 * (self._oracle._adj[e] & self._mask).bit_count()
-
     def marginal(self, e, f_S):
-        gain = self._gain(self._oracle._check_id(e))
+        e = _check_id(e, self._oracle.n)
+        gain = 0 if e in self._members else self._oracle._indeg[e] - self._hits[e]
         self._oracle.counter.bump()
         return (self._value + gain) - f_S
 
     def add(self, e):
-        e = self._oracle._check_id(e)
-        self._value += self._gain(e)
-        self._mask |= 1 << e
+        self._add(_check_id(e, self._oracle.n))
+
+    def _add(self, e: int):
+        if e in self._members:
+            return
+        oracle, hits = self._oracle, self._hits
+        self._members.add(e)
+        self._value += oracle._indeg[e] - hits[e]
+        for u in oracle._out[e]:
+            hits[u] += 1
+        for u in oracle._in[e]:
+            hits[u] += 1
 
     def reset(self, S):
-        members = {self._oracle._check_id(v) for v in S}
-        self._mask = 0
+        members = _checked_ids(S, self._oracle.n)
+        self._members, self._hits, self._value = set(), [0] * self._oracle.n, 0
         for v in members:
-            self._mask |= 1 << v
-        self._value = self._oracle.eval(members) if members else 0
-        return self._value if members else 0.0
+            self._add(v)
+        if not members:
+            return 0.0
+        self._oracle.counter.bump()
+        return self._value
 
 
 class _DisjointSet:
@@ -386,17 +430,10 @@ class LiveEdgeSamplePool:
             self.roots += np.arange(self.m, dtype=np.int64)[:, None] * self.n
             self.sizes = np.bincount(self.roots.ravel(), minlength=self.m * self.n)
 
-    def _check_ids(self, S) -> list:
-        vs = list(S)
-        for v in vs:
-            if not 0 <= v < self.n:
-                raise InputError(
-                    f"element id {v!r} outside ground set of size {self.n}")
-        return vs
-
     def mean_reach(self, S) -> float:
-        """Average number of nodes reachable from S across the samples."""
-        vs = self._check_ids(S)
+        """Average number of nodes reachable from S, distinct ids in
+        ``[0, n)``, across the samples."""
+        vs = list(S)
         if not self.directed:
             roots = self.roots[:, vs]
             if len(vs) > 1:  # one node's roots differ across samples already
@@ -464,7 +501,7 @@ class _InfluenceState:
         self._total = 0
 
     def _fresh_roots(self, e):
-        roots = self._oracle.pool.roots[:, self._oracle._check_id(e)]
+        roots = self._oracle.pool.roots[:, _check_id(e, self._oracle.n)]
         return roots[~self._covered[roots]]
 
     def marginal(self, e, f_S):
@@ -479,7 +516,7 @@ class _InfluenceState:
 
     def reset(self, S):
         pool = self._oracle.pool
-        roots = _distinct(pool.roots[:, pool._check_ids(S)])
+        roots = _distinct(pool.roots[:, _checked_ids(S, pool.n)])
         self._covered[:] = False
         self._covered[roots] = True
         self._total = int(pool.sizes[roots].sum())
@@ -565,12 +602,9 @@ class SimilarityCutOracle(Oracle):
         self._sc = kernel.s[np.ix_(cand, cand)].copy()
 
     def _value(self, S):
-        vs = sorted(set(S))
+        vs = sorted(S)
         if not vs:
             return 0.0
-        if vs[0] < 0 or vs[-1] >= self.n:
-            bad = vs[0] if vs[0] < 0 else vs[-1]
-            raise self._bad_id(bad)
         idx = np.array(vs, dtype=np.int64)
         reward = self.kernel.lam * float(self._qsum[idx].sum())
         penalty = float(self._sc[np.ix_(idx, idx)].sum())
@@ -593,59 +627,18 @@ class CustomOracle(Oracle):
     def singletons(self, ids):
         """``[eval({v}) for v in ids]``, with the ids checked once and the
         ``len(ids)`` queries counted in one step."""
-        vs = list(ids)
-        _checked_ids(vs, self.n)
+        vs = _checked_ids(ids, self.n)
         self.counter.bump(len(vs))
         fn, offset = self._fn, self._offset
         return [fn(frozenset((v,))) - offset for v in vs]
 
     def _value(self, S):
-        vs = frozenset(S)
-        for v in vs:
-            if not 0 <= v < self.n:
-                raise self._bad_id(v)
-        return self._fn(vs) - self._offset
-
-
-def coverage_value(graph, S) -> int:
-    """Reference cover count: |S union N(S)| computed directly from sets."""
-    covered = set()
-    for v in S:
-        if not 0 <= v < graph.n:
-            raise InputError(f"element id {v!r} outside ground set of size {graph.n}")
-        covered.add(int(v))
-        covered.update(int(u) for u in graph.neighbors(v))
-    return len(covered)
-
-
-def cut_value(graph, S) -> int:
-    """Reference cut count from the edge list.
-
-    Undirected: edges with exactly one endpoint in S. Directed: arcs (u, v)
-    with v in S and u outside.
-    """
-    inside = set()
-    for v in S:
-        if not 0 <= v < graph.n:
-            raise InputError(f"element id {v!r} outside ground set of size {graph.n}")
-        inside.add(int(v))
-    total = 0
-    for u, v in graph.edge_array():
-        u, v = int(u), int(v)
-        if graph.directed:
-            total += (v in inside) and (u not in inside)
-        else:
-            total += (u in inside) != (v in inside)
-    return total
+        return self._fn(frozenset(S)) - self._offset
 
 
 def influence_value(pool: LiveEdgeSamplePool, S) -> float:
     """Reference spread estimate: BFS over each stored live-edge sample."""
-    vs = []
-    for v in S:
-        if not 0 <= v < pool.n:
-            raise InputError(f"element id {v!r} outside ground set of size {pool.n}")
-        vs.append(int(v))
+    vs = _checked_ids(S, pool.n)
     total = 0
     for live in pool.samples:
         adj = {}
@@ -664,25 +657,6 @@ def influence_value(pool: LiveEdgeSamplePool, S) -> float:
                     stack.append(w)
         total += len(visited)
     return total / pool.m
-
-
-def simgraphcut_value(kernel: SimilarityKernel, S) -> float:
-    """Reference similarity objective over item ids.
-
-    ``S`` must be a subset of ``kernel.candidate_ids``. The in-set penalty
-    sums ordered pairs including the diagonal.
-    """
-    cand = set(int(c) for c in kernel.candidate_ids)
-    vs = sorted(set(int(v) for v in S))
-    for v in vs:
-        if v not in cand:
-            raise InputError(f"item id {v!r} is not a candidate")
-    if not vs:
-        return 0.0
-    idx = np.array(vs, dtype=np.int64)
-    reward = kernel.lam * float(kernel.s[np.ix_(kernel.query_ids, idx)].sum())
-    penalty = float(kernel.s[np.ix_(idx, idx)].sum())
-    return reward - penalty
 
 
 def estimate_gamma(oracle: Oracle, U, zero_tol: float = 1e-9) -> float:

@@ -171,6 +171,36 @@ def test_bad_config_json_is_config_error(tmp_path):
     assert rc == 2
 
 
+def test_config_values_must_have_their_flag_types(tmp_path):
+    graph = _write_graph(tmp_path, n=3)
+
+    def prune(config, *flags):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"graph": str(graph), "objective": "influence",
+                                   "samples": 4, "kappa_max": 2, **config}))
+        return main(["prune", "--config", str(cfg), *flags,
+                     "--out-ids", str(tmp_path / "i.ids"),
+                     "--out-report", str(tmp_path / "r.json")])
+
+    for bad in ({"kappa_max": "x"}, {"seed": "1"}, {"directed": "no"},
+                {"samples": 2.5}, {"delta": True}):
+        assert prune(bad) == 2, bad
+    for good in ({}, {"directed": False}, {"delta": 1}, {"kappa_min": 1.5}):
+        assert prune(good) == 0, good
+    assert prune({"seed": "1"}, "--seed", "1") == 0  # the flag beats the config
+
+
+def test_config_list_values_are_checked_item_by_item(tmp_path):
+    graph = _write_graph(tmp_path, n=6)
+    ids_file = tmp_path / "all.ids"
+    sp.write_id_file(range(6), ids_file)
+    for budgets, rc in (([2, 4.5], 0), (4, 2), ([2, "4"], 2), ([True], 2)):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"budgets": budgets}))
+        assert main(["sweep", "--config", str(cfg), "--graph", str(graph),
+                     "--ids", str(ids_file), "--out", str(tmp_path / "w.csv")]) == rc
+
+
 def test_solve_writes_solution(tmp_path):
     graph = _write_graph(tmp_path, kind="star", n=9)
     out = tmp_path / "sol.json"

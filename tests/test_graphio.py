@@ -243,6 +243,15 @@ def test_costs_isolated_node_degenerate():
         sp.assign_knapsack_costs(g)
 
 
+def test_graph_stores_costs_as_a_float_array():
+    g = sp.Graph(2, [0, 1, 2], [1, 0], costs=[1.0, 2.0])
+    assert isinstance(g.costs, np.ndarray) and g.costs.dtype == np.float64
+    assert g.costs.tolist() == [1.0, 2.0]
+    meta = graphio.graph_metadata(g)
+    assert (meta["cost_min"], meta["cost_max"], meta["cost_mean"]) == (1.0, 2.0, 1.5)
+    assert sp.Graph(2, [0, 1, 2], [1, 0], costs=[1, 3]).costs.dtype == np.float64
+
+
 @pytest.mark.parametrize("costs", [[1.0, -1.0, np.nan, 1.0], [1.0, 0.0, 1.0, 1.0],
                                    [1.0, 1.0, np.inf, 1.0]])
 def test_graph_rejects_costs_that_are_not_finite_and_positive(costs):

@@ -1,6 +1,7 @@
 import itertools
 import random
 import threading
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -89,6 +90,31 @@ def test_cut_accepts_numpy_ids_beyond_machine_word():
             orc.eval(np.array([5, -1]))
 
 
+def _build_peak_bytes(graph):
+    """Peak traced memory while building a cut and a coverage oracle."""
+    tracemalloc.start()
+    try:
+        oracles = (sp.CutOracle(graph), sp.CoverageOracle(graph))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert oracles[0].n == oracles[1].n == graph.n
+    return peak
+
+
+@pytest.mark.parametrize("directed", [False, True])
+def test_cut_and_coverage_build_memory_is_linear_in_arcs(directed):
+    # one n-bit mask per node would take n^2 / 8 bytes per oracle: 50 MB at
+    # 20k nodes, and 16 times the 5k-node peak
+    peaks = {}
+    for n in (5_000, 20_000):
+        graph = sp.from_edges(n, [(i, i + 1) for i in range(n - 1)], directed=directed)
+        arcs = graph.indices.size
+        peaks[n] = _build_peak_bytes(graph)
+        assert peaks[n] < 400 * (n + arcs), (n, peaks[n])
+    assert peaks[20_000] < 6 * peaks[5_000], peaks
+
+
 def test_counter_tolerates_concurrent_increments(star6):
     orc = sp.CoverageOracle(star6)
 
@@ -109,18 +135,18 @@ def test_counter_tolerates_concurrent_increments(star6):
 
 def test_coverage_value_examples(star6):
     path = sp.generate("path", 3)
-    assert sp.coverage_value(path, set()) == 0
-    assert sp.coverage_value(path, {0, 1, 2}) == 3
-    assert sp.coverage_value(path, {1}) == 3  # b covers a, b, c
+    orc = sp.CoverageOracle(path)
+    for S, expect in ((set(), 0), ({0, 1, 2}, 3), ({1}, 3)):  # b covers a, b, c
+        assert ref_coverage(path, S) == expect == orc.eval(S)
 
 
 def test_cut_value_examples(triangle):
     k4 = sp.from_edges(4, list(itertools.combinations(range(4), 2)))
-    assert sp.cut_value(triangle, set()) == 0
-    assert sp.cut_value(triangle, {0, 1, 2}) == 0
-    assert sp.cut_value(triangle, {0}) == 2
+    orc = sp.CutOracle(triangle)
+    for S, expect in ((set(), 0), ({0, 1, 2}, 0), ({0}, 2)):
+        assert ref_cut(triangle, S) == expect == orc.eval(S)
     for pair in itertools.combinations(range(4), 2):
-        assert sp.cut_value(k4, set(pair)) == 4
+        assert ref_cut(k4, set(pair)) == 4 == sp.CutOracle(k4).eval(set(pair))
 
 
 def test_oracles_match_reference_on_random_sets():
@@ -130,15 +156,15 @@ def test_oracles_match_reference_on_random_sets():
         cov, cut = sp.CoverageOracle(graph), sp.CutOracle(graph)
         for _ in range(25):
             S = set(rng.sample(range(10), rng.randint(0, 10)))
-            assert cov.eval(S) == ref_coverage(graph, S) == sp.coverage_value(graph, S)
-            assert cut.eval(S) == ref_cut(graph, S) == sp.cut_value(graph, S)
+            assert cov.eval(S) == ref_coverage(graph, S)
+            assert cut.eval(S) == ref_cut(graph, S)
 
 
 def test_directed_cut_counts_incoming_arcs():
     g = sp.from_edges(3, [(0, 1), (2, 1)], directed=True)
     orc = sp.CutOracle(g)
-    assert orc.eval({1}) == 2 == sp.cut_value(g, {1})
-    assert orc.eval({0}) == 0 == sp.cut_value(g, {0})
+    assert orc.eval({1}) == 2 == ref_cut(g, {1})
+    assert orc.eval({0}) == 0 == ref_cut(g, {0})
 
 
 # ---------------------------------------------------------------------------
@@ -215,14 +241,14 @@ def test_simgraphcut_single_candidate_formula():
     s = np.array([[1.0, 0.5], [0.5, 1.0]])
     kernel = sp.SimilarityKernel(s, query_ids=[0], lam=10.0)
     # lam * s(q, c) - s(c, c) under the ordered-pair convention
-    assert sp.simgraphcut_value(kernel, {1}) == pytest.approx(10 * 0.5 - 1.0)
+    assert ref_simcut(s, [0], 10.0, {1}) == pytest.approx(10 * 0.5 - 1.0)
     orc = sp.SimilarityCutOracle(kernel)
     assert orc.eval({0}) == pytest.approx(4.0)  # oracle id 0 -> candidate item 1
 
 
 def test_simgraphcut_empty_is_zero():
-    kernel, _ = random_similarity_kernel(2, 5, seed=0)
-    assert sp.simgraphcut_value(kernel, set()) == 0.0
+    kernel, s = random_similarity_kernel(2, 5, seed=0)
+    assert ref_simcut(s, [0, 1], kernel.lam, set()) == 0.0
     assert sp.SimilarityCutOracle(kernel).eval(set()) == 0.0
 
 
@@ -231,7 +257,10 @@ def test_simgraphcut_lambda_scales_reward_only():
     k1 = sp.SimilarityKernel(np.array(s), [0, 1], lam=5.0)
     k2 = sp.SimilarityKernel(np.array(s), [0, 1], lam=10.0)
     items = set(int(v) for v in k1.candidate_ids[:3])
-    v1, v2 = sp.simgraphcut_value(k1, items), sp.simgraphcut_value(k2, items)
+    v1, v2 = ref_simcut(s, [0, 1], k1.lam, items), ref_simcut(s, [0, 1], k2.lam, items)
+    pos = {j for j, c in enumerate(k1.candidate_ids) if c in items}
+    assert sp.SimilarityCutOracle(k1).eval(pos) == pytest.approx(v1, rel=1e-12)
+    assert sp.SimilarityCutOracle(k2).eval(pos) == pytest.approx(v2, rel=1e-12)
     penalty = ref_simcut(s, [0, 1], 0.0, items)  # lam = 0 leaves -penalty
     assert v2 - v1 == pytest.approx((v1 - penalty))  # doubling lam doubles reward
 
@@ -246,7 +275,6 @@ def test_simgraphcut_matches_double_loop_reference():
         items = {cand[i] for i in pos}
         expect = ref_simcut(s, [0, 1, 2], kernel.lam, items)
         assert orc.eval(set(pos)) == pytest.approx(expect, rel=1e-12)
-        assert sp.simgraphcut_value(kernel, items) == pytest.approx(expect, rel=1e-12)
 
 
 def test_kernel_validation():
@@ -270,9 +298,10 @@ def test_kernel_csv_round_trip(tmp_path):
     loaded = sp.load_similarity_kernel(matrix_path, query_path, lam=10.0)
     assert list(loaded.query_ids) == [0, 1]
     assert list(loaded.candidate_ids) == list(kernel.candidate_ids)
-    S = {int(kernel.candidate_ids[0]), int(kernel.candidate_ids[2])}
-    assert sp.simgraphcut_value(loaded, S) == pytest.approx(
-        sp.simgraphcut_value(kernel, S))
+    assert loaded.lam == kernel.lam and np.array_equal(loaded.s, kernel.s)
+    S = {0, 2}  # candidate positions
+    assert sp.SimilarityCutOracle(loaded).eval(S) == pytest.approx(
+        sp.SimilarityCutOracle(kernel).eval(S))
 
 
 def test_custom_oracle_normalizes_offset():

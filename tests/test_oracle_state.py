@@ -32,6 +32,13 @@ def _directed_graph(n, seed):
 
 
 def build_oracle(kind, seed):
+    if kind.endswith("-dup"):
+        graph = _duplicated_arcs_graph(seed, directed="directed" in kind)
+        if kind.startswith("cut"):
+            return sp.CutOracle(graph)
+        if kind.startswith("coverage"):
+            return sp.CoverageOracle(graph)
+        return sp.InfluenceOracle(sp.LiveEdgeSamplePool(graph, p=0.5, m=7, seed=seed))
     if kind == "cut":
         return sp.CutOracle(random_graph(N, 0.35, seed))
     if kind == "cut-directed":
@@ -50,6 +57,8 @@ def build_oracle(kind, seed):
     return sp.CustomOracle(N, lambda S: math.sqrt(math.fsum(weights[v] for v in sorted(S))))
 
 
+# raw CSR graphs that list some arcs twice
+STATE_KINDS = KINDS + ("cut-dup", "cut-directed-dup", "coverage-dup")
 ids = st.integers(min_value=0, max_value=N - 1)
 ops = st.lists(st.one_of(
     st.tuples(st.just("add"), ids),
@@ -58,7 +67,7 @@ ops = st.lists(st.one_of(
 ), max_size=25)
 
 
-@given(st.sampled_from(KINDS), st.integers(min_value=0, max_value=500), ops)
+@given(st.sampled_from(STATE_KINDS), st.integers(min_value=0, max_value=500), ops)
 @settings(max_examples=150, deadline=None)
 def test_state_matches_fresh_eval(kind, seed, steps):
     oracle = build_oracle(kind, seed)
@@ -100,10 +109,44 @@ def test_state_rejects_ids_outside_ground_set(kind):
             state.reset({0, bad})
 
 
-def test_incremental_states_only_where_undirected():
+def test_which_oracles_fall_back_to_eval_state():
     for kind in KINDS:
         generic = type(build_oracle(kind, 2).state()) is sp.EvalState
-        assert generic == (kind not in ("cut", "influence")), kind
+        assert generic == (kind in ("simgraphcut", "custom", "influence-directed")), kind
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_repeated_ids_count_once(kind):
+    oracle = build_oracle(kind, 4)
+    for S in ({0}, {0, 3}, {1, 5, 8}):
+        expect = oracle.eval(S)
+        doubled = sorted(S) * 2
+        for got in (oracle.eval(doubled), oracle.eval(np.array(doubled)),
+                    oracle.state().reset(doubled)):
+            assert got == expect and type(got) is type(expect)
+        state = oracle.state()
+        for v in doubled:
+            state.add(v)
+        assert state.marginal(2, expect) == oracle.eval(S | {2}) - expect
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_float_ids_raise_input_error(kind):
+    oracle = build_oracle(kind, 5)
+    state = oracle.state()
+    for bad in (1.0, 1.5, np.float64(2.0)):
+        with pytest.raises(InputError):
+            oracle.eval({bad})
+        with pytest.raises(InputError):
+            oracle.eval([0, bad])
+        with pytest.raises(InputError):
+            oracle.marginal(bad, {0}, 1.0)
+        with pytest.raises(InputError):
+            state.marginal(bad, 0.0)
+        with pytest.raises(InputError):
+            state.add(bad)
+        with pytest.raises(InputError):
+            state.reset({0, bad})
 
 
 def test_wrappers_without_state_fall_back_to_eval_state():
@@ -161,18 +204,10 @@ def _duplicated_arcs_graph(seed, directed):
 def build_singleton_oracle(kind, seed):
     if kind == "plain":
         return PlainOracle(build_oracle("cut", seed))
-    if kind.endswith("-dup"):
-        graph = _duplicated_arcs_graph(seed, directed="directed" in kind)
-        if kind.startswith("cut"):
-            return sp.CutOracle(graph)
-        if kind.startswith("coverage"):
-            return sp.CoverageOracle(graph)
-        return sp.InfluenceOracle(sp.LiveEdgeSamplePool(graph, p=0.5, m=7, seed=seed))
     return build_oracle(kind, seed)
 
 
-SINGLETON_KINDS = KINDS + ("cut-dup", "cut-directed-dup", "coverage-dup",
-                           "influence-dup", "plain")
+SINGLETON_KINDS = STATE_KINDS + ("influence-dup", "plain")
 any_id = st.one_of(ids, ids.map(np.int64))
 
 
