@@ -8,7 +8,9 @@ import math
 import random
 from dataclasses import dataclass
 
-from .errors import InputError
+import numpy as np
+
+from .errors import InputError, checked_costs
 from .objectives import oracle_singletons
 
 __all__ = ["BaselineConfig", "top_k_prune", "random_prune", "ss_prune"]
@@ -44,9 +46,10 @@ def top_k_prune(graph, cost_fn, k: int) -> set:
         raise InputError(f"k = {k} exceeds ground-set size {graph.n}")
     if k < 0:
         raise InputError("k must be non-negative")
-    degs = graph.degrees
-    order = sorted(range(graph.n), key=lambda v: (-degs[v] / cost_fn(v), v))
-    return set(order[:k])
+    costs = np.array(checked_costs(cost_fn, range(graph.n)), dtype=np.float64)
+    # a stable sort keeps tied ratios in id order
+    order = np.argsort(-graph.degrees / costs, kind="stable")
+    return set(order[:k].tolist())
 
 
 def random_prune(n: int, k: int, seed: int) -> set:

@@ -2,6 +2,8 @@
 
 import math
 
+import numpy as np
+
 
 class InputError(ValueError):
     """Raised when arguments violate a documented precondition."""
@@ -24,13 +26,45 @@ def require_finite(**values):
             raise InputError(f"{name} must be finite, got {value!r}")
 
 
+def outside_ground_set(v, n: int) -> InputError:
+    """The error for an element id ``v`` that is not in ``[0, n)``."""
+    return InputError(f"element id {v!r} outside ground set of size {n}")
+
+
 def checked_costs(cost_fn, ids) -> list:
     """``[cost_fn(e) for e in ids]``; InputError for the first cost that is
-    not positive (NaN included)."""
+    not positive (NaN included).
+
+    A ``cost_fn`` that carries its float64 vector as ``cost_fn.cost_vector``
+    (``Graph.cost_fn()`` does) is read in one gather when two or more ids
+    form a 1-D integer array: the costs come back as Python floats, and an
+    id outside the vector raises InputError, at the same first bad element
+    and with the same message as a callable that bounds its ids.
+    """
+    vector = getattr(cost_fn, "cost_vector", None)
+    if vector is not None:
+        if not isinstance(ids, (list, tuple, range, np.ndarray)):
+            ids = list(ids)
+        # one id is cheaper through the callable than through a gather
+        if len(ids) > 1 and (idx := np.asarray(ids)).ndim == 1 and idx.dtype.kind in "iu":
+            inside = (idx >= 0) & (idx < vector.size)
+            end = idx.size if inside.all() else int(np.argmin(inside))
+            costs = vector[idx[:end]]
+            positive = costs > 0
+            if not positive.all():
+                bad = int(np.argmin(positive))
+                raise _not_positive(ids[bad], float(costs[bad]))
+            if end < idx.size:
+                raise outside_ground_set(ids[end], vector.size)
+            return costs.tolist()
     costs = []
     for e in ids:
         cost = cost_fn(e)
         if not cost > 0:
-            raise InputError(f"cost of element {e!r} must be positive, got {cost!r}")
+            raise _not_positive(e, cost)
         costs.append(cost)
     return costs
+
+
+def _not_positive(e, cost) -> InputError:
+    return InputError(f"cost of element {e!r} must be positive, got {cost!r}")

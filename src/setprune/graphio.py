@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import InputError, ParseError
+from .errors import InputError, ParseError, outside_ground_set
 
 DEFAULT_COST_ALPHA = 1.0 / 20.0
 
@@ -124,12 +124,18 @@ class Graph:
         return float(self.costs[v])
 
     def cost_fn(self):
-        """Callable view of the cost vector, suitable for the pruners."""
-        costs = self.costs
+        """Callable view of the cost vector, for the pruners and solvers:
+        ``fn(v) == float(costs[v])``, and InputError for an id outside
+        ``[0, n)``. ``fn.cost_vector`` is the vector itself, which
+        ``checked_costs`` reads in one gather per batch of ids."""
+        costs, n = self.costs, self.n
 
         def fn(v: int) -> float:
+            if not 0 <= v < n:
+                raise outside_ground_set(v, n)
             return float(costs[v])
 
+        fn.cost_vector = costs
         return fn
 
     def edge_array(self) -> np.ndarray:

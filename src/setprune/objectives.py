@@ -48,7 +48,7 @@ import threading
 
 import numpy as np
 
-from .errors import InputError, ParseError
+from .errors import InputError, ParseError, outside_ground_set
 
 __all__ = [
     "QueryCounter",
@@ -183,7 +183,7 @@ def _checked_ids(ids, n: int, into=list):
         raise InputError(f"element ids must be integers: {exc}") from None
     if vs and not (min(vs) >= 0 and max(vs) < n):
         bad = next(v for v in vs if not 0 <= v < n)
-        raise InputError(f"element id {bad!r} outside ground set of size {n}")
+        raise outside_ground_set(bad, n)
     return vs
 
 
@@ -194,7 +194,7 @@ def _check_id(v, n: int) -> int:
     except TypeError as exc:
         raise InputError(f"element ids must be integers: {exc}") from None
     if not 0 <= v < n:
-        raise InputError(f"element id {v!r} outside ground set of size {n}")
+        raise outside_ground_set(v, n)
     return v
 
 

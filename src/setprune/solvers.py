@@ -4,18 +4,27 @@
 greedy implementations; stale heap keys are upper bounds on true marginals
 for submodular objectives, so re-verifying the top of the heap before each
 commit reproduces the naive greedy selection exactly, including id-order
-tie-breaking. Both seed their heaps with one ``singletons`` batch of f({v})
-values, and keep the solution in the oracle's per-caller state, so
-re-verifying a stale key does not rescan the solution where the oracle has
-incremental statistics. ``brute_force_opt`` is the exhaustive verification
-oracle used to check retention guarantees at desk scale. Costs must be
-positive (NaN is refused) in every solver that takes a cost function.
+tie-breaking. Both start from one ``singletons`` batch of f({v}) values,
+and keep the solution in the oracle's per-caller state, so re-verifying a
+stale key does not rescan the solution where the oracle has incremental
+statistics. ``greedy_cardinality`` heaps every element. ``greedy_knapsack``
+sorts the feasible elements once by singleton ratio, keeps only
+re-evaluated entries in its heap, takes the smaller head of the two, and
+stops as soon as the cheapest feasible element no longer fits the
+remaining budget, which drops no candidate that could still be committed.
+Costs are read in one batch per solve (``checked_costs``), from the cost
+vector when the cost function carries one. ``brute_force_opt`` is the
+exhaustive verification oracle used to check retention guarantees at desk
+scale. Costs must be positive (NaN is refused) in every solver that takes
+a cost function.
 """
 
 from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass
+
+import numpy as np
 
 from .errors import InputError, checked_costs, require_finite
 from .objectives import oracle_singletons, oracle_state
@@ -92,44 +101,59 @@ def greedy_knapsack(oracle, cost_fn, U, kappa: float) -> Solution:
     The density pass lazily commits the element with the best fresh
     gain-to-cost ratio that still fits the remaining budget; elements that
     stop fitting are dropped for good since the remaining budget only
-    shrinks.
+    shrinks. The candidates come in ``(-gain / cost, id)`` order from two
+    sources: the feasible elements sorted once by their singleton ratios,
+    and a heap that holds only re-evaluated entries. The pass stops once
+    even the cheapest feasible element no longer fits: every later
+    candidate would be dropped without a query.
     """
     require_finite(kappa=kappa)
     if kappa <= 0:
         raise InputError("kappa must be positive")
     ids = sorted(set(U))
     start_calls = oracle.query_count
-    costs = {v: c for v, c in zip(ids, map(float, checked_costs(cost_fn, ids))) if c <= kappa}
-    feasible = list(costs)
+    all_costs = np.array(checked_costs(cost_fn, ids), dtype=np.float64)
+    keep = np.flatnonzero(all_costs <= kappa)
+    feasible = [ids[i] for i in keep.tolist()]
+    costs = all_costs[keep].tolist()
     chosen = set()
     value = 0.0
     spent = 0.0
-    best_single = None
-    best_single_value = 0.0
     if feasible:
+        singles = oracle_singletons(oracle, feasible)
+        # candidates are (ratio, j, stamp, gain) for feasible[j]; j rises
+        # with the id, and an entry is fresh iff its stamp is len(chosen)
+        ratios = [-f / c for f, c in zip(singles, costs)]
+        seed = iter(np.argsort(ratios, kind="stable").tolist())
+        head = next(seed, None)
         heap = []
-        for v, f_single in zip(feasible, oracle_singletons(oracle, feasible)):
-            if f_single > best_single_value:
-                best_single = v
-                best_single_value = f_single
-            heap.append((-f_single / costs[v], v, 0, f_single))
-        heapq.heapify(heap)
         st = oracle_state(oracle)
-        while heap:
-            _, v, stamp, gain = heapq.heappop(heap)
-            if spent + costs[v] > kappa:
+        c_min = min(costs)
+        while spent + c_min <= kappa:
+            # the two sources never hold the same j, so (ratio, j) decides
+            if head is not None and not (heap and heap[0] < (ratios[head], head)):
+                j, stamp, gain = head, 0, singles[head]
+                head = next(seed, None)
+            elif heap:
+                _, j, stamp, gain = heapq.heappop(heap)
+            else:
+                break
+            c = costs[j]
+            if spent + c > kappa:
                 continue
             if stamp == len(chosen):
-                chosen.add(v)
-                st.add(v)
+                chosen.add(feasible[j])
+                st.add(feasible[j])
                 value += gain
-                spent += costs[v]
+                spent += c
             else:
-                gain = st.marginal(v, value)
-                heapq.heappush(heap, (-gain / costs[v], v, len(chosen), gain))
-    if best_single is not None and best_single_value > value:
-        chosen = {best_single}
-        spent = costs[best_single]
+                gain = st.marginal(feasible[j], value)
+                heapq.heappush(heap, (-gain / c, j, len(chosen), gain))
+        # the first best singleton, when it beats the density pass and zero
+        best = max(range(len(feasible)), key=singles.__getitem__)
+        if singles[best] > max(value, 0.0):
+            chosen = {feasible[best]}
+            spent = costs[best]
     final_value = oracle.eval(chosen) if chosen else 0.0
     return Solution(
         ids=frozenset(chosen),

@@ -6,6 +6,7 @@ definitions) so they can serve as oracles for the optimized library code.
 
 from __future__ import annotations
 
+import heapq
 import io
 import itertools
 import random
@@ -15,7 +16,8 @@ import pytest
 from hypothesis import strategies as st
 
 import setprune as sp
-from setprune.errors import ParseError
+from setprune.errors import ParseError, checked_costs
+from setprune.objectives import oracle_singletons, oracle_state
 
 
 # ---------------------------------------------------------------------------
@@ -191,6 +193,48 @@ def naive_greedy_cardinality(oracle, U, k):
         chosen.add(best_v)
         value += best_gain
     return chosen, value
+
+
+def ref_greedy_knapsack(oracle, cost_fn, U, kappa):
+    """The lazy knapsack greedy with every feasible element in one heap and
+    no early exit: the pop order and query count that ``greedy_knapsack``
+    must reproduce."""
+    ids = sorted(set(U))
+    start_calls = oracle.query_count
+    costs = {v: c for v, c in zip(ids, map(float, checked_costs(cost_fn, ids))) if c <= kappa}
+    feasible = list(costs)
+    chosen = set()
+    value = 0.0
+    spent = 0.0
+    best_single = None
+    best_single_value = 0.0
+    if feasible:
+        heap = []
+        for v, f_single in zip(feasible, oracle_singletons(oracle, feasible)):
+            if f_single > best_single_value:
+                best_single = v
+                best_single_value = f_single
+            heap.append((-f_single / costs[v], v, 0, f_single))
+        heapq.heapify(heap)
+        st = oracle_state(oracle)
+        while heap:
+            _, v, stamp, gain = heapq.heappop(heap)
+            if spent + costs[v] > kappa:
+                continue
+            if stamp == len(chosen):
+                chosen.add(v)
+                st.add(v)
+                value += gain
+                spent += costs[v]
+            else:
+                gain = st.marginal(v, value)
+                heapq.heappush(heap, (-gain / costs[v], v, len(chosen), gain))
+    if best_single is not None and best_single_value > value:
+        chosen = {best_single}
+        spent = costs[best_single]
+    final_value = oracle.eval(chosen) if chosen else 0.0
+    return sp.Solution(ids=frozenset(chosen), value=final_value, cost=spent,
+                       oracle_calls=oracle.query_count - start_calls)
 
 
 def exhaustive_best(oracle, cost_fn, U, kappa):

@@ -1,4 +1,8 @@
 
+import dataclasses
+import math
+import random
+
 import pytest
 
 import setprune as sp
@@ -46,6 +50,26 @@ def test_topk_cost_ratio_changes_ranking(star6):
     costs = [50.0, 1.0, 1.0, 1.0, 1.0, 1.0]
     got = sp.top_k_prune(star6, lambda v: costs[v], 2)
     assert got == {1, 2}  # ties among leaves resolve to smaller ids
+
+
+@pytest.mark.parametrize("bad", [0.0, -1.0, math.nan])
+def test_topk_refuses_costs_that_are_not_positive(star6, bad):
+    # each would otherwise rank node 3 first, last or anywhere
+    costs = [1.0, 1.0, 1.0, bad, 1.0, 1.0]
+    with pytest.raises(InputError, match="cost of element 3 must be positive"):
+        sp.top_k_prune(star6, costs.__getitem__, 2)
+
+
+def test_topk_order_is_the_ratio_sort():
+    g = random_graph(40, 0.15, 5)
+    rng = random.Random(9)
+    costs = [rng.choice([0.5, 1.0, 1.0, 2.0, 3.7]) for _ in range(40)]
+    degs = g.degrees
+    order = sorted(range(40), key=lambda v: (-degs[v] / costs[v], v))
+    costed = dataclasses.replace(g, costs=costs)
+    for k in (0, 1, 7, 20, 40):
+        assert sp.top_k_prune(g, costs.__getitem__, k) == set(order[:k])
+        assert sp.top_k_prune(costed, costed.cost_fn(), k) == set(order[:k])
 
 
 def test_topk_validation(star6):

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 import setprune as sp
 from conftest import line_file_bytes, ref_parse_edge_list
 from setprune import graphio
-from setprune.errors import InputError, ParseError
+from setprune.errors import InputError, ParseError, checked_costs
 
 
 def test_parse_simple_path():
@@ -235,6 +235,26 @@ def test_costs_minimum_is_exactly_one():
 def test_costs_unit_mode(star6):
     g = sp.assign_knapsack_costs(star6, mode="unit")
     assert all(c == 1.0 for c in g.costs)
+
+
+def test_cost_fn_reads_the_vector_and_bounds_ids(star6):
+    g = sp.assign_knapsack_costs(star6)
+    fn = g.cost_fn()
+    assert fn.cost_vector is g.costs
+    assert [fn(v) for v in range(6)] == g.costs.tolist()
+    assert all(type(fn(v)) is float for v in (0, np.int64(5)))
+    # a negative id must not wrap around to the last cost
+    for bad in (-1, 6, np.int64(-1), np.int64(6)):
+        with pytest.raises(InputError, match="outside ground set of size 6"):
+            fn(bad)
+    # the batch path names the same first bad id as the callable
+    plain = lambda v: fn(v)  # noqa: E731
+    for ids in ([0, 6], [-1, 0], range(7), range(-1, 2), np.array([3, -1, 9])):
+        with pytest.raises(InputError) as vector_error:
+            checked_costs(fn, ids)
+        with pytest.raises(InputError) as callable_error:
+            checked_costs(plain, ids)
+        assert str(vector_error.value) == str(callable_error.value)
 
 
 def test_costs_isolated_node_degenerate():

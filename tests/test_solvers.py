@@ -1,13 +1,17 @@
+import dataclasses
 import math
 import random
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import setprune as sp
-from setprune.errors import InputError
+from setprune.errors import InputError, checked_costs, outside_ground_set
 
 from conftest import (exhaustive_best, naive_greedy_cardinality, oracle_families,
-                      random_costs, random_graph, unit_cost)
+                      random_costs, random_graph, ref_greedy_knapsack, unit_cost)
 
 
 # ---------------------------------------------------------------------------
@@ -149,6 +153,137 @@ def test_solvers_reject_costs_that_are_not_positive(star6, solver, cost):
     with pytest.raises(InputError, match="cost"):
         solver(orc, costs.__getitem__, range(6), 3.0)
     assert orc.query_count == 0
+
+
+# dyadic costs: every sum of them is exact, so a budget can sit exactly on one
+_COSTS = st.sampled_from([0.25, 0.5, 1.0, 1.0, 1.5, 2.0, 3.0])
+_WEIGHTS = st.sampled_from([0, 0.0, 1, 2.0, 2.0, 3.5])
+_VALUES = (0, 0.5, 1.0, 2.0, 3.0)
+
+
+@st.composite
+def knapsack_instances(draw):
+    """(oracle, graph carrying the costs, costs, U, kappa): modular with tied
+    weights, coverage, cut (not monotone) or an arbitrary set function;
+    zero gains, ties in ratio, U with repeats and numpy ids, and budgets
+    below the cheapest cost, on a cost sum, or anywhere up to past the
+    total."""
+    n = draw(st.integers(1, 12))
+    costs = draw(st.lists(_COSTS, min_size=n, max_size=n))
+    edges = draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)),
+                          max_size=3 * n))
+    graph = dataclasses.replace(sp.from_edges(n, edges), costs=costs)
+    kind = draw(st.sampled_from(["modular", "coverage", "cut", "arbitrary"]))
+    if kind == "modular":
+        weights = draw(st.lists(_WEIGHTS, min_size=n, max_size=n))
+        oracle = sp.CustomOracle(n, lambda S: sum(weights[v] for v in S))
+    elif kind == "coverage":
+        oracle = sp.CoverageOracle(graph)
+    elif kind == "cut":
+        oracle = sp.CutOracle(graph)
+    else:
+        salt = draw(st.integers(0, 2**16))
+        oracle = sp.CustomOracle(
+            n, lambda S: random.Random(hash((salt, *sorted(S)))).choice(_VALUES))
+    picks = draw(st.lists(st.integers(0, n - 1), max_size=2 * n))
+    U = [np.int64(v) if draw(st.booleans()) else v for v in picks]
+    if draw(st.booleans()):
+        U = np.array(picks, dtype=np.int64)
+    where = draw(st.sampled_from(["below", "sum", "any"]))
+    if where == "below":
+        kappa = min(costs) / 2
+    elif where == "sum":
+        kappa = sum(draw(st.lists(st.sampled_from(costs), min_size=1, max_size=n)))
+    else:
+        kappa = draw(st.floats(0.1, 1.5 * sum(costs)))
+    return oracle, graph, costs, U, kappa
+
+
+@given(knapsack_instances())
+@settings(max_examples=400, deadline=None)
+def test_knapsack_matches_the_all_element_heap(instance):
+    # the sorted seed and the early exit must not change the pop order or
+    # the query count of the lazy greedy that heaps every feasible element
+    oracle, graph, costs, U, kappa = instance
+    want = ref_greedy_knapsack(oracle, costs.__getitem__, U, kappa)
+    for cost_fn in (graph.cost_fn(), lambda v: costs[v]):
+        got = sp.greedy_knapsack(oracle, cost_fn, U, kappa)
+        assert got == want and type(got.value) is type(want.value)
+
+
+def _cost_fns(values):
+    """A bounds-checked cost function that carries its vector and logs its
+    calls, and the same function without the vector."""
+    vec = np.array(values, dtype=np.float64)
+
+    def plain(v):
+        if not 0 <= v < vec.size:
+            raise outside_ground_set(v, vec.size)
+        return float(vec[v])
+
+    def carried(v):
+        carried.calls += 1
+        return plain(v)
+
+    carried.cost_vector = vec
+    carried.calls = 0
+    return carried, plain
+
+
+def _generator(ids):
+    return (v for v in ids)
+
+
+def _array(ids):
+    return np.array(ids, dtype=np.int64)
+
+
+def _run(ids):
+    # a list of consecutive ids, as a range
+    return range(ids[0], ids[-1] + 1) if ids else range(0)
+
+
+_ID_FORMS = [list, tuple, _run, _generator, _array]
+
+
+def _error(cost_fn, ids):
+    with pytest.raises(InputError) as exc:
+        checked_costs(cost_fn, ids)
+    return str(exc.value)
+
+
+@pytest.mark.parametrize("form", _ID_FORMS)
+def test_checked_costs_vector_path_returns_the_callables_floats(form):
+    carried, plain = _cost_fns([1.5, 2.0, 0.25, 3.0, 1.0])
+    id_lists = [[], [0], [1, 2, 3]]
+    if form is not _run:
+        id_lists += [[4, 0, 2, 2, 3], [np.int64(1), 3]]
+    for ids in id_lists:
+        carried.calls = 0
+        got = checked_costs(carried, form(ids))
+        assert got == checked_costs(plain, form(ids)) == [plain(v) for v in ids]
+        assert all(type(x) is float for x in got)
+        assert carried.calls == (len(ids) if len(ids) < 2 else 0)  # one gather
+
+
+@pytest.mark.parametrize("form", _ID_FORMS)
+@pytest.mark.parametrize("bad", [0.0, -1.0, math.nan])
+def test_checked_costs_vector_path_raises_at_the_first_bad_element(form, bad):
+    carried, plain = _cost_fns([1.0, 2.0, bad, bad, 0.5])
+    for ids in ([0, 1, 2, 3, 4], [1, 2], [4, 3, 2]):
+        if form is _run and ids[0] > ids[-1]:
+            continue
+        first = next(e for e in form(ids) if e in (2, 3))
+        message = _error(carried, form(ids))
+        assert message == _error(plain, form(ids))
+        assert message == f"cost of element {first!r} must be positive, got {bad!r}"
+    # an id outside the vector is refused where it comes first, like a bad cost
+    for ids, word in (([0, 5, 2], "outside"), ([0, 2, 5], "positive"), ([-1, 0], "outside"),
+                      ([0, 1, 2, 3, 4, 5], "positive")):
+        if form is _run and ids != sorted(ids):
+            continue
+        message = _error(carried, form(ids))
+        assert message == _error(plain, form(ids)) and word in message
 
 
 # ---------------------------------------------------------------------------
