@@ -60,9 +60,11 @@ def _merge_config(args, keys):
     cfg = {}
     if getattr(args, "config", None):
         with open(args.config, "rt") as fh:
+            # bytes that are not UTF-8 and ints of over 4,300 digits raise a
+            # ValueError, nesting past the decoder's depth a RecursionError
             try:
                 loaded = json.load(fh)
-            except json.JSONDecodeError as exc:
+            except (ValueError, RecursionError) as exc:
                 raise InputError(f"config file is not valid JSON: {exc}") from None
         if not isinstance(loaded, dict):
             raise InputError("config file must hold a JSON object")

@@ -22,7 +22,11 @@ class ParseError(ValueError):
 def require_finite(**values):
     """Raise InputError naming the first keyword argument that is not finite."""
     for name, value in values.items():
-        if not math.isfinite(value):
+        try:
+            finite = math.isfinite(value)
+        except OverflowError:  # an int past the float range
+            finite = False
+        if not finite:
             raise InputError(f"{name} must be finite, got {value!r}")
 
 

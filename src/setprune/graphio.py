@@ -110,18 +110,12 @@ class Graph:
     def degrees(self) -> np.ndarray:
         return np.diff(self.indptr)
 
-    def degree(self, v: int) -> int:
-        return int(self.indptr[v + 1] - self.indptr[v])
-
     def neighbors(self, v: int) -> np.ndarray:
         return self.indices[self.indptr[v]:self.indptr[v + 1]]
 
     @property
     def num_edges(self) -> int:
         return int(len(self.indices)) if self.directed else int(len(self.indices)) // 2
-
-    def cost(self, v: int) -> float:
-        return float(self.costs[v])
 
     def cost_fn(self):
         """Callable view of the cost vector, for the pruners and solvers:

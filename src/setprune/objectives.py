@@ -35,10 +35,6 @@ counted. Cut and undirected influence read the values from per-element
 vectors built with the oracle, and ``CustomOracle`` calls its set function
 once per id; other oracles loop over ``eval``, and ``oracle_singletons``
 does the same for wrappers without ``singletons()``.
-
-``influence_value`` is a plain reference implementation of the spread
-estimate, a BFS over each stored live-edge sample; the test suite checks
-``InfluenceOracle`` against it.
 """
 
 from __future__ import annotations
@@ -48,7 +44,8 @@ import threading
 
 import numpy as np
 
-from .errors import InputError, ParseError, outside_ground_set
+from .errors import InputError, ParseError, outside_ground_set, require_finite
+from .graphio import _decoded
 
 __all__ = [
     "QueryCounter",
@@ -64,7 +61,6 @@ __all__ = [
     "LiveEdgeSamplePool",
     "SimilarityKernel",
     "load_similarity_kernel",
-    "influence_value",
     "estimate_gamma",
 ]
 
@@ -406,14 +402,12 @@ class LiveEdgeSamplePool:
         self.directed = graph.directed
         edges = graph.edge_array()
         rng = np.random.default_rng(seed)
-        self.samples = []
         self._adjacency = []  # directed: out-adjacency per sample
         if not self.directed:
             self.roots = np.empty((self.m, self.n), dtype=np.int64)
             self.reach = np.zeros(self.n, dtype=np.int64)
         for i in range(self.m):
             live = edges[rng.random(len(edges)) < p] if len(edges) else edges
-            self.samples.append(live)
             if self.directed:
                 adj = {}
                 for u, v in live:
@@ -542,6 +536,7 @@ class SimilarityKernel:
             raise InputError("similarity matrix must be symmetric")
         if s.size and (s.min() < -1.0 - 1e-9 or s.max() > 1.0 + 1e-9):
             raise InputError("similarities must lie in [-1, 1]")
+        require_finite(lam=lam)
         if lam < 2.0:
             raise InputError("scaling lam must be >= 2")
         n_items = s.shape[0]
@@ -575,13 +570,14 @@ def load_similarity_kernel(matrix_path, query_path, lam: float = 10.0) -> Simila
     except ValueError as exc:
         raise ParseError(f"malformed similarity matrix: {exc}") from None
     query_ids = []
-    with open(query_path, "rt") as fh:
-        for line_no, line in enumerate(fh, start=1):
-            for tok in line.split():
-                try:
-                    query_ids.append(int(tok))
-                except ValueError:
-                    raise ParseError(f"non-integer query id {tok!r}", line_no) from None
+    with open(query_path, "rb") as fh:
+        lines = fh.read().splitlines()
+    for line_no, line in enumerate(lines, start=1):
+        for tok in _decoded(line, line_no).split():
+            try:
+                query_ids.append(int(tok))
+            except ValueError:
+                raise ParseError(f"non-integer query id {tok!r}", line_no) from None
     return SimilarityKernel(s, query_ids, lam=lam)
 
 
@@ -634,29 +630,6 @@ class CustomOracle(Oracle):
 
     def _value(self, S):
         return self._fn(frozenset(S)) - self._offset
-
-
-def influence_value(pool: LiveEdgeSamplePool, S) -> float:
-    """Reference spread estimate: BFS over each stored live-edge sample."""
-    vs = _checked_ids(S, pool.n)
-    total = 0
-    for live in pool.samples:
-        adj = {}
-        for u, v in live:
-            u, v = int(u), int(v)
-            adj.setdefault(u, []).append(v)
-            if not pool.directed:
-                adj.setdefault(v, []).append(u)
-        visited = set(vs)
-        stack = list(vs)
-        while stack:
-            u = stack.pop()
-            for w in adj.get(u, ()):
-                if w not in visited:
-                    visited.add(w)
-                    stack.append(w)
-        total += len(visited)
-    return total / pool.m
 
 
 def estimate_gamma(oracle: Oracle, U, zero_tol: float = 1e-9) -> float:

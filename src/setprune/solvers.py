@@ -1,27 +1,24 @@
 """Downstream heuristics run on pruned or full ground sets.
 
-``greedy_cardinality`` and ``greedy_knapsack`` are lazy (priority-queue)
-greedy implementations; stale heap keys are upper bounds on true marginals
-for submodular objectives, so re-verifying the top of the heap before each
-commit reproduces the naive greedy selection exactly, including id-order
-tie-breaking. Both start from one ``singletons`` batch of f({v}) values,
-and keep the solution in the oracle's per-caller state, so re-verifying a
-stale key does not rescan the solution where the oracle has incremental
-statistics. ``greedy_cardinality`` heaps every element. ``greedy_knapsack``
-sorts the feasible elements once by singleton ratio, keeps only
-re-evaluated entries in its heap, takes the smaller head of the two, and
-stops as soon as the cheapest feasible element no longer fits the
-remaining budget, which drops no candidate that could still be committed.
-Costs are read in one batch per solve (``checked_costs``), from the cost
-vector when the cost function carries one. ``brute_force_opt`` is the
-exhaustive verification oracle used to check retention guarantees at desk
-scale. Costs must be positive (NaN is refused) in every solver that takes
-a cost function.
+``greedy_cardinality`` and ``greedy_knapsack`` share one lazy
+(priority-queue) greedy loop, ``_density_pass``; the size-constrained
+greedy is that pass with every cost 1.0 and budget ``k``. Stale heap keys
+are upper bounds on true marginals for submodular objectives, so
+re-verifying the top of the heap before each commit reproduces the naive
+greedy selection exactly, including id-order tie-breaking. The solution
+lives in the oracle's per-caller state, so re-verifying a stale key does
+not rescan it where the oracle has incremental statistics. Costs are read
+in one batch per solve (``checked_costs``), from the cost vector when the
+cost function carries one, and must be positive (NaN is refused) in every
+solver that takes a cost function. ``brute_force_opt`` is the exhaustive
+verification oracle used to check retention guarantees at desk scale.
 """
 
 from __future__ import annotations
 
 import heapq
+import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -62,51 +59,24 @@ def greedy_cardinality(oracle, U, k: int) -> Solution:
 
     Selects up to ``k`` elements, each round committing the element with the
     largest fresh marginal gain, ties going to the smaller id. Equivalent to
-    naive greedy whenever the oracle is submodular.
+    naive greedy whenever the oracle is submodular. This is the density pass
+    of ``greedy_knapsack`` with every cost 1.0 and budget ``k``.
     """
+    try:
+        k = operator.index(k)
+    except TypeError:
+        raise InputError(f"k must be an integer, got {k!r}") from None
     if k < 0:
         raise InputError("k must be non-negative")
     ids = sorted(set(U))
     start_calls = oracle.query_count
-    chosen = set()
-    value = 0.0
-    if k > 0 and ids:
-        # Heap entries are (-gain, id, stamp); an entry is fresh iff its
-        # stamp equals the current solution size.
-        heap = [(-f, v, 0) for f, v in zip(oracle_singletons(oracle, ids), ids)]
-        heapq.heapify(heap)
-        st = oracle_state(oracle)
-        while heap and len(chosen) < k:
-            neg_gain, v, stamp = heapq.heappop(heap)
-            if stamp == len(chosen):
-                chosen.add(v)
-                st.add(v)
-                value += -neg_gain
-            else:
-                gain = st.marginal(v, value)
-                heapq.heappush(heap, (-gain, v, len(chosen)))
-    final_value = oracle.eval(chosen) if chosen else 0.0
-    return Solution(
-        ids=frozenset(chosen),
-        value=final_value,
-        cost=float(len(chosen)),
-        oracle_calls=oracle.query_count - start_calls,
-    )
+    chosen, _, spent, _ = _density_pass(oracle, ids, [1.0] * len(ids), k)
+    return _solution(oracle, chosen, spent, start_calls)
 
 
 def greedy_knapsack(oracle, cost_fn, U, kappa: float) -> Solution:
     """Budgeted greedy: cost-benefit selection compared against the best
-    feasible singleton, returning whichever scores higher.
-
-    The density pass lazily commits the element with the best fresh
-    gain-to-cost ratio that still fits the remaining budget; elements that
-    stop fitting are dropped for good since the remaining budget only
-    shrinks. The candidates come in ``(-gain / cost, id)`` order from two
-    sources: the feasible elements sorted once by their singleton ratios,
-    and a heap that holds only re-evaluated entries. The pass stops once
-    even the cheapest feasible element no longer fits: every later
-    candidate would be dropped without a query.
-    """
+    feasible singleton, returning whichever scores higher."""
     require_finite(kappa=kappa)
     if kappa <= 0:
         raise InputError("kappa must be positive")
@@ -116,48 +86,71 @@ def greedy_knapsack(oracle, cost_fn, U, kappa: float) -> Solution:
     keep = np.flatnonzero(all_costs <= kappa)
     feasible = [ids[i] for i in keep.tolist()]
     costs = all_costs[keep].tolist()
-    chosen = set()
-    value = 0.0
-    spent = 0.0
-    if feasible:
-        singles = oracle_singletons(oracle, feasible)
-        # candidates are (ratio, j, stamp, gain) for feasible[j]; j rises
-        # with the id, and an entry is fresh iff its stamp is len(chosen)
-        ratios = [-f / c for f, c in zip(singles, costs)]
-        seed = iter(np.argsort(ratios, kind="stable").tolist())
-        head = next(seed, None)
-        heap = []
-        st = oracle_state(oracle)
-        c_min = min(costs)
-        while spent + c_min <= kappa:
-            # the two sources never hold the same j, so (ratio, j) decides
-            if head is not None and not (heap and heap[0] < (ratios[head], head)):
-                j, stamp, gain = head, 0, singles[head]
-                head = next(seed, None)
-            elif heap:
-                _, j, stamp, gain = heapq.heappop(heap)
-            else:
-                break
-            c = costs[j]
-            if spent + c > kappa:
-                continue
-            if stamp == len(chosen):
-                chosen.add(feasible[j])
-                st.add(feasible[j])
-                value += gain
-                spent += c
-            else:
-                gain = st.marginal(feasible[j], value)
-                heapq.heappush(heap, (-gain / c, j, len(chosen), gain))
+    chosen, value, spent, singles = _density_pass(oracle, feasible, costs, kappa)
+    if singles:
         # the first best singleton, when it beats the density pass and zero
         best = max(range(len(feasible)), key=singles.__getitem__)
         if singles[best] > max(value, 0.0):
             chosen = {feasible[best]}
             spent = costs[best]
-    final_value = oracle.eval(chosen) if chosen else 0.0
+    return _solution(oracle, chosen, spent, start_calls)
+
+
+def _density_pass(oracle, ids, costs, budget):
+    """Lazy cost-benefit greedy over the sorted ``ids`` with positive
+    ``costs``: ``(chosen, value, spent, singles)``, where ``singles`` are
+    the f({v}) values of ``ids``. Nothing is asked when no element fits.
+
+    Each step commits the element with the best fresh gain-to-cost ratio
+    that still fits the remaining budget; elements that stop fitting are
+    dropped for good since the remaining budget only shrinks. The
+    candidates come in ``(-gain / cost, id)`` order from two sources: the
+    elements sorted once by their singleton ratios, and a heap that holds
+    only re-evaluated entries. The pass stops once even the cheapest
+    element no longer fits: every later candidate would be dropped without
+    a query.
+    """
+    c_min = min(costs, default=math.inf)
+    if c_min > budget:
+        return set(), 0.0, 0.0, []
+    singles = oracle_singletons(oracle, ids)
+    # candidates are (ratio, j, stamp, gain) for ids[j]; j rises with the
+    # id, and an entry is fresh iff its stamp is len(chosen)
+    ratios = [-f / c for f, c in zip(singles, costs)]
+    seed = iter(np.argsort(ratios, kind="stable").tolist())
+    head = next(seed, None)
+    heap = []
+    st = oracle_state(oracle)
+    chosen = set()
+    value = 0.0
+    spent = 0.0
+    while spent + c_min <= budget:
+        # the two sources never hold the same j, so (ratio, j) decides
+        if head is not None and not (heap and heap[0] < (ratios[head], head)):
+            j, stamp, gain = head, 0, singles[head]
+            head = next(seed, None)
+        elif heap:
+            _, j, stamp, gain = heapq.heappop(heap)
+        else:
+            break
+        c = costs[j]
+        if spent + c > budget:
+            continue
+        if stamp == len(chosen):
+            chosen.add(ids[j])
+            st.add(ids[j])
+            value += gain
+            spent += c
+        else:
+            gain = st.marginal(ids[j], value)
+            heapq.heappush(heap, (-gain / c, j, len(chosen), gain))
+    return chosen, value, spent, singles
+
+
+def _solution(oracle, chosen, spent, start_calls) -> Solution:
     return Solution(
         ids=frozenset(chosen),
-        value=final_value,
+        value=oracle.eval(chosen) if chosen else 0.0,
         cost=spent,
         oracle_calls=oracle.query_count - start_calls,
     )

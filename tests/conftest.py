@@ -99,6 +99,36 @@ def ref_parse_edge_list(data: bytes, directed: bool):
     return ids, [sorted(row) for row in nbrs]
 
 
+def ref_live_edges(graph, pool):
+    """The live-edge arrays of ``pool``, one per sample, drawn again from
+    ``graph`` with the pool's seed the way the pool draws them."""
+    edges = graph.edge_array()
+    rng = np.random.default_rng(pool.seed)
+    return [edges[rng.random(len(edges)) < pool.p] if len(edges) else edges
+            for _ in range(pool.m)]
+
+
+def ref_influence(graph, pool, S):
+    """Spread estimate of ``pool`` over ``graph``: a BFS from S over each
+    sample's live edges, both ways on an undirected graph."""
+    total = 0
+    for live in ref_live_edges(graph, pool):
+        adj = {}
+        for u, v in live.tolist():
+            adj.setdefault(u, []).append(v)
+            if not pool.directed:
+                adj.setdefault(v, []).append(u)
+        visited = set(S)
+        stack = list(S)
+        while stack:
+            for w in adj.get(stack.pop(), ()):
+                if w not in visited:
+                    visited.add(w)
+                    stack.append(w)
+        total += len(visited)
+    return total / pool.m
+
+
 # ---------------------------------------------------------------------------
 # edge-list and id files for the ingest differential and the CLI fuzz
 
@@ -148,10 +178,13 @@ def line_file_bytes(draw, width=2, oddities=ODDITIES):
     if lines and draw(st.booleans()):
         lines[-1] = lines[-1].rstrip("\r\n")
     data = "".join(lines).encode("utf-8")
-    if "bytes" in odd:
-        at = draw(st.integers(0, len(data)))
-        data = data[:at] + draw(_NOT_UTF8) + data[at:]
-    return data
+    return with_byte_not_utf8(draw, data) if "bytes" in odd else data
+
+
+def with_byte_not_utf8(draw, data: bytes) -> bytes:
+    """``data`` with a byte sequence that is not UTF-8 drawn in somewhere."""
+    at = draw(st.integers(0, len(data)))
+    return data[:at] + draw(_NOT_UTF8) + data[at:]
 
 
 # ---------------------------------------------------------------------------
@@ -193,6 +226,33 @@ def naive_greedy_cardinality(oracle, U, k):
         chosen.add(best_v)
         value += best_gain
     return chosen, value
+
+
+def ref_greedy_cardinality(oracle, U, k):
+    """The lazy size-constrained greedy with every element in one heap of
+    ``(-gain, id, stamp)`` entries: the pop order and query count that
+    ``greedy_cardinality`` must reproduce."""
+    ids = sorted(set(U))
+    start_calls = oracle.query_count
+    chosen = set()
+    value = 0.0
+    if k > 0 and ids:
+        # an entry is fresh iff its stamp equals the current solution size
+        heap = [(-f, v, 0) for f, v in zip(oracle_singletons(oracle, ids), ids)]
+        heapq.heapify(heap)
+        st = oracle_state(oracle)
+        while heap and len(chosen) < k:
+            neg_gain, v, stamp = heapq.heappop(heap)
+            if stamp == len(chosen):
+                chosen.add(v)
+                st.add(v)
+                value += -neg_gain
+            else:
+                gain = st.marginal(v, value)
+                heapq.heappush(heap, (-gain, v, len(chosen)))
+    final_value = oracle.eval(chosen) if chosen else 0.0
+    return sp.Solution(ids=frozenset(chosen), value=final_value, cost=float(len(chosen)),
+                       oracle_calls=oracle.query_count - start_calls)
 
 
 def ref_greedy_knapsack(oracle, cost_fn, U, kappa):

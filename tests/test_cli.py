@@ -8,7 +8,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import setprune as sp
-from conftest import line_file_bytes
+from conftest import line_file_bytes, with_byte_not_utf8
 from setprune.cli import main
 
 
@@ -64,15 +64,37 @@ def test_prune_non_finite_budget_is_config_error(tmp_path):
         assert rc == 2
 
 
-def test_prune_malformed_kernel_csv_is_parse_error(tmp_path):
-    kernel = tmp_path / "k.csv"
-    kernel.write_text("1,0.5\nabc,1\n")
-    queries = tmp_path / "q.txt"
-    queries.write_text("0\n")
-    rc = main(["prune", "--objective", "simgraphcut", "--kernel", str(kernel),
-               "--queries", str(queries), "--pruner", "quickprune", "--kappa-max", "2",
-               "--out-ids", str(tmp_path / "i"), "--out-report", str(tmp_path / "r")])
-    assert rc == 3
+_KERNEL = b"1,0.5,0.2\n0.5,1,0.1\n0.2,0.1,1\n"
+
+
+def _kernel_instance(tmp_path, kernel=_KERNEL, queries=b"0\n"):
+    (tmp_path / "k.csv").write_bytes(kernel)
+    (tmp_path / "q.txt").write_bytes(queries)
+    return ["--objective", "simgraphcut", "--kernel", str(tmp_path / "k.csv"),
+            "--queries", str(tmp_path / "q.txt")]
+
+
+def test_prune_malformed_kernel_csv_is_parse_error(tmp_path, capsys):
+    # a query file that is not UTF-8 used to be read in text mode and exit 4
+    for kernel, queries, where in ((b"1,0.5\nabc,1\n", b"0\n", ""),
+                                   (_KERNEL[:5] + b"\xff" + _KERNEL[5:], b"0\n", ""),
+                                   (_KERNEL, b"0\n\xff\n", "line 2")):
+        rc = main(["prune", *_kernel_instance(tmp_path, kernel, queries),
+                   "--pruner", "quickprune", "--kappa-max", "2",
+                   "--out-ids", str(tmp_path / "i"), "--out-report", str(tmp_path / "r")])
+        assert rc == 3
+        assert where in capsys.readouterr().err
+
+
+def test_non_finite_lam_is_config_error(tmp_path):
+    # NaN and inf passed the lam >= 2 check and pruned to an empty set
+    instance = _kernel_instance(tmp_path)
+    for lam, rc in (("nan", 2), ("inf", 2), ("-inf", 2), ("1.5", 2), ("10", 0)):
+        assert main(["prune", *instance, f"--lam={lam}", "--kappa-max", "1",
+                     "--out-ids", str(tmp_path / "i"),
+                     "--out-report", str(tmp_path / "r")]) == rc, lam
+        assert main(["solve", *instance, f"--lam={lam}", "--budget", "1",
+                     "--out", str(tmp_path / "s.json")]) == rc, lam
 
 
 def test_prune_missing_graph_file_is_io_error(tmp_path):
@@ -166,9 +188,13 @@ def test_config_file_with_flag_override(tmp_path):
 
 def test_bad_config_json_is_config_error(tmp_path):
     cfg = tmp_path / "cfg.json"
-    cfg.write_text("{not json")
-    rc = main(["prune", "--config", str(cfg), "--out-ids", "x", "--out-report", "y"])
-    assert rc == 2
+    # a byte that is not UTF-8, an int of 5,000 digits and nesting past the
+    # decoder's depth used to exit 4
+    for data in (b"{not json", b'{"seed": 1\xff}', b'{"seed": 1' + b"0" * 5000 + b"}",
+                 b"[" * 100_000 + b"]" * 100_000):
+        cfg.write_bytes(data)
+        rc = main(["prune", "--config", str(cfg), "--out-ids", "x", "--out-report", "y"])
+        assert rc == 2
 
 
 def test_config_values_must_have_their_flag_types(tmp_path):
@@ -182,8 +208,9 @@ def test_config_values_must_have_their_flag_types(tmp_path):
                      "--out-ids", str(tmp_path / "i.ids"),
                      "--out-report", str(tmp_path / "r.json")])
 
+    # an int past the float range used to exit 4
     for bad in ({"kappa_max": "x"}, {"seed": "1"}, {"directed": "no"},
-                {"samples": 2.5}, {"delta": True}):
+                {"samples": 2.5}, {"delta": True}, {"kappa_max": 10**400}):
         assert prune(bad) == 2, bad
     for good in ({}, {"directed": False}, {"delta": 1}, {"kappa_min": 1.5}):
         assert prune(good) == 0, good
@@ -416,3 +443,79 @@ def test_edge_and_id_file_fuzz_exits_zero_two_or_three(tmp_path, edges, ids, gz,
                  "--out-report", str(tmp_path / "r")]) in (0, 2, 3)
     assert main(["sweep", *instance, "--ids", str(tmp_path / "f.ids"), "--budgets", "2",
                  "4", "--out", str(tmp_path / "w.csv")]) in (0, 2, 3)
+
+
+_CELLS = st.one_of(st.floats(-1, 1).map(repr),
+                   st.sampled_from(["0", "1", "-1", "0.5", " 0.25 ", "nan", "inf", "-inf",
+                                    "1e400", "2", "", "x", "0x1", "1_0", "\u00bd"]))
+
+
+@st.composite
+def kernel_csv_bytes(draw):
+    """A similarity matrix CSV: symmetric with entries in [-1, 1], or odd:
+    rows of arbitrary cells and widths, maybe with a byte that is not
+    UTF-8."""
+    ending = draw(st.sampled_from(["\n", "\r\n", "\r"]))
+    odd = draw(st.booleans())
+    size = draw(st.integers(0, 4) if odd else st.integers(2, 4))
+    if odd:
+        rows = [[draw(_CELLS) for _ in range(draw(st.integers(0, size + 1)))]
+                for _ in range(size)]
+    else:
+        rows = [[1.0] * size for _ in range(size)]
+        for i in range(size):
+            for j in range(i + 1, size):
+                rows[i][j] = rows[j][i] = draw(st.floats(-1, 1))
+        rows = [[repr(x) for x in row] for row in rows]
+    data = "".join(",".join(row) + ending for row in rows).encode("utf-8")
+    return with_byte_not_utf8(draw, data) if odd and draw(st.booleans()) else data
+
+
+_QUERY_LINES = st.sampled_from(["0", "1", "0 1", "", " 2\t", "9", "-1", "x", "+1",
+                                "\u00a0 0", "0\x0b1", "#"])
+_JSON_LEAVES = st.one_of(st.none(), st.booleans(), st.integers(-3, 10**6),
+                         st.integers(10**308, 10**400), st.floats(), st.text(max_size=4),
+                         st.sampled_from(["quickprune", "quickprune-single", "ss", "random",
+                                          "size", "knapsack", "simgraphcut", "coverage"]))
+_CONFIG_KEYS = st.sampled_from(["objective", "constraint", "pruner", "kappa", "kappa_min",
+                                "kappa_max", "delta", "epsilon", "eta", "lam", "seed",
+                                "budget", "budgets", "directed", "p"])
+_JSON = st.recursive(_JSON_LEAVES, lambda inner: st.lists(inner, max_size=3), max_leaves=5)
+
+
+@st.composite
+def config_bytes(draw):
+    """A JSON config: an object over the options these commands read, or
+    odd: any JSON value, maybe cut short or holding a byte that is not
+    UTF-8."""
+    options = st.dictionaries(_CONFIG_KEYS, _JSON, max_size=5)
+    if not draw(st.booleans()):
+        return json.dumps(draw(options)).encode("utf-8")
+    data = json.dumps(draw(st.one_of(options, _JSON))).encode("utf-8")
+    if draw(st.booleans()):
+        return data[:draw(st.integers(0, len(data)))]
+    return with_byte_not_utf8(draw, data)
+
+
+@given(kernel_csv_bytes(),
+       st.one_of(st.just(b"0\n"), line_file_bytes(width=1),
+                 st.lists(_QUERY_LINES, max_size=4).map(lambda ls: "\n".join(ls).encode())),
+       st.one_of(st.none(), config_bytes()), st.booleans())
+@settings(max_examples=150, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+def test_kernel_query_and_config_fuzz_exits_zero_two_or_three(tmp_path, kernel, queries,
+                                                              config, budget_flags):
+    instance = _kernel_instance(tmp_path, kernel, queries)
+    if config is not None:
+        (tmp_path / "cfg.json").write_bytes(config)
+        instance += ["--config", str(tmp_path / "cfg.json")]
+    (tmp_path / "all.ids").write_text("0\n1\n")
+    budgets = {"prune": ["--kappa-max", "2"], "sweep": ["--budgets", "1", "2"],
+               "solve": ["--budget", "2"]}
+    outputs = {"prune": ["--out-ids", str(tmp_path / "i"), "--out-report", str(tmp_path / "r")],
+               "sweep": ["--ids", str(tmp_path / "all.ids"), "--out", str(tmp_path / "w.csv")],
+               "solve": ["--out", str(tmp_path / "s.json")]}
+    for command in ("prune", "sweep", "solve"):
+        # without the flags, the budgets come from the config or are missing
+        flags = budgets[command] if budget_flags or config is None else []
+        assert main([command, *instance, *flags, *outputs[command]]) in (0, 2, 3)

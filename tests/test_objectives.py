@@ -12,7 +12,7 @@ import setprune as sp
 from setprune.errors import InputError
 
 from conftest import (oracle_families, random_graph, random_similarity_kernel,
-                      ref_coverage, ref_cut, ref_simcut)
+                      ref_coverage, ref_cut, ref_influence, ref_live_edges, ref_simcut)
 
 
 # ---------------------------------------------------------------------------
@@ -197,7 +197,7 @@ def test_influence_oracle_matches_bfs_reference():
     rng = random.Random(3)
     for _ in range(20):
         S = set(rng.sample(range(12), rng.randint(0, 5)))
-        assert orc.eval(S) == sp.influence_value(pool, S)
+        assert orc.eval(S) == ref_influence(g, pool, S)
 
 
 def test_influence_directed_pool_matches_reference():
@@ -205,24 +205,26 @@ def test_influence_directed_pool_matches_reference():
     pool = sp.LiveEdgeSamplePool(g, p=0.7, m=12, seed=4)
     orc = sp.InfluenceOracle(pool)
     for S in ({0}, {3}, {0, 3}, {2, 5}):
-        assert orc.eval(S) == sp.influence_value(pool, S)
+        assert orc.eval(S) == ref_influence(g, pool, S)
 
 
 def test_pool_is_frozen_and_deterministic():
     g = random_graph(10, 0.4, 1)
     a = sp.LiveEdgeSamplePool(g, p=0.3, m=6, seed=42)
     b = sp.LiveEdgeSamplePool(g, p=0.3, m=6, seed=42)
-    assert all(np.array_equal(x, y) for x, y in zip(a.samples, b.samples))
-    orc = sp.InfluenceOracle(a)
+    assert np.array_equal(a.roots, b.roots) and np.array_equal(a.reach, b.reach)
+    orc, other = sp.InfluenceOracle(a), sp.InfluenceOracle(b)
     first = orc.eval({0, 3})
     assert all(orc.eval({0, 3}) == first for _ in range(5))
+    for S in ({0}, {0, 3}, {1, 2, 5, 9}, set(range(10))):
+        assert orc.eval(S) == other.eval(S) == ref_influence(g, a, S)
 
 
 def test_pool_edge_survival_rate_is_plausible():
     g = random_graph(40, 0.3, 7)
     m_edges = g.num_edges
     pool = sp.LiveEdgeSamplePool(g, p=0.25, m=200, seed=0)
-    mean_live = sum(len(s) for s in pool.samples) / 200
+    mean_live = sum(len(s) for s in ref_live_edges(g, pool)) / 200
     assert abs(mean_live - 0.25 * m_edges) < 0.05 * m_edges
 
 

@@ -11,7 +11,8 @@ import setprune as sp
 from setprune.errors import InputError, checked_costs, outside_ground_set
 
 from conftest import (exhaustive_best, naive_greedy_cardinality, oracle_families,
-                      random_costs, random_graph, ref_greedy_knapsack, unit_cost)
+                      random_costs, random_graph, random_similarity_kernel,
+                      ref_greedy_cardinality, ref_greedy_knapsack, unit_cost)
 
 
 # ---------------------------------------------------------------------------
@@ -69,6 +70,72 @@ def test_greedy_deterministic_and_ties_to_small_id():
 def test_greedy_negative_k_raises(star6):
     with pytest.raises(InputError):
         sp.greedy_cardinality(sp.CoverageOracle(star6), range(6), -1)
+
+
+def test_greedy_cardinality_k_must_be_an_integer():
+    # 2.5 used to buy 3 elements, inf every element and NaN none, silently
+    orc = sp.CoverageOracle(sp.generate("path", 10))
+    for k in (2.5, 2.0, math.nan, math.inf, -math.inf, np.float64(3.0), "3"):
+        with pytest.raises(InputError, match="integer"):
+            sp.greedy_cardinality(orc, range(10), k)
+    assert orc.query_count == 0
+    want = sp.greedy_cardinality(orc, range(10), 2)
+    for k in (np.int64(2), np.uint8(2), np.intp(2)):
+        assert sp.greedy_cardinality(orc, range(10), k) == want
+
+
+_TIED = st.sampled_from([0, 0.0, 1, 2.0, 2.0, 3.5])
+
+
+@st.composite
+def cardinality_instances(draw):
+    """(oracle, U, k): coverage, cut, directed cut, influence on either kind
+    of graph, modular with tied weights, an arbitrary non-monotone set
+    function or similarity cut; U with repeats and numpy ids, and k at 0, 1,
+    |U| or past it."""
+    n = draw(st.integers(1, 12))
+    edges = draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)),
+                          max_size=3 * n))
+    kind = draw(st.sampled_from(["coverage", "cut", "directed cut", "influence",
+                                 "modular", "custom", "simgraphcut"]))
+    graph = sp.from_edges(n, edges, directed=kind == "directed cut" or draw(st.booleans()))
+    if kind == "coverage":
+        oracle = sp.CoverageOracle(graph)
+    elif kind in ("cut", "directed cut"):
+        oracle = sp.CutOracle(graph)
+    elif kind == "influence":
+        pool = sp.LiveEdgeSamplePool(graph, p=draw(st.sampled_from([0.3, 0.7, 1.0])),
+                                     m=draw(st.integers(1, 4)), seed=draw(st.integers(0, 99)))
+        oracle = sp.InfluenceOracle(pool)
+    elif kind == "modular":
+        weights = draw(st.lists(_TIED, min_size=n, max_size=n))
+        oracle = sp.CustomOracle(n, lambda S: sum(weights[v] for v in S))
+    elif kind == "custom":
+        salt = draw(st.integers(0, 2**16))
+        oracle = sp.CustomOracle(
+            n, lambda S: random.Random(hash((salt, *sorted(S)))).choice(_VALUES))
+    else:
+        kernel, _ = random_similarity_kernel(draw(st.integers(1, 3)), n,
+                                             draw(st.integers(0, 99)), cand_hi=0.6)
+        oracle = sp.SimilarityCutOracle(kernel)
+    picks = draw(st.lists(st.integers(0, n - 1), max_size=2 * n))
+    U = [np.int64(v) if draw(st.booleans()) else v for v in picks]
+    if draw(st.booleans()):
+        U = np.array(picks, dtype=np.int64)
+    k = draw(st.sampled_from([0, 1, len(set(picks)), len(set(picks)) + 3]))
+    return oracle, U, k
+
+
+@given(cardinality_instances())
+@settings(max_examples=400, deadline=None)
+def test_greedy_cardinality_matches_the_all_element_heap(instance):
+    # the unit-cost density pass must keep the pop order, the tie-breaking
+    # and the query count of the lazy greedy that heaps every element
+    oracle, U, k = instance
+    want = ref_greedy_cardinality(oracle, U, k)
+    got = sp.greedy_cardinality(oracle, U, k)
+    assert (got.ids, repr(got.value), repr(got.cost), got.oracle_calls) == \
+        (want.ids, repr(want.value), repr(want.cost), want.oracle_calls)
 
 
 # ---------------------------------------------------------------------------
