@@ -20,12 +20,11 @@ __all__ = ["BaselineConfig", "top_k_prune", "random_prune", "ss_prune"]
 class BaselineConfig:
     """Knobs for the baseline pruners.
 
-    ``target_size`` applies to the top-k and random pruners; ``r`` scales the
-    per-round probe count and ``c`` the per-round shrink factor of the
-    sparsifier.
+    ``r`` scales the per-round probe count and ``c`` the per-round shrink
+    factor of the sparsifier; the top-k and random pruners take their size
+    ``k`` directly.
     """
 
-    target_size: int = None
     r: int = 8
     c: int = 8
     seed: int = 0
@@ -33,8 +32,6 @@ class BaselineConfig:
     def __post_init__(self):
         if self.r < 1 or self.c < 1:
             raise InputError("r and c must be >= 1")
-        if self.target_size is not None and self.target_size < 0:
-            raise InputError("target_size must be non-negative")
 
 
 def top_k_prune(graph, cost_fn, k: int) -> set:

@@ -177,26 +177,29 @@ _MAX_KEY_N = 3_037_000_499
 
 def _csr(n: int, src: np.ndarray, dst: np.ndarray, directed: bool, orig_ids=None) -> Graph:
     """The Graph over [0, n) of the arcs src[i] -> dst[i] (int64 ids in
-    range): self loops dropped, and duplicates collapsed on the keys
-    u * n + v (lo * n + hi when undirected, then stored both ways)."""
+    range): self loops dropped, undirected edges stored both ways, and
+    duplicate arcs collapsed."""
     if n > _MAX_KEY_N:
         raise InputError(f"node count {n} is too large")
     keep = src != dst
     src, dst = src[keep], dst[keep]
     if not directed:
-        src, dst = np.minimum(src, dst), np.maximum(src, dst)
-    src *= n
-    src += dst
-    keys = np.sort(src)
+        src, dst = np.concatenate([src, dst]), np.concatenate([dst, src])
+    indptr, indices = _grouped(n, src, dst)
+    return Graph(n, indptr, indices, directed, orig_ids=orig_ids)
+
+
+def _grouped(n: int, src: np.ndarray, dst: np.ndarray):
+    """``(indptr, heads)``: the arcs src[i] -> dst[i] (int64 ids in [0, n))
+    grouped into CSR rows of ascending heads, an arc listed twice kept once."""
+    keys = src * n
+    keys += dst
+    keys.sort()
     keys = keys[np.diff(keys, prepend=-1) != 0]  # keys are >= 0
-    if not directed:
-        lo, hi = np.divmod(keys, n)
-        keys = np.concatenate([keys, hi * n + lo])
-        keys.sort()
-    src, dst = np.divmod(keys, n)
+    src, heads = np.divmod(keys, n)
     indptr = np.zeros(n + 1, dtype=np.int64)
     np.cumsum(np.bincount(src, minlength=n), out=indptr[1:])
-    return Graph(n, indptr, dst, directed, orig_ids=orig_ids)
+    return indptr, heads
 
 
 def _from_ids(ids: np.ndarray, directed: bool) -> Graph:

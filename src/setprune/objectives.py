@@ -18,11 +18,12 @@ Callers that grow one set element by element (the pruner's working set, a
 greedy solution) ask the oracle for a per-caller state with ``state()``.
 ``st.marginal(e, f_S)`` is one counted query and equals
 ``eval(S | {e}) - f_S`` bit for bit; ``st.add(e)`` commits ``e`` without a
-query; ``st.reset(S)`` makes the state hold ``S`` and returns f(S), one
-counted query unless ``S`` is empty. Cut (either direction), coverage and
-undirected influence keep incremental statistics, so a marginal does not
-rescan ``S``: the cut state keeps per-node hit counts and answers in O(1),
-the coverage state keeps the covered set and answers in O(deg e).
+query. A state only grows: a caller that drops elements (the pruner, at a
+checkpoint deletion) makes a fresh state and adds the survivors again. Cut
+(either direction), coverage and undirected influence keep incremental
+statistics, so a marginal does not rescan ``S``: the cut state keeps
+per-node hit counts and answers in O(1), the coverage state keeps the
+covered set and answers in O(deg e).
 Similarity cut, custom and directed influence oracles, and any oracle-like
 wrapper without ``state()``, get an ``EvalState`` that answers through
 ``marginal`` and ``eval``.
@@ -41,11 +42,12 @@ from __future__ import annotations
 
 import operator
 import threading
+import warnings
 
 import numpy as np
 
 from .errors import InputError, ParseError, outside_ground_set, require_finite
-from .graphio import _decoded
+from .graphio import _decoded, _grouped
 
 __all__ = [
     "QueryCounter",
@@ -147,10 +149,6 @@ class EvalState:
     def add(self, e):
         self.members.add(_check_id(e, self.oracle.n))
 
-    def reset(self, S):
-        self.members = _checked_ids(S, self.oracle.n, into=set)
-        return self.oracle.eval(self.members) if self.members else 0.0
-
 
 def oracle_state(oracle):
     """``oracle.state()``, or an ``EvalState`` when the oracle has none."""
@@ -209,11 +207,7 @@ def _rows(graph, transpose=False, closed=False) -> list:
     if closed:
         ids = np.arange(n, dtype=np.int64)
         src, dst = np.concatenate([src, ids]), np.concatenate([dst, ids])
-    keys = np.sort(src * n + dst)
-    keys = keys[np.diff(keys, prepend=-1) != 0]  # keys are >= 0
-    src, dst = np.divmod(keys, n)
-    bounds = np.zeros(n + 1, dtype=np.int64)
-    np.cumsum(np.bincount(src, minlength=n), out=bounds[1:])
+    bounds, dst = _grouped(n, src, dst)
     # an object array indexes one shared int per node, not a new int per arc
     heads = np.array(range(n), dtype=object)[dst].tolist()
     b = bounds.tolist()
@@ -228,21 +222,17 @@ class CoverageOracle(Oracle):
 
     def __init__(self, graph):
         super().__init__(graph.n)
-        self.graph = graph
         self._nbhd = _rows(graph, closed=True)
 
     def state(self):
         return _CoverageState(self)
 
-    def _cover(self, S) -> set:
+    def _value(self, S):
         nbhd = self._nbhd
         covered = set()
         for v in S:
             covered.update(nbhd[v])
-        return covered
-
-    def _value(self, S):
-        return len(self._cover(S))
+        return len(covered)
 
 
 class _CoverageState:
@@ -264,14 +254,6 @@ class _CoverageState:
     def add(self, e):
         self._covered.update(self._oracle._nbhd[_check_id(e, self._oracle.n)])
 
-    def reset(self, S):
-        members = _checked_ids(S, self._oracle.n)
-        self._covered = self._oracle._cover(members)
-        if not members:
-            return 0.0
-        self._oracle.counter.bump()
-        return len(self._covered)
-
 
 class CutOracle(Oracle):
     """Number of edges with exactly one endpoint in S.
@@ -283,7 +265,6 @@ class CutOracle(Oracle):
 
     def __init__(self, graph):
         super().__init__(graph.n)
-        self.graph = graph
         self._out = _rows(graph)
         self._in = _rows(graph, transpose=True) if graph.directed else self._out
         self._indeg = [len(row) for row in self._in]
@@ -328,28 +309,16 @@ class _CutState:
         return (self._value + gain) - f_S
 
     def add(self, e):
-        self._add(_check_id(e, self._oracle.n))
-
-    def _add(self, e: int):
+        oracle, hits = self._oracle, self._hits
+        e = _check_id(e, oracle.n)
         if e in self._members:
             return
-        oracle, hits = self._oracle, self._hits
         self._members.add(e)
         self._value += oracle._indeg[e] - hits[e]
         for u in oracle._out[e]:
             hits[u] += 1
         for u in oracle._in[e]:
             hits[u] += 1
-
-    def reset(self, S):
-        members = _checked_ids(S, self._oracle.n)
-        self._members, self._hits, self._value = set(), [0] * self._oracle.n, 0
-        for v in members:
-            self._add(v)
-        if not members:
-            return 0.0
-        self._oracle.counter.bump()
-        return self._value
 
 
 class _DisjointSet:
@@ -508,30 +477,21 @@ class _InfluenceState:
         self._total += int(self._oracle.pool.sizes[fresh].sum())
         self._covered[fresh] = True
 
-    def reset(self, S):
-        pool = self._oracle.pool
-        roots = _distinct(pool.roots[:, _checked_ids(S, pool.n)])
-        self._covered[:] = False
-        self._covered[roots] = True
-        self._total = int(pool.sizes[roots].sum())
-        if not roots.size:
-            return 0.0
-        self._oracle.counter.bump()
-        return self._total / pool.m
-
 
 class SimilarityKernel:
     """Pairwise similarity matrix with designated query items.
 
     The quadratic self-penalty follows a fixed convention: ordered pairs
     including the diagonal, i.e. the sum of s[i, j] over all (i, j) in
-    S x S. Candidate ids default to every item not in the query set.
+    S x S. The candidates are every item not in the query set.
     """
 
-    def __init__(self, s, query_ids, lam: float = 10.0, candidate_ids=None):
+    def __init__(self, s, query_ids, lam: float = 10.0):
         s = np.asarray(s, dtype=np.float64)
         if s.ndim != 2 or s.shape[0] != s.shape[1]:
             raise InputError("similarity matrix must be square")
+        if not np.isfinite(s).all():
+            raise InputError("similarity matrix must be finite")
         if not np.allclose(s, s.T, atol=1e-8):
             raise InputError("similarity matrix must be symmetric")
         if s.size and (s.min() < -1.0 - 1e-9 or s.max() > 1.0 + 1e-9):
@@ -545,14 +505,8 @@ class SimilarityKernel:
             raise InputError("query set must be non-empty")
         if query_ids[0] < 0 or query_ids[-1] >= n_items:
             raise InputError("query id outside similarity matrix")
-        if candidate_ids is None:
-            candidate_ids = [i for i in range(n_items) if i not in set(query_ids)]
-        else:
-            candidate_ids = sorted(set(int(c) for c in candidate_ids))
-            if candidate_ids and (candidate_ids[0] < 0 or candidate_ids[-1] >= n_items):
-                raise InputError("candidate id outside similarity matrix")
-            if set(candidate_ids) & set(query_ids):
-                raise InputError("candidate and query sets must be disjoint")
+        queries = set(query_ids)
+        candidate_ids = [i for i in range(n_items) if i not in queries]
         self.s = s
         self.lam = float(lam)
         self.query_ids = np.array(query_ids, dtype=np.int64)
@@ -566,9 +520,13 @@ class SimilarityKernel:
 def load_similarity_kernel(matrix_path, query_path, lam: float = 10.0) -> SimilarityKernel:
     """Load a kernel from a CSV of row-major floats plus a query-id list file."""
     try:
-        s = np.loadtxt(matrix_path, delimiter=",", ndmin=2, dtype=np.float64)
+        with warnings.catch_warnings():  # numpy warns about an empty file
+            warnings.simplefilter("ignore", UserWarning)
+            s = np.loadtxt(matrix_path, delimiter=",", ndmin=2, dtype=np.float64)
     except ValueError as exc:
         raise ParseError(f"malformed similarity matrix: {exc}") from None
+    if not s.size:
+        raise ParseError("similarity matrix holds no data")
     query_ids = []
     with open(query_path, "rb") as fh:
         lines = fh.read().splitlines()

@@ -135,7 +135,8 @@ class SinglePrunerState:
     holds no duplicates), so it is stored as its length; cached values equal
     fresh oracle evaluations of their sets; every retained element and the
     best singleton fit the budget. ``oracle_state`` is the oracle's
-    per-caller state for the working set, made on the first query.
+    per-caller state for the working set, made on the first query and made
+    again from the survivors at each deletion.
     """
 
     __slots__ = (
@@ -207,9 +208,9 @@ def process_element(state: SinglePrunerState, oracle, cost_fn, params: PrunePara
     ``_prune`` runs the same two steps, querying every rung before any
     applies. Costs at most two fresh oracle queries (one when the
     working set is empty, where the singleton value doubles as the
-    marginal), plus one re-evaluation when a deletion actually removes
-    elements. Raises InputError when ``cost_fn(e)`` is not positive (NaN
-    included).
+    marginal), plus one evaluation of the survivors when a deletion
+    removes elements and rebuilds the oracle state from them. Raises
+    InputError when ``cost_fn(e)`` is not positive (NaN included).
     """
     if n < 1:
         raise InputError("ground-set size n must be >= 1")
@@ -218,7 +219,7 @@ def process_element(state: SinglePrunerState, oracle, cost_fn, params: PrunePara
     if cost <= params.kappa:
         f_single = oracle.eval({e})
         gain = _gain(state, oracle, e, f_single, {})
-        _apply(state, params, n, e, cost, gain, f_single)
+        _apply(state, oracle, params, n, e, cost, gain, f_single)
     return state
 
 
@@ -244,7 +245,7 @@ def _gain(state: SinglePrunerState, oracle, e, f_single, answers: dict):
     asked = answers.setdefault(f_working, [])
     for working, value, gain in asked:
         # An int and a float value compare equal but give gains of
-        # different types (an incremental cut resets to an int).
+        # different types (a cut re-evaluated after a deletion is an int).
         if type(value) is type(f_working) and working == state.working:
             return gain
     gain = state.oracle_state.marginal(e, f_working)
@@ -252,9 +253,10 @@ def _gain(state: SinglePrunerState, oracle, e, f_single, answers: dict):
     return gain
 
 
-def _apply(state: SinglePrunerState, params: PruneParams, n: int, e, cost,
+def _apply(state: SinglePrunerState, oracle, params: PruneParams, n: int, e, cost,
            gain, f_single) -> None:
-    """Apply step: add rule, best-singleton update, checkpoint deletion."""
+    """Apply step: add rule, best-singleton update, checkpoint deletion; a
+    deletion gives the rung a fresh oracle state holding the survivors."""
     if e not in state.working_set and gain >= params.delta * cost * state.f_working / params.kappa:
         state.working.append(e)
         state.working_set.add(e)
@@ -270,9 +272,13 @@ def _apply(state: SinglePrunerState, params: PruneParams, n: int, e, cost,
         if removed:
             state.working = state.working[k:]
             state.working_set.difference_update(removed)
-            # Fresh evaluation rather than a cache adjustment: deletions are
-            # the one place the incremental value would go stale.
-            state.f_working = state.oracle_state.reset(state.working_set)
+            # States only grow: the survivors go into a new one, made after
+            # the old one is dropped (an influence mask is m * n bytes).
+            state.oracle_state = None
+            state.oracle_state = oracle_state(oracle)
+            for v in state.working:
+                state.oracle_state.add(v)
+            state.f_working = oracle.eval(state.working_set) if state.working_set else 0.0
             state.deletions += 1
         state.checkpoint_len = len(state.working)
         state.f_checkpoint = state.f_working
@@ -321,7 +327,7 @@ def _prune(stream, oracle, cost_fn, rungs: list, n: int):
                 if cost <= params.kappa:
                     admitted.append((params, state, _gain(state, oracle, e, f_single, answers)))
             for params, state, gain in admitted:
-                _apply(state, params, n, e, cost, gain, f_single)
+                _apply(state, oracle, params, n, e, cost, gain, f_single)
     union = set()
     sizes = {}
     events = []

@@ -96,8 +96,6 @@ def test_baseline_config_validation():
     sp.BaselineConfig()
     with pytest.raises(InputError):
         sp.BaselineConfig(r=0)
-    with pytest.raises(InputError):
-        sp.BaselineConfig(target_size=-1)
 
 
 def test_ss_returns_everything_below_merge_threshold():

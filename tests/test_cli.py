@@ -97,6 +97,24 @@ def test_non_finite_lam_is_config_error(tmp_path):
                      "--out", str(tmp_path / "s.json")]) == rc, lam
 
 
+def test_non_finite_kernel_is_config_error(tmp_path, capsys):
+    # NaN entries were refused as "must be symmetric", naming the wrong fault
+    for kernel in (b"1,nan\nnan,1\n", b"1,inf\ninf,1\n", b"1,0.5\nnan,1\n"):
+        rc = main(["solve", *_kernel_instance(tmp_path, kernel), "--budget", "1",
+                   "--out", str(tmp_path / "s.json")])
+        assert rc == 2
+        assert "similarity matrix must be finite" in capsys.readouterr().err
+
+
+def test_empty_kernel_is_parse_error_without_warnings(tmp_path, capsys):
+    # numpy's "input contained no data" warning reached stderr, then exit 2
+    for kernel in (b"", b"\n\n", b"# no rows\n"):
+        rc = main(["solve", *_kernel_instance(tmp_path, kernel), "--budget", "1",
+                   "--out", str(tmp_path / "s.json")])
+        assert rc == 3
+        assert capsys.readouterr().err == "error: similarity matrix holds no data\n"
+
+
 def test_prune_missing_graph_file_is_io_error(tmp_path):
     rc = main(["prune", "--graph", str(tmp_path / "absent.txt"),
                "--pruner", "quickprune", "--kappa-max", "5",

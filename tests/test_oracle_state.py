@@ -1,8 +1,8 @@
 """Per-caller oracle states and singleton batches against fresh evaluation.
 
 Every state, incremental or generic, must answer ``marginal`` with exactly
-the float a fresh ``eval(S | {e}) - f_S`` gives, ``reset`` with exactly
-``eval(S)``, and count one query per marginal and per non-empty reset.
+the float a fresh ``eval(S | {e}) - f_S`` gives and count one query per
+marginal, also after it has been rebuilt by adding a set into a fresh state.
 ``singletons(ids)`` must equal ``[eval({v}) for v in ids]`` in value and
 type and count one query per id.
 """
@@ -16,6 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import setprune as sp
+from setprune import pruning
 from setprune.errors import InputError
 
 from conftest import PlainOracle, random_graph, random_similarity_kernel, unit_cost
@@ -63,7 +64,7 @@ ids = st.integers(min_value=0, max_value=N - 1)
 ops = st.lists(st.one_of(
     st.tuples(st.just("add"), ids),
     st.tuples(st.just("marginal"), ids, st.sampled_from([0.0, 0.25, 1e-9])),
-    st.tuples(st.just("reset"), st.frozensets(ids)),
+    st.tuples(st.just("rebuild"), st.frozensets(ids)),
 ), max_size=25)
 
 
@@ -90,10 +91,12 @@ def test_state_matches_fresh_eval(kind, seed, steps):
             if e in S and offset == 0.0:
                 assert got == 0
         else:
-            got = state.reset(step[1])
-            assert oracle.query_count == before + (1 if step[1] else 0)
+            # what the pruner does at a deletion: a fresh state, S added again
+            state = oracle.state()
             S = set(step[1])
-            assert got == (oracle.eval(S) if S else 0.0)
+            for v in S:
+                state.add(v)
+            assert oracle.query_count == before
 
 
 @pytest.mark.parametrize("kind", KINDS)
@@ -105,8 +108,6 @@ def test_state_rejects_ids_outside_ground_set(kind):
             state.marginal(bad, 0.0)
         with pytest.raises(InputError):
             state.add(bad)
-        with pytest.raises(InputError):
-            state.reset({0, bad})
 
 
 def test_which_oracles_fall_back_to_eval_state():
@@ -121,8 +122,7 @@ def test_repeated_ids_count_once(kind):
     for S in ({0}, {0, 3}, {1, 5, 8}):
         expect = oracle.eval(S)
         doubled = sorted(S) * 2
-        for got in (oracle.eval(doubled), oracle.eval(np.array(doubled)),
-                    oracle.state().reset(doubled)):
+        for got in (oracle.eval(doubled), oracle.eval(np.array(doubled))):
             assert got == expect and type(got) is type(expect)
         state = oracle.state()
         for v in doubled:
@@ -145,8 +145,6 @@ def test_float_ids_raise_input_error(kind):
             state.marginal(bad, 0.0)
         with pytest.raises(InputError):
             state.add(bad)
-        with pytest.raises(InputError):
-            state.reset({0, bad})
 
 
 def test_wrappers_without_state_fall_back_to_eval_state():
@@ -170,6 +168,39 @@ def test_pruner_and_solvers_unchanged_by_incremental_state(kind):
         runs.append((pruned, report.oracle_calls, report.per_budget_sizes,
                      [(e.removed, e.value_before, e.value_after) for e in report.events],
                      [(s.ids, s.value, s.oracle_calls) for s in sols]))
+    assert runs[0] == runs[1]
+
+
+@pytest.mark.parametrize("kind", ["influence", "influence-directed", "cut"])
+def test_deletions_rebuild_states_like_plain_eval(kind):
+    # epsilon close to n makes nearly every gain fire a deletion; undirected
+    # influence and cut rebuild incremental states, directed influence an
+    # EvalState, and every rung's state must hold exactly its survivors
+    n = 60
+    if kind == "cut":
+        graph = random_graph(n, 0.1, 6)
+        make = lambda: sp.CutOracle(graph)  # noqa: E731
+    else:
+        graph = _directed_graph(n, 6) if kind.endswith("directed") else random_graph(n, 0.1, 6)
+        pool = sp.LiveEdgeSamplePool(graph, p=0.1, m=10, seed=6)
+        make = lambda: sp.InfluenceOracle(pool)  # noqa: E731
+    rungs = [sp.PruneParams(tau, 0.1, n - 0.5) for tau in sp.budget_ladder(2.0, 16.0, 0.5)]
+    runs = []
+    for oracle in (make(), PlainOracle(make())):
+        pruned, report, states = pruning._prune(range(n), oracle, unit_cost, rungs, n)
+        runs.append((pruned, report.oracle_calls, report.per_budget_sizes, report.deletions,
+                     [(e.stream_pos, e.trigger, e.removed, repr(e.value_before),
+                       repr(e.value_after)) for e in report.events]))
+        for state in states:
+            f_S = oracle.eval(state.working_set) if state.working_set else 0.0
+            assert state.f_working == f_S
+            for v in range(0, n, 7):
+                assert (state.oracle_state.marginal(v, f_S)
+                        == oracle.eval(state.working_set | {v}) - f_S)
+        if kind == "cut":  # a re-evaluated cut is an int, as _gain expects
+            assert all(type(e.value_after) is int for e in report.events
+                       if e.removed and e.value_after)
+    assert runs[0][3] > 0
     assert runs[0] == runs[1]
 
 

@@ -407,7 +407,7 @@ def _sharing_instance(kind, seed, n):
     graph = random_graph(n, 0.3, seed)
     if kind == "coverage":
         return lambda: sp.CoverageOracle(graph)
-    return lambda: sp.CutOracle(graph)  # incremental state; its reset gives an int
+    return lambda: sp.CutOracle(graph)  # incremental state; its values are ints
 
 
 def _outputs(pruned, sizes, events):
@@ -463,7 +463,9 @@ def test_query_step_shares_a_gain_only_for_the_same_list_and_value_type():
         state = sp.SinglePrunerState()
         state.working, state.working_set = list(ids), set(ids)
         state.oracle_state = orc.state()
-        value = state.oracle_state.reset(ids)  # an int, as after a deletion
+        for v in ids:
+            state.oracle_state.add(v)
+        value = orc.eval(ids)  # an int, as after a deletion
         state.f_working = float(value) if as_float else value
         return state
 
@@ -476,7 +478,7 @@ def test_query_step_shares_a_gain_only_for_the_same_list_and_value_type():
     # same value (2) and length, other set; same set in another order
     pruning._gain(holding([2, 3], True), orc, 5, 1, answers)
     pruning._gain(holding([2, 1], True), orc, 5, 1, answers)
-    assert orc.query_count - asked == 5 + 4  # resets, then marginals
+    assert orc.query_count - asked == 5 + 4  # evals, then marginals
 
 
 def test_rungs_with_one_working_set_ask_one_marginal():
