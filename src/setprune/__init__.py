@@ -15,7 +15,7 @@ from .metrics import EvalRecord, evaluate_pruning, sweep_budgets
 from .objectives import (CoverageOracle, CustomOracle, CutOracle, EvalState,
                          InfluenceOracle, LiveEdgeSamplePool, Oracle,
                          SimilarityCutOracle, SimilarityKernel, estimate_gamma,
-                         load_similarity_kernel, oracle_singletons, oracle_state)
+                         load_similarity_kernel, oracle_state)
 from .pruning import (DeletionEvent, LadderParams, PruneParams, PruneReport,
                       SinglePrunerState, alpha_multi, alpha_single,
                       budget_ladder, check_nhi, geometric_recovery_steps,

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InputError, checked_costs
-from .objectives import oracle_singletons
+from .objectives import oracle_state
 
 __all__ = ["BaselineConfig", "top_k_prune", "random_prune", "ss_prune"]
 
@@ -73,8 +73,8 @@ def ss_prune(oracle, U, config: BaselineConfig) -> set:
     value f({u}), the residual f(V minus u) and the total f(V) are each
     queried once per element and cached for the rest of the run, so the
     oracle counter reflects every evaluation exactly once. The singletons
-    are asked in one ``singletons`` batch for the first round's pool, which
-    holds every later pool.
+    are asked in one batch, ``gains(pool, 0.0)`` on an empty oracle state,
+    for the first round's pool, which holds every later pool.
     """
     ids = sorted(set(U))
     n = len(ids)
@@ -99,7 +99,7 @@ def ss_prune(oracle, U, config: BaselineConfig) -> set:
         if not pool:
             break
         if singles is None:
-            singles = dict(zip(pool, oracle_singletons(oracle, pool)))
+            singles = dict(zip(pool, oracle_state(oracle).gains(pool, 0.0)))
         probes = sorted(probes)
         scores = {}
         for u in pool:

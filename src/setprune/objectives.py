@@ -6,9 +6,9 @@ live-edge sample pool, similarity kernel) at construction, normalizes so the
 empty set scores zero, and bumps a thread-safe counter exactly once per
 evaluation. Evaluating the same set twice returns bit-identical values,
 including the cascade estimator, whose randomness lives entirely in the
-frozen sample pool. Every ``eval``, ``singletons`` batch and state method
-checks its ids once, at the boundary: an id that is not an integer in
-``[0, n)`` raises ``InputError``, and a repeated id counts once.
+frozen sample pool. Every ``eval`` and state method checks its ids once, at
+the boundary: an id that is not an integer in ``[0, n)`` raises
+``InputError``, and a repeated id counts once in a set.
 
 Cut and coverage answer from the graph's deduplicated CSR rows, held as one
 tuple of neighbour ids per node, so their memory and build time are linear
@@ -18,24 +18,24 @@ Callers that grow one set element by element (the pruner's working set, a
 greedy solution) ask the oracle for a per-caller state with ``state()``.
 ``st.marginal(e, f_S)`` is one counted query and equals
 ``eval(S | {e}) - f_S`` bit for bit; ``st.add(e)`` commits ``e`` without a
-query. A state only grows: a caller that drops elements (the pruner, at a
-checkpoint deletion) makes a fresh state and adds the survivors again. Cut
-(either direction), coverage and undirected influence keep incremental
+query. ``st.gains(ids, f_S)`` is the batch form: ``[st.marginal(v, f_S)
+for v in ids]`` bit for bit and in type (an int for cut when ``f_S`` is),
+counted as ``len(ids)`` queries, with every id checked before any is
+counted. A singleton batch is ``gains(ids, 0.0)`` on an empty state. A
+state only grows: a caller that drops elements (the pruner, at a
+checkpoint deletion) makes a fresh state and adds the survivors again.
+
+Cut (either direction), coverage and undirected influence keep incremental
 statistics, so a marginal does not rescan ``S``: the cut state keeps
 per-node hit counts and answers in O(1), the coverage state keeps the
-covered set and answers in O(deg e).
+covered set and answers in O(deg e). The cut and undirected influence
+states keep them in numpy arrays and answer a batch with one gather; their
+``gather(vs, f_S)`` is that gather on ids already checked, as an array, and
+counts nothing; ``count(k)`` counts ``k`` queries, so the pruner's screen
+charges only the gains the sequential pass would have asked for.
 Similarity cut, custom and directed influence oracles, and any oracle-like
 wrapper without ``state()``, get an ``EvalState`` that answers through
 ``marginal`` and ``eval``.
-
-Callers that need many singleton values at once (the pruner per block of
-the stream, the greedy solvers to seed their heaps) ask for them in one
-``singletons(ids)`` call: ``[eval({v}) for v in ids]`` bit for bit and in
-type, counted as ``len(ids)`` queries, with every id checked before any is
-counted. Cut and undirected influence read the values from per-element
-vectors built with the oracle, and ``CustomOracle`` calls its set function
-once per id; other oracles loop over ``eval``, and ``oracle_singletons``
-does the same for wrappers without ``singletons()``.
 """
 
 from __future__ import annotations
@@ -54,7 +54,6 @@ __all__ = [
     "Oracle",
     "EvalState",
     "oracle_state",
-    "oracle_singletons",
     "CoverageOracle",
     "CutOracle",
     "InfluenceOracle",
@@ -123,11 +122,6 @@ class Oracle:
         """A fresh per-caller state holding the empty set."""
         return EvalState(self)
 
-    def singletons(self, ids):
-        """``[eval({v}) for v in ids]``: ``len(ids)`` counted queries, none
-        counted when an id is not an integer in ``[0, n)``."""
-        return _eval_singletons(self, ids)
-
     def _value(self, S):
         raise NotImplementedError
 
@@ -135,7 +129,12 @@ class Oracle:
 class EvalState:
     """Per-caller state that answers through the oracle's ``marginal`` and
     ``eval``: the path for oracles without incremental statistics and for
-    oracle-like wrappers that have no ``state()``."""
+    oracle-like wrappers that have no ``state()``.
+
+    ``gains`` checks the ids and, on an ``Oracle``, counts them in one step
+    and calls its ``_value`` directly, not ``eval``: a subclass that
+    overrides ``eval`` must override ``state`` too. A wrapper counts through
+    its own ``eval``, one call per id."""
 
     __slots__ = ("oracle", "members")
 
@@ -145,6 +144,15 @@ class EvalState:
 
     def marginal(self, e, f_S):
         return self.oracle.marginal(e, self.members, f_S)
+
+    def gains(self, ids, f_S):
+        oracle, members = self.oracle, self.members
+        vs = _checked_ids(ids, oracle.n)
+        if not isinstance(oracle, Oracle):
+            return [oracle.eval(members | {v}) - f_S for v in vs]
+        oracle.counter.bump(len(vs))
+        value = oracle._value
+        return [value(members | {v}) - f_S for v in vs]
 
     def add(self, e):
         self.members.add(_check_id(e, self.oracle.n))
@@ -156,16 +164,20 @@ def oracle_state(oracle):
     return make() if make is not None else EvalState(oracle)
 
 
-def oracle_singletons(oracle, ids) -> list:
-    """``oracle.singletons(ids)``, or the base class's loop over ``eval``
-    when the oracle has no ``singletons`` method."""
-    batch = getattr(oracle, "singletons", None)
-    return batch(ids) if batch is not None else _eval_singletons(oracle, ids)
+class _VectorState:
+    """A state whose batch is one numpy gather: ``gains`` checks the ids,
+    counts them, and hands them to the subclass's uncounted ``gather``.
+    ``count(k)`` counts ``k`` queries answered from earlier gathers."""
 
+    __slots__ = ()
 
-def _eval_singletons(oracle, ids) -> list:
-    vs = _checked_ids(ids, oracle.n)
-    return [oracle.eval({v}) for v in vs]
+    def gains(self, ids, f_S):
+        vs = _checked_array(ids, self._oracle.n)
+        self.count(len(vs))
+        return self.gather(vs, f_S).tolist()
+
+    def count(self, k: int):
+        self._oracle.counter.bump(k)
 
 
 def _checked_ids(ids, n: int, into=list):
@@ -178,6 +190,19 @@ def _checked_ids(ids, n: int, into=list):
     if vs and not (min(vs) >= 0 and max(vs) < n):
         bad = next(v for v in vs if not 0 <= v < n)
         raise outside_ground_set(bad, n)
+    return vs
+
+
+def _checked_array(ids, n: int):
+    """``_checked_ids(ids, n)`` as an intp array, range-checked in numpy."""
+    try:
+        vs = np.fromiter(map(operator.index, ids), dtype=np.intp)
+    except TypeError as exc:
+        raise InputError(f"element ids must be integers: {exc}") from None
+    except OverflowError:
+        raise InputError(f"element id outside ground set of size {n}") from None
+    if vs.size and not (vs.min() >= 0 and vs.max() < n):
+        raise outside_ground_set(int(vs[(vs < 0) | (vs >= n)][0]), n)
     return vs
 
 
@@ -251,6 +276,14 @@ class _CoverageState:
         self._oracle.counter.bump()
         return (len(self._covered) + gain) - f_S
 
+    def gains(self, ids, f_S):
+        vs = _checked_ids(ids, self._oracle.n)
+        self._oracle.counter.bump(len(vs))
+        nbhd, covered = self._oracle._nbhd, self._covered
+        value = len(covered)
+        return [(value + (len(nbhd[v]) - len(covered.intersection(nbhd[v])))) - f_S
+                for v in vs]
+
     def add(self, e):
         self._covered.update(self._oracle._nbhd[_check_id(e, self._oracle.n)])
 
@@ -267,58 +300,63 @@ class CutOracle(Oracle):
         super().__init__(graph.n)
         self._out = _rows(graph)
         self._in = _rows(graph, transpose=True) if graph.directed else self._out
-        self._indeg = [len(row) for row in self._in]
+        self._indeg = np.array([len(row) for row in self._in], dtype=np.int64)
 
     def state(self):
         return _CutState(self)
 
-    def singletons(self, ids):
-        # no self loops, so f({v}) is the in-degree, duplicated arcs counted once
-        vs = _checked_ids(ids, self.n)
-        self.counter.bump(len(vs))
-        indeg = self._indeg
-        return [indeg[v] for v in vs]
-
     def _value(self, S):
         # arcs into each member of S from outside S
-        rows, indeg = self._in, self._indeg
         total = 0
         for v in S:
-            total += indeg[v] - len(S.intersection(rows[v]))
+            row = self._in[v]
+            total += len(row) - len(S.intersection(row))
         return total
 
 
-class _CutState:
-    """Cut in either direction: the members of S, the integer cut value and
-    ``hits[v] = |in(v) & S| + |out(v) & S|``. Adding ``e`` outside S gains
-    the arcs into e from outside S and loses the arcs from e into S, so the
-    gain is indeg(e) - hits[e]; undirected, in(v) = out(v) = N(v)."""
+def _index(row):
+    return np.fromiter(row, dtype=np.intp, count=len(row))
 
-    __slots__ = ("_oracle", "_members", "_hits", "_value")
+
+class _CutState(_VectorState):
+    """Cut in either direction: a boolean membership mask of S and
+    ``hits[v] = |in(v) & S| + |out(v) & S|``, numpy arrays over the nodes,
+    and the integer cut value. Adding ``e`` outside S gains the arcs into e
+    from outside S and loses the arcs from e into S, so the gain is
+    indeg(e) - hits[e]; undirected, in(v) = out(v) = N(v)."""
+
+    __slots__ = ("_oracle", "_member", "_hits", "_value")
 
     def __init__(self, oracle: CutOracle):
         self._oracle = oracle
-        self._members = set()
-        self._hits = [0] * oracle.n
+        self._member = np.zeros(oracle.n, dtype=bool)
+        self._hits = np.zeros(oracle.n, dtype=np.int64)
         self._value = 0
 
     def marginal(self, e, f_S):
         e = _check_id(e, self._oracle.n)
-        gain = 0 if e in self._members else self._oracle._indeg[e] - self._hits[e]
+        gain = 0 if self._member[e] else self._oracle._indeg.item(e) - self._hits.item(e)
         self._oracle.counter.bump()
+        return (self._value + gain) - f_S
+
+    def gather(self, vs, f_S):
+        gain = self._oracle._indeg[vs] - self._hits[vs]
+        gain[self._member[vs]] = 0
         return (self._value + gain) - f_S
 
     def add(self, e):
         oracle, hits = self._oracle, self._hits
         e = _check_id(e, oracle.n)
-        if e in self._members:
+        if self._member[e]:
             return
-        self._members.add(e)
-        self._value += oracle._indeg[e] - hits[e]
-        for u in oracle._out[e]:
-            hits[u] += 1
-        for u in oracle._in[e]:
-            hits[u] += 1
+        self._member[e] = True
+        self._value += oracle._indeg.item(e) - hits.item(e)
+        out, into = oracle._out[e], oracle._in[e]
+        if out is into:  # undirected: each neighbour is hit both ways
+            hits[_index(out)] += 2
+        else:
+            hits[_index(out)] += 1
+            hits[_index(into)] += 1
 
 
 class _DisjointSet:
@@ -435,25 +473,18 @@ class InfluenceOracle(Oracle):
     def state(self):
         return EvalState(self) if self.pool.directed else _InfluenceState(self)
 
-    def singletons(self, ids):
-        if self.pool.directed:
-            return super().singletons(ids)
-        vs = _checked_ids(ids, self.n)
-        self.counter.bump(len(vs))
-        m = self.pool.m
-        # exact integer totals over m, the division ``mean_reach`` makes
-        return [t / m for t in self.pool.reach[vs].tolist()]
-
     def _value(self, S):
         return self.pool.mean_reach(S)
 
 
-class _InfluenceState:
+class _InfluenceState(_VectorState):
     """Undirected spread: which sample components S touches, as an
     ``m * n`` boolean mask, and the exact integer reach total ``T``.
 
     A marginal returns ``(T + gain) / m - f_S``, the same float a fresh
     ``eval(S | {e}) - f_S`` computes, so no threshold comparison can flip.
+    A batch gathers ``roots[:, ids]`` once; from the empty set each gain
+    is the id's ``reach``.
     """
 
     __slots__ = ("_oracle", "_covered", "_total")
@@ -471,6 +502,17 @@ class _InfluenceState:
         gain = int(self._oracle.pool.sizes[self._fresh_roots(e)].sum())
         self._oracle.counter.bump()
         return (self._total + gain) / self._oracle.pool.m - f_S
+
+    def gather(self, vs, f_S):
+        pool = self._oracle.pool
+        if self._total:  # every component holds a node, so T > 0 once S is not empty
+            roots = pool.roots[:, vs]
+            sizes = pool.sizes[roots]
+            sizes[self._covered[roots]] = 0
+            gain = sizes.sum(axis=0)
+        else:
+            gain = pool.reach[vs]
+        return (self._total + gain) / pool.m - f_S
 
     def add(self, e):
         fresh = self._fresh_roots(e)
@@ -566,25 +608,13 @@ class SimilarityCutOracle(Oracle):
 
 
 class CustomOracle(Oracle):
-    """Wrap an arbitrary set function; normalizes by subtracting f(empty).
-
-    ``singletons`` calls the set function directly, not through ``eval``: a
-    subclass that overrides ``eval`` must override ``singletons`` too.
-    """
+    """Wrap an arbitrary set function; normalizes by subtracting f(empty)."""
 
     def __init__(self, n: int, fn, kind: str = "custom"):
         super().__init__(n)
         self.kind = kind
         self._fn = fn
         self._offset = float(fn(frozenset()))
-
-    def singletons(self, ids):
-        """``[eval({v}) for v in ids]``, with the ids checked once and the
-        ``len(ids)`` queries counted in one step."""
-        vs = _checked_ids(ids, self.n)
-        self.counter.bump(len(vs))
-        fn, offset = self._fn, self._offset
-        return [fn(frozenset((v,))) - offset for v in vs]
 
     def _value(self, S):
         return self._fn(frozenset(S)) - self._offset

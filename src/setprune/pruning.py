@@ -8,7 +8,13 @@ factor ``n / epsilon`` since that checkpoint. The multi-budget variant runs
 one such pruner per rung of a geometric budget ladder and returns the union
 of their outputs. Both go through one streaming driver: ``quickprune_single``
 is the one-rung case of the driver that ``quickprune`` runs over the ladder.
-The ladder pass asks each distinct oracle question once per element.
+The ladder pass asks each distinct oracle question once per element, and
+asks the singleton values of each block of the stream in one ``gains``
+batch. When the oracle's states answer a batch with one numpy gather (cut,
+undirected influence), a screen finds in numpy the elements that can change
+some rung and skips the rest, charging them exactly the queries the
+element-by-element pass asks; only the skipped elements' Python work is
+saved, so outputs, events and query counts are unchanged.
 
 Closed-form companions to the pruners live here as well: the pruned-set
 size bound, the worst-case retention ratios, the ladder-size formula, the
@@ -23,8 +29,10 @@ import sys
 import time
 from dataclasses import dataclass, field
 
+import numpy as np
+
 from .errors import InputError, checked_costs, require_finite
-from .objectives import oracle_singletons, oracle_state
+from .objectives import oracle_state
 
 __all__ = [
     "PruneParams",
@@ -54,8 +62,12 @@ MAX_RUNGS = 10_000
 
 # Stream elements `_prune` reads at a time: their costs are taken and
 # their singleton values asked in one batch before the block is fed through
-# the rungs element by element.
+# the rungs.
 _BLOCK = 256
+
+# Admitted elements in the screen's first window; a window that finds no
+# event doubles the next one.
+_LOOK = 16
 
 
 def _check_ladder_args(kappa_min: float, kappa_max: float, eta: float) -> int:
@@ -301,9 +313,14 @@ def _prune(stream, oracle, cost_fn, rungs: list, n: int):
     cached value) among the admitting rungs. The stream is read in blocks of
     ``_BLOCK`` elements; each block's costs are checked, and the singleton
     values of the elements that fit the largest budget are asked in one
-    ``singletons`` batch, before its elements go through the rungs one at a
-    time. Every admitting rung runs the query step before any applies the
-    element, so the comparisons see unmutated states.
+    batch, ``gains(ids, 0.0)`` on an empty oracle state. The elements then
+    go through ``_steps``, which runs every admitting rung's query step
+    before any applies the element, so the comparisons see unmutated
+    states. When the oracle's states answer a batch with one gather (cut,
+    undirected influence), a ``_Screen`` hands ``_steps`` only the elements
+    that can change some rung and skips the rest, charging them the queries
+    ``_steps`` would have asked; outputs, events and query counts are those
+    of the element-by-element pass.
     """
     if n < 1:
         raise InputError("ground-set size n must be >= 1")
@@ -313,21 +330,19 @@ def _prune(stream, oracle, cost_fn, rungs: list, n: int):
     calls_before = oracle.query_count
     per_rung = [(params, SinglePrunerState()) for params in rungs]
     top = max(params.kappa for params in rungs)
+    batch = oracle_state(oracle)  # stays empty: it answers the singleton batches
+    screen = _Screen(per_rung, oracle, n, batch) if hasattr(batch, "gather") else None
     stream = iter(stream)
     while block := list(itertools.islice(stream, _BLOCK)):
         costs = checked_costs(cost_fn, block)
-        singles = iter(oracle_singletons(
-            oracle, [e for e, cost in zip(block, costs) if cost <= top]))
-        for e, cost in zip(block, costs):
-            f_single = next(singles) if cost <= top else None
-            answers = {}
-            admitted = []
-            for params, state in per_rung:
-                state.processed += 1
-                if cost <= params.kappa:
-                    admitted.append((params, state, _gain(state, oracle, e, f_single, answers)))
-            for params, state, gain in admitted:
-                _apply(state, oracle, params, n, e, cost, gain, f_single)
+        fit = [i for i, cost in enumerate(costs) if cost <= top]
+        singles = [None] * len(block)
+        for i, value in zip(fit, batch.gains([block[i] for i in fit], 0.0)):
+            singles[i] = value
+        if screen is None:
+            _steps(per_rung, oracle, n, zip(block, costs, singles))
+        else:
+            screen.feed(block, costs, fit, singles)
     union = set()
     sizes = {}
     events = []
@@ -348,6 +363,143 @@ def _prune(stream, oracle, cost_fn, rungs: list, n: int):
         events=events,
     )
     return union, report, [state for _, state in per_rung]
+
+
+def _steps(per_rung, oracle, n: int, elements) -> None:
+    """Feed each ``(e, cost, f_single)`` of ``elements`` to every rung, in
+    order: each admitting rung runs the query step before any applies it."""
+    for e, cost, f_single in elements:
+        answers = {}
+        admitted = []
+        for params, state in per_rung:
+            state.processed += 1
+            if cost <= params.kappa:
+                admitted.append((params, state, _gain(state, oracle, e, f_single, answers)))
+        for params, state, gain in admitted:
+            _apply(state, oracle, params, n, e, cost, gain, f_single)
+
+
+def _shares_gains(a: SinglePrunerState, b: SinglePrunerState) -> bool:
+    """Whether ``_gain`` hands ``b`` the answer it asked for ``a``: the
+    same working list under an equal cached value of the same type."""
+    return (type(a.f_working) is type(b.f_working) and a.f_working == b.f_working
+            and a.working == b.working)
+
+
+class _Screen:
+    """Finds, block by block, the elements that can change some rung, and
+    skips the others.
+
+    An admitted element is an *event* for a rung when it passes the rung's
+    add test, beats its best singleton, is already in a working set, meets
+    an empty working list, or meets a rung whose deletion test already holds
+    (possible with negative values). Between two events no rung changes, so
+    one numpy pass over a window of the block's admitted elements compares
+    each rung's gains (one ``gather`` per distinct working list, value type
+    and value), add thresholds (the scalar test's operations, in its order)
+    and best singleton, and finds the first event. The elements before it
+    add one to every rung's ``processed`` and are charged in one step the
+    queries ``_steps`` asks for them: one marginal per group of rungs sharing
+    a working list, value type and value, when some rung of the group admits
+    the element. Gains computed past the event are not charged. ``_steps``
+    then decides the event itself.
+
+    A window that finds no event doubles the next one, up to a block. A
+    window that skips fewer than ``_LOOK // 2`` elements before its event
+    did not pay for itself, so the screen steps aside for a stretch of
+    elements fed straight to ``_steps``, twice as long each time this
+    happens before a window pays again: a stream where nearly every element
+    is an event costs about what the element-by-element pass costs.
+    """
+
+    def __init__(self, per_rung, oracle, n: int, batch):
+        self.per_rung = per_rung
+        self.oracle = oracle
+        self.n = n
+        self.batch = batch
+        self.kappa = np.array([[params.kappa] for params, _ in per_rung])
+        self.delta = np.array([[params.delta] for params, _ in per_rung])
+        self.look = _LOOK   # admitted elements the next window reads
+        self.aside = 0      # admitted elements left to feed straight to _steps
+        self.backoff = _LOOK  # the stretch the next window that does not pay sets aside
+
+    def feed(self, block, costs, fit, singles) -> None:
+        """Run one block; ``fit`` are the positions of the elements that fit
+        the largest budget, with ids already checked, and ``singles[i]`` is
+        the singleton value of the element at such a position ``i``."""
+        ids = np.array([block[i] for i in fit], dtype=np.intp)
+        fit_costs = np.array([costs[i] for i in fit], dtype=np.float64)
+        fit_singles = np.array([singles[i] for i in fit], dtype=np.float64)
+        done = 0  # elements of the block counted in every rung's `processed`
+        j = 0
+        while j < len(fit):
+            if self.aside:
+                stop = min(j + self.aside, len(fit))
+                self.aside -= stop - j
+            else:
+                end = min(j + self.look, len(fit))
+                k = self._first_event(ids, fit_costs, fit_singles, j, end)
+                if k == end:
+                    self.look = min(2 * self.look, _BLOCK)
+                    j = end
+                    continue
+                if k - j < _LOOK // 2:
+                    self.aside = self.backoff
+                    self.backoff *= 2
+                else:
+                    self.backoff = _LOOK
+                self.look = _LOOK
+                self._skip(fit[k] - done)
+                done, stop = fit[k], k + 1
+            last = fit[stop - 1] + 1
+            _steps(self.per_rung, self.oracle, self.n,
+                   zip(block[done:last], costs[done:last], singles[done:last]))
+            done, j = last, stop
+        self._skip(len(block) - done)
+
+    def _skip(self, count: int) -> None:
+        for _, state in self.per_rung:
+            state.processed += count
+
+    def _first_event(self, ids, costs, singles, j: int, end: int) -> int:
+        """The index of the first event among the admitted elements
+        ``j..end-1``, or ``end``; counts the queries of the elements before
+        it."""
+        ids, costs, singles = ids[j:end], costs[j:end], singles[j:end]
+        rungs = len(self.per_rung)
+        admitted = costs <= self.kappa
+        gain = np.zeros(admitted.shape)
+        f_working = np.zeros((rungs, 1))
+        f_best = np.zeros((rungs, 1))
+        always = np.zeros((rungs, 1), dtype=bool)
+        held = set()
+        groups = []  # (state, its gains, the rows of the rungs sharing them)
+        for r, (params, state) in enumerate(self.per_rung):
+            f_working[r] = state.f_working
+            f_best[r] = state.f_best_single
+            if (not state.working
+                    or state.f_working > (self.n / params.epsilon) * state.f_checkpoint):
+                always[r] = True
+                continue
+            held.update(state.working)
+            for first, gains, rows in groups:
+                if _shares_gains(first, state):
+                    break
+            else:
+                gains, rows = state.oracle_state.gather(ids, state.f_working), []
+                groups.append((state, gains, rows))
+            gain[r] = gains
+            rows.append(r)
+        threshold = self.delta * costs * f_working / self.kappa
+        hit = (admitted & (always | (singles > f_best) | (gain >= threshold))).any(axis=0)
+        if held:
+            held = np.array(sorted(held), dtype=np.intp)
+            hit |= held.take(np.searchsorted(held, ids), mode="clip") == ids
+        k = int(hit.argmax()) if hit.any() else len(ids)
+        if k:
+            self.batch.count(sum(int(np.count_nonzero(admitted[rows, :k].any(axis=0)))
+                                 for _, _, rows in groups))
+        return j + k
 
 
 def quickprune_single(stream, oracle, cost_fn, params: PruneParams, n: int,

@@ -7,7 +7,10 @@ are upper bounds on true marginals for submodular objectives, so
 re-verifying the top of the heap before each commit reproduces the naive
 greedy selection exactly, including id-order tie-breaking. The solution
 lives in the oracle's per-caller state, so re-verifying a stale key does
-not rescan it where the oracle has incremental statistics. Costs are read
+not rescan it where the oracle has incremental statistics; the state's
+``gains(ids, 0.0)`` batch seeds the pass with every singleton value. A pass
+stops at a fresh negative gain, which only a non-monotone objective gives,
+so no solution is worth less than the empty set. Costs are read
 in one batch per solve (``checked_costs``), from the cost vector when the
 cost function carries one, and must be positive (NaN is refused) in every
 solver that takes a cost function. ``brute_force_opt`` is the exhaustive
@@ -24,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InputError, checked_costs, require_finite
-from .objectives import oracle_singletons, oracle_state
+from .objectives import oracle_state
 
 __all__ = [
     "Solution",
@@ -108,19 +111,22 @@ def _density_pass(oracle, ids, costs, budget):
     elements sorted once by their singleton ratios, and a heap that holds
     only re-evaluated entries. The pass stops once even the cheapest
     element no longer fits: every later candidate would be dropped without
-    a query.
+    a query. It also stops at the first fresh candidate whose gain is
+    negative, which only a non-monotone objective can give: committing it
+    would lose value, and for a submodular one no later candidate gains
+    more. Zero gains are still committed.
     """
     c_min = min(costs, default=math.inf)
     if c_min > budget:
         return set(), 0.0, 0.0, []
-    singles = oracle_singletons(oracle, ids)
+    st = oracle_state(oracle)
+    singles = st.gains(ids, 0.0)
     # candidates are (ratio, j, stamp, gain) for ids[j]; j rises with the
     # id, and an entry is fresh iff its stamp is len(chosen)
     ratios = [-f / c for f, c in zip(singles, costs)]
     seed = iter(np.argsort(ratios, kind="stable").tolist())
     head = next(seed, None)
     heap = []
-    st = oracle_state(oracle)
     chosen = set()
     value = 0.0
     spent = 0.0
@@ -137,6 +143,8 @@ def _density_pass(oracle, ids, costs, budget):
         if spent + c > budget:
             continue
         if stamp == len(chosen):
+            if gain < 0:
+                break
             chosen.add(ids[j])
             st.add(ids[j])
             value += gain

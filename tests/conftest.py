@@ -10,14 +10,16 @@ import heapq
 import io
 import itertools
 import random
+import time
 
 import numpy as np
 import pytest
 from hypothesis import strategies as st
 
 import setprune as sp
-from setprune.errors import ParseError, checked_costs
-from setprune.objectives import oracle_singletons, oracle_state
+from setprune import pruning
+from setprune.errors import InputError, ParseError, checked_costs
+from setprune.objectives import oracle_state
 
 
 # ---------------------------------------------------------------------------
@@ -212,6 +214,9 @@ class PlainOracle:
 # naive solvers
 
 def naive_greedy_cardinality(oracle, U, k):
+    """Naive greedy: each round evaluates every remaining element afresh and
+    commits the best, ties to the smaller id; it stops early when even the
+    best gain is negative."""
     chosen = set()
     value = 0.0
     pool = sorted(set(U))
@@ -223,6 +228,8 @@ def naive_greedy_cardinality(oracle, U, k):
             gain = oracle.eval(chosen | {v}) - value
             if best_gain is None or gain > best_gain:
                 best_gain, best_v = gain, v
+        if best_gain < 0:
+            break
         chosen.add(best_v)
         value += best_gain
     return chosen, value
@@ -230,20 +237,23 @@ def naive_greedy_cardinality(oracle, U, k):
 
 def ref_greedy_cardinality(oracle, U, k):
     """The lazy size-constrained greedy with every element in one heap of
-    ``(-gain, id, stamp)`` entries: the pop order and query count that
-    ``greedy_cardinality`` must reproduce."""
+    ``(-gain, id, stamp)`` entries, stopping at the first fresh negative
+    gain: the pop order and query count that ``greedy_cardinality`` must
+    reproduce."""
     ids = sorted(set(U))
     start_calls = oracle.query_count
     chosen = set()
     value = 0.0
     if k > 0 and ids:
         # an entry is fresh iff its stamp equals the current solution size
-        heap = [(-f, v, 0) for f, v in zip(oracle_singletons(oracle, ids), ids)]
-        heapq.heapify(heap)
         st = oracle_state(oracle)
+        heap = [(-f, v, 0) for f, v in zip(st.gains(ids, 0.0), ids)]
+        heapq.heapify(heap)
         while heap and len(chosen) < k:
             neg_gain, v, stamp = heapq.heappop(heap)
             if stamp == len(chosen):
+                if -neg_gain < 0:
+                    break
                 chosen.add(v)
                 st.add(v)
                 value += -neg_gain
@@ -257,8 +267,8 @@ def ref_greedy_cardinality(oracle, U, k):
 
 def ref_greedy_knapsack(oracle, cost_fn, U, kappa):
     """The lazy knapsack greedy with every feasible element in one heap and
-    no early exit: the pop order and query count that ``greedy_knapsack``
-    must reproduce."""
+    no early exit but the first fresh negative gain: the pop order and query
+    count that ``greedy_knapsack`` must reproduce."""
     ids = sorted(set(U))
     start_calls = oracle.query_count
     costs = {v: c for v, c in zip(ids, map(float, checked_costs(cost_fn, ids))) if c <= kappa}
@@ -270,18 +280,20 @@ def ref_greedy_knapsack(oracle, cost_fn, U, kappa):
     best_single_value = 0.0
     if feasible:
         heap = []
-        for v, f_single in zip(feasible, oracle_singletons(oracle, feasible)):
+        st = oracle_state(oracle)
+        for v, f_single in zip(feasible, st.gains(feasible, 0.0)):
             if f_single > best_single_value:
                 best_single = v
                 best_single_value = f_single
             heap.append((-f_single / costs[v], v, 0, f_single))
         heapq.heapify(heap)
-        st = oracle_state(oracle)
         while heap:
             _, v, stamp, gain = heapq.heappop(heap)
             if spent + costs[v] > kappa:
                 continue
             if stamp == len(chosen):
+                if gain < 0:
+                    break
                 chosen.add(v)
                 st.add(v)
                 value += gain
@@ -308,6 +320,60 @@ def exhaustive_best(oracle, cost_fn, U, kappa):
                 if val > best_val:
                     best_val, best_set = val, frozenset(combo)
     return best_set, best_val
+
+
+# ---------------------------------------------------------------------------
+# the element-by-element pruning pass
+
+def ref_prune(stream, oracle, cost_fn, rungs, n):
+    """The element-by-element pass that ``pruning._prune`` must reproduce,
+    outputs, events and query counts alike: no screen, every element goes
+    through every rung's query and apply steps, and each block's singleton
+    values come in one ``gains(ids, 0.0)`` batch on an empty state."""
+    if n < 1:
+        raise InputError("ground-set size n must be >= 1")
+    if rungs[0].epsilon >= n:
+        raise InputError("epsilon must be smaller than the ground-set size")
+    start = time.monotonic()
+    calls_before = oracle.query_count
+    per_rung = [(params, pruning.SinglePrunerState()) for params in rungs]
+    top = max(params.kappa for params in rungs)
+    stream = iter(stream)
+    while block := list(itertools.islice(stream, pruning._BLOCK)):
+        costs = checked_costs(cost_fn, block)
+        singles = iter(oracle_state(oracle).gains(
+            [e for e, cost in zip(block, costs) if cost <= top], 0.0))
+        for e, cost in zip(block, costs):
+            f_single = next(singles) if cost <= top else None
+            answers = {}
+            admitted = []
+            for params, state in per_rung:
+                state.processed += 1
+                if cost <= params.kappa:
+                    admitted.append((params, state,
+                                     pruning._gain(state, oracle, e, f_single, answers)))
+            for params, state, gain in admitted:
+                pruning._apply(state, oracle, params, n, e, cost, gain, f_single)
+    union = set()
+    sizes = {}
+    events = []
+    deletions = 0
+    for params, state in per_rung:
+        out = state.pruned_set()
+        sizes[params.kappa] = len(out)
+        union |= out
+        deletions += state.deletions
+        events.extend(state.events)
+    report = pruning.PruneReport(
+        pruned=frozenset(union),
+        oracle_calls=oracle.query_count - calls_before,
+        deletions=deletions,
+        per_budget_sizes=sizes,
+        elapsed=time.monotonic() - start,
+        n=n,
+        events=events,
+    )
+    return union, report, [state for _, state in per_rung]
 
 
 # ---------------------------------------------------------------------------

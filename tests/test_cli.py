@@ -106,6 +106,15 @@ def test_non_finite_kernel_is_config_error(tmp_path, capsys):
         assert "similarity matrix must be finite" in capsys.readouterr().err
 
 
+def test_solve_keeps_nothing_rather_than_a_negative_gain(tmp_path, capsys):
+    # the one candidate scores -6.0; it used to be committed anyway
+    instance = _kernel_instance(tmp_path, b"1,-0.5\n-0.5,1\n")
+    for constraint in ("size", "knapsack"):
+        assert main(["solve", *instance, "--constraint", constraint, "--budget", "1",
+                     "--out", str(tmp_path / "s.json")]) == 0
+        assert capsys.readouterr().out.startswith("value 0.0 at cost 0.0")
+
+
 def test_empty_kernel_is_parse_error_without_warnings(tmp_path, capsys):
     # numpy's "input contained no data" warning reached stderr, then exit 2
     for kernel in (b"", b"\n\n", b"# no rows\n"):

@@ -36,16 +36,15 @@ def test_zero_valued_instance_is_defined_when_both_sides_zero():
 
 
 def test_zero_full_but_positive_pruned_sets_undefined_flag():
-    # contrived non-monotone custom: value 1 exactly on non-empty subsets of
-    # {0, 1}, zero elsewhere; at budget 3 greedy on the full set is forced to
-    # add a third element and ends at zero, while the pruned set keeps its 1
+    # contrived non-monotone custom: value 1 exactly on {4, 5}, zero
+    # elsewhere; every singleton scores zero, so at budget 3 greedy on the
+    # full set commits 0, 1 and 2 at zero gain and ends at zero, while on
+    # the pruned set {4, 5} it reaches 1
     def f(S):
-        if not S:
-            return 0.0
-        return 1.0 if S <= {0, 1} else 0.0
+        return 1.0 if S == {4, 5} else 0.0
 
     orc = sp.CustomOracle(6, f)
-    rec = sp.evaluate_pruning(orc, unit_cost, range(6), {0, 1},
+    rec = sp.evaluate_pruning(orc, unit_cost, range(6), {4, 5},
                               sp.cardinality_solver, 3,
                               pruner="weird")
     assert rec.undefined

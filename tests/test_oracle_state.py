@@ -1,10 +1,11 @@
-"""Per-caller oracle states and singleton batches against fresh evaluation.
+"""Per-caller oracle states and their batches against fresh evaluation.
 
 Every state, incremental or generic, must answer ``marginal`` with exactly
 the float a fresh ``eval(S | {e}) - f_S`` gives and count one query per
 marginal, also after it has been rebuilt by adding a set into a fresh state.
-``singletons(ids)`` must equal ``[eval({v}) for v in ids]`` in value and
-type and count one query per id.
+``gains(ids, f_S)`` must equal ``[eval(S | {v}) - f_S for v in ids]`` in
+value and type, for an int and a float ``f_S``, and count one query per id;
+a singleton batch is ``gains(ids, 0.0)`` on an empty state.
 """
 
 import math
@@ -64,6 +65,7 @@ ids = st.integers(min_value=0, max_value=N - 1)
 ops = st.lists(st.one_of(
     st.tuples(st.just("add"), ids),
     st.tuples(st.just("marginal"), ids, st.sampled_from([0.0, 0.25, 1e-9])),
+    st.tuples(st.just("gains"), st.lists(ids, max_size=6), st.sampled_from([0.0, 0.25])),
     st.tuples(st.just("rebuild"), st.frozensets(ids)),
 ), max_size=25)
 
@@ -90,6 +92,13 @@ def test_state_matches_fresh_eval(kind, seed, steps):
             assert got == expect and type(got) is type(expect)
             if e in S and offset == 0.0:
                 assert got == 0
+        elif step[0] == "gains":
+            vs, offset = step[1], step[2]
+            f_S = (oracle.eval(S) if S else 0.0) + offset
+            before = oracle.query_count
+            got = state.gains(vs, f_S)
+            assert oracle.query_count == before + len(vs)
+            assert repr(got) == repr([oracle.eval(S | {v}) - f_S for v in vs])
         else:
             # what the pruner does at a deletion: a fresh state, S added again
             state = oracle.state()
@@ -106,6 +115,8 @@ def test_state_rejects_ids_outside_ground_set(kind):
     for bad in (-1, N):
         with pytest.raises(InputError):
             state.marginal(bad, 0.0)
+        with pytest.raises(InputError):
+            state.gains([bad], 0.0)
         with pytest.raises(InputError):
             state.add(bad)
 
@@ -143,6 +154,8 @@ def test_float_ids_raise_input_error(kind):
             oracle.marginal(bad, {0}, 1.0)
         with pytest.raises(InputError):
             state.marginal(bad, 0.0)
+        with pytest.raises(InputError):
+            state.gains([0, bad], 0.0)
         with pytest.raises(InputError):
             state.add(bad)
 
@@ -242,21 +255,42 @@ SINGLETON_KINDS = STATE_KINDS + ("influence-dup", "plain")
 any_id = st.one_of(ids, ids.map(np.int64))
 
 
+def _same(got, expect):
+    # repr keeps the value and its type: 3 and 3.0 differ
+    assert repr(got) == repr(expect)
+    assert [type(x) for x in got] == [type(x) for x in expect]
+
+
 @given(st.sampled_from(SINGLETON_KINDS), st.integers(min_value=0, max_value=500),
        st.lists(any_id, max_size=30))
 @settings(max_examples=200, deadline=None)
 def test_singletons_match_fresh_evals(kind, seed, vs):
+    # a singleton batch is gains(ids, 0.0) on an empty state
     oracle = build_singleton_oracle(kind, seed)
-    before = oracle.query_count
-    got = sp.oracle_singletons(oracle, vs)
-    assert oracle.query_count == before + len(vs)
-    expect = [oracle.eval({v}) for v in vs]
-    assert repr(got) == repr(expect)  # values and types: 3 and 3.0 differ
-    assert [type(x) for x in got] == [type(x) for x in expect]
-    if kind != "plain":
+    expect = [oracle.eval({v}) - 0.0 for v in vs]
+    for batch in (vs, iter(vs)):
         before = oracle.query_count
-        assert repr(oracle.singletons(iter(vs))) == repr(expect)
+        got = sp.oracle_state(oracle).gains(batch, 0.0)
         assert oracle.query_count == before + len(vs)
+        _same(got, expect)
+
+
+@given(st.sampled_from(SINGLETON_KINDS), st.integers(min_value=0, max_value=500),
+       st.frozensets(ids, min_size=1), st.lists(any_id, max_size=30),
+       st.sampled_from(["int", "float", "offset"]))
+@settings(max_examples=200, deadline=None)
+def test_gains_match_fresh_evals(kind, seed, S, vs, value):
+    oracle = build_singleton_oracle(kind, seed)
+    state = sp.oracle_state(oracle)
+    for v in S:
+        state.add(v)
+    f = oracle.eval(S)
+    f_S = {"int": int(f), "float": float(f), "offset": f + 0.25}[value]
+    before = oracle.query_count
+    got = state.gains(vs, f_S)
+    assert oracle.query_count == before + len(vs)
+    _same(got, [oracle.eval(S | {v}) - f_S for v in vs])
+    _same(got, [state.marginal(v, f_S) for v in vs])
 
 
 def test_duplicated_arcs_count_once_in_singletons():
@@ -264,16 +298,20 @@ def test_duplicated_arcs_count_once_in_singletons():
     # one edge and the cover of {0} is two nodes
     graph = sp.Graph(2, [0, 2, 4], [1, 1, 0, 0])
     assert graph.degrees.tolist() == [2, 2]
-    assert sp.CutOracle(graph).singletons([0, 1]) == [1, 1]
-    assert sp.CoverageOracle(graph).singletons([0, 1]) == [2, 2]
+    assert sp.CutOracle(graph).state().gains([0, 1], 0.0) == [1, 1]
+    assert sp.CoverageOracle(graph).state().gains([0, 1], 0.0) == [2, 2]
 
 
 @pytest.mark.parametrize("kind", SINGLETON_KINDS)
 def test_singletons_reject_bad_ids_before_counting(kind):
     oracle = build_singleton_oracle(kind, 3)
-    assert sp.oracle_singletons(oracle, []) == []
-    assert oracle.query_count == 0
-    for bad in (-1, N, np.int64(64), 1.5):
-        with pytest.raises(InputError):
-            sp.oracle_singletons(oracle, [0, 1, bad, 2])
+    held = sp.oracle_state(oracle)
+    for v in (0, 4):
+        held.add(v)
+    for state in (sp.oracle_state(oracle), held):
+        assert state.gains([], 0.0) == []
         assert oracle.query_count == 0
+        for bad in (-1, N, np.int64(N), np.int64(64), 1.5, 2**70):
+            with pytest.raises(InputError):
+                state.gains([0, 1, bad, 2], 0.0)
+            assert oracle.query_count == 0

@@ -1,6 +1,7 @@
 import math
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -9,7 +10,7 @@ import setprune as sp
 from setprune import pruning
 from setprune.errors import InputError
 
-from conftest import PlainOracle, random_costs, random_graph, unit_cost
+from conftest import PlainOracle, random_costs, random_graph, ref_prune, unit_cost
 
 
 # ---------------------------------------------------------------------------
@@ -545,15 +546,29 @@ def test_blocks_change_no_output_and_no_count(kind, blocks, extra, monkeypatch):
 
 
 class _BatchSpy(PlainOracle):
-    """Records each singleton batch it is asked for."""
+    """Hands out the inner oracle's states, wrapped to record each batch
+    they are asked for; a cut state's ``gather`` passes through, so the
+    screen runs."""
 
     def __init__(self, inner):
         super().__init__(inner)
         self.batches = []
 
-    def singletons(self, ids):
+    def state(self):
+        return _SpyState(self.inner.state(), self.batches)
+
+
+class _SpyState:
+    def __init__(self, inner, batches):
+        self.inner = inner
+        self.batches = batches
+
+    def gains(self, ids, f_S):
         self.batches.append(list(ids))
-        return self.inner.singletons(ids)
+        return self.inner.gains(ids, f_S)
+
+    def __getattr__(self, name):
+        return getattr(self.inner, name)
 
 
 def test_each_block_asks_one_batch_for_the_elements_that_fit_the_top_rung():
@@ -565,6 +580,173 @@ def test_each_block_asks_one_batch_for_the_elements_that_fit_the_top_rung():
                   sp.LadderParams(2.0, 16.0, 0.5, 0.1, 0.1), n)
     assert spy.batches == [[v for v in range(start, min(start + size, n)) if costs[v] <= 16.0]
                            for start in range(0, n, size)]
+
+
+# ---------------------------------------------------------------------------
+# the screened pass against the element-by-element one
+
+class _SignedOracle(sp.Oracle):
+    """Integer weights, minus ``penalty`` on a non-empty set without a hub:
+    values can be negative, so a deletion test can hold between events. Its
+    state answers batches with one gather, so the screen runs on it."""
+
+    def __init__(self, weights, hubs, penalty):
+        super().__init__(len(weights))
+        self.w = np.array(weights, dtype=np.int64)
+        self.hub = np.array(hubs, dtype=bool)
+        self.penalty = penalty
+
+    def state(self):
+        return _SignedState(self)
+
+    def _value(self, S):
+        if not S:
+            return 0
+        ids = sorted(S)
+        return sum(self.w[ids].tolist()) - (0 if self.hub[ids].any() else self.penalty)
+
+
+class _SignedState:
+    def __init__(self, oracle):
+        self.oracle = oracle
+        self.members = set()
+        self.value = 0
+
+    def gather(self, vs, f_S):
+        o = self.oracle
+        gain = o.w[vs].copy()
+        if not self.members:
+            gain -= o.penalty * ~o.hub[vs]
+        elif not o.hub[sorted(self.members)].any():
+            gain += o.penalty * o.hub[vs]
+        gain[np.isin(vs, sorted(self.members))] = 0
+        return (self.value + gain) - f_S
+
+    def count(self, k):
+        self.oracle.counter.bump(k)
+
+    def gains(self, ids, f_S):
+        vs = [int(v) for v in ids]
+        if not all(0 <= v < self.oracle.n for v in vs):
+            raise InputError("id outside the ground set")
+        self.count(len(vs))
+        return self.gather(np.array(vs, dtype=np.intp), f_S).tolist()
+
+    def marginal(self, e, f_S):
+        return self.gains([e], f_S)[0]
+
+    def add(self, e):
+        if e not in self.members:
+            self.value += self.gather(np.array([e], dtype=np.intp), 0).item()
+            self.members.add(e)
+
+
+def _screen_instance(kind, seed, n):
+    rng = random.Random(seed)
+    if kind == "signed":
+        weights = [rng.randrange(-4, 9) for _ in range(n)]
+        return _SignedOracle(weights, [rng.random() < 0.2 for _ in range(n)], rng.randrange(1, 12))
+    if kind in ("modular", "negative"):
+        # few distinct weights: ties; "negative" mixes signs
+        low = -3 if kind == "negative" else 1
+        weights = [rng.randrange(low, 4) * 0.5 for _ in range(n)]
+        return sp.CustomOracle(n, lambda S: math.fsum(weights[v] for v in sorted(S)))
+    if kind == "custom":
+        weights = [2.0 ** rng.randrange(16) * rng.uniform(0.9, 1.1) for _ in range(n)]
+        return sp.CustomOracle(n, lambda S: math.sqrt(math.fsum(weights[v] for v in sorted(S))))
+    directed = kind.endswith("-directed")
+    if directed:
+        arcs = [(u, v) for u in range(n) for v in range(n) if u != v and rng.random() < 0.15]
+        graph = sp.from_edges(n, arcs, directed=True)
+    else:
+        graph = random_graph(n, rng.choice([0.05, 0.15, 0.4]), seed)
+    if kind.startswith("cut"):
+        return sp.CutOracle(graph)
+    if kind == "coverage":
+        return sp.CoverageOracle(graph)
+    return sp.InfluenceOracle(sp.LiveEdgeSamplePool(graph, p=0.3, m=5, seed=seed))
+
+
+SCREEN_KINDS = ("cut", "cut-directed", "coverage", "influence", "influence-directed",
+                "modular", "custom", "negative", "signed")
+
+
+@given(st.sampled_from(SCREEN_KINDS), st.integers(0, 10**6), st.integers(8, 40),
+       st.lists(st.integers(0, 10**6), max_size=40),
+       st.sampled_from([(1.0, 2.0, 0.5), (1.0, 8.0, 0.5), (0.8, 5.0, 0.3), (3.0, 3.0, 0.5)]),
+       st.sampled_from([0.1, 0.5, 3.0, "near n"]), st.sampled_from([0.05, 0.3, 1.0]),
+       st.sampled_from([1, 3, 16, 256]), st.sampled_from([1, 2, 16]))
+@settings(max_examples=300, deadline=None)
+def test_screen_matches_the_element_by_element_pass(kind, seed, n, repeats, ladder_range,
+                                                    eps, delta, block, look):
+    rng = random.Random(seed)
+    stream = list(range(n))
+    rng.shuffle(stream)
+    stream += [r % n for r in repeats]
+    if block > 1:
+        for b in range(block, len(stream), block):
+            stream[b] = stream[b - 1]  # a repeat on each side of a block boundary
+    costs = [rng.choice([0.5, 1.0, 1.5, 3.0, 6.0, 9.0]) for _ in range(n)]
+    eps = n - 0.5 if eps == "near n" else eps  # near n, deletions fire all the time
+    rungs = [sp.PruneParams(tau, delta, eps) for tau in sp.budget_ladder(*ladder_range)]
+    runs = []
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(pruning, "_BLOCK", block)
+        mp.setattr(pruning, "_LOOK", look)
+        for prune in (pruning._prune, ref_prune):
+            pruned, report, states = prune(stream, _screen_instance(kind, seed, n),
+                                           costs.__getitem__, rungs, n)
+            runs.append((_outputs(pruned, report.per_budget_sizes, report.events),
+                         report.deletions, report.oracle_calls,
+                         [(s.processed, s.working, s.best_single) for s in states]))
+    assert runs[0] == runs[1]
+
+
+def test_screen_fires_a_deletion_test_that_already_holds(monkeypatch):
+    # the second deletion leaves {1} worth 2 - 10 = -8, so the deletion test
+    # holds until the next admitted element fires it, although that element
+    # neither enters (gain -3 < threshold -0.2) nor beats the best singleton
+    monkeypatch.setattr(pruning, "_LOOK", 1)  # a window of one: screen every element
+    rungs = [sp.PruneParams(4.0, 0.1, 3.5)]
+    runs = []
+    for prune in (pruning._prune, ref_prune):
+        oracle = _SignedOracle([1, 2, -3, 0], [True, False, False, False], 10)
+        _, report, _ = prune(range(4), oracle, unit_cost, rungs, 4)
+        runs.append(([(e.stream_pos, e.trigger, e.removed, repr(e.value_before),
+                       repr(e.value_after)) for e in report.events], report.oracle_calls))
+    assert runs[0] == runs[1]
+    assert [e.removed for e in report.events] == [(), (0,), (1,)]
+
+
+def _ba_ladder(make_oracle):
+    """(admitted (element, rung) pairs, `_gain` calls) of one ladder prune of
+    a seeded 3,000-node BA graph with degree costs."""
+    graph = sp.assign_knapsack_costs(
+        sp.generate("barabasi_albert", 3000, {"m_attach": 4}, seed=11), mode="degree")
+    taus = sp.budget_ladder(10.0, 40.0, 0.5)
+    admitted = sum(int(np.count_nonzero(graph.costs <= tau)) for tau in taus)
+    calls = []
+    real = pruning._gain
+
+    def counted(*args):
+        calls.append(1)
+        return real(*args)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(pruning, "_gain", counted)
+        sp.quickprune(range(graph.n), make_oracle(graph), graph.cost_fn(),
+                      sp.LadderParams(10.0, 40.0, 0.5, 0.1, 0.1), graph.n)
+    return admitted, len(calls)
+
+
+def test_screen_engages_on_cut_and_steps_aside_for_custom():
+    # a query-count guard, not a timing: the cut prune decides only its few
+    # events element by element, a custom oracle every admitted pair
+    admitted, screened = _ba_ladder(sp.CutOracle)
+    assert screened < admitted / 20
+    # the same values through a custom oracle, whose EvalState has no gather
+    admitted, plain = _ba_ladder(lambda g: sp.CustomOracle(g.n, sp.CutOracle(g).eval))
+    assert plain == admitted
 
 
 # ---------------------------------------------------------------------------

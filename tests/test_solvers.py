@@ -180,6 +180,19 @@ def test_knapsack_density_beats_singleton_when_cheap_items_combine():
     assert sol.value == opt_val
 
 
+def test_greedy_stops_before_a_negative_gain():
+    # the one candidate is worth 10 * -0.5 - 1 = -6: worse than nothing
+    kernel = sp.SimilarityKernel(np.array([[1.0, -0.5], [-0.5, 1.0]]), [0], lam=10.0)
+    orc = sp.SimilarityCutOracle(kernel)
+    assert orc.eval({0}) == -6.0
+    for sol in (sp.greedy_cardinality(orc, range(1), 1),
+                sp.greedy_knapsack(orc, unit_cost, range(1), 1.0)):
+        assert sol.ids == frozenset() and sol.value == 0.0 and sol.cost == 0.0
+    # a zero gain is still committed
+    zero = sp.CustomOracle(3, lambda S: 0.0)
+    assert sp.greedy_cardinality(zero, range(3), 2).ids == {0, 1}
+
+
 def test_knapsack_respects_budget_on_random_instances():
     for seed in range(6):
         graph = random_graph(14, 0.3, seed + 400)
