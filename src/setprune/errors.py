@@ -51,22 +51,38 @@ def checked_costs(cost_fn, ids) -> list:
             ids = list(ids)
         # one id is cheaper through the callable than through a gather
         if len(ids) > 1 and (idx := np.asarray(ids)).ndim == 1 and idx.dtype.kind in "iu":
-            inside = (idx >= 0) & (idx < vector.size)
-            end = idx.size if inside.all() else int(np.argmin(inside))
-            costs = vector[idx[:end]]
-            positive = costs > 0
-            if not positive.all():
-                bad = int(np.argmin(positive))
-                raise _not_positive(ids[bad], float(costs[bad]))
-            if end < idx.size:
-                raise outside_ground_set(ids[end], vector.size)
-            return costs.tolist()
+            return _gathered(vector, idx, ids.__getitem__).tolist()
     costs = []
     for e in ids:
         cost = cost_fn(e)
         if not cost > 0:
             raise _not_positive(e, cost)
         costs.append(cost)
+    return costs
+
+
+def cost_array(cost_fn, ids: np.ndarray) -> np.ndarray:
+    """``checked_costs(cost_fn, ids)`` as a float64 array, for a 1-D integer
+    array of ``ids``: the gather itself, when ``cost_fn`` carries a cost
+    vector. Errors name the ids as Python ints."""
+    vector = getattr(cost_fn, "cost_vector", None)
+    if vector is not None and ids.size > 1:
+        return _gathered(vector, ids, ids.item)
+    return np.array(checked_costs(cost_fn, ids.tolist()), dtype=np.float64)
+
+
+def _gathered(vector, idx, at) -> np.ndarray:
+    """``vector[idx]``; InputError for the first id that lies outside the
+    vector or whose cost is not positive, named as ``at(position)``."""
+    inside = (idx >= 0) & (idx < vector.size)
+    end = idx.size if inside.all() else int(np.argmin(inside))
+    costs = vector[idx[:end]]
+    positive = costs > 0
+    if not positive.all():
+        bad = int(np.argmin(positive))
+        raise _not_positive(at(bad), float(costs[bad]))
+    if end < idx.size:
+        raise outside_ground_set(at(end), vector.size)
     return costs
 
 

@@ -65,8 +65,12 @@ def evaluate_pruning(oracle, cost_fn, U, U_pruned, solver, budget,
     also zero and NaN (with the undefined flag) otherwise.
     """
     _check_range(budget_range)
-    U = set(U)
-    U_pruned = set(U_pruned)
+    return _evaluate(oracle, cost_fn, set(U), set(U_pruned), solver, budget,
+                     pruner, oracle_calls_prune, budget_range)
+
+
+def _evaluate(oracle, cost_fn, U: set, U_pruned: set, solver, budget, pruner,
+              oracle_calls_prune, budget_range) -> EvalRecord:
     if not U:
         raise InputError("ground set must be non-empty")
     if not U_pruned <= U:
@@ -106,22 +110,21 @@ def sweep_budgets(oracle, cost_fn, U, pruner_outputs: dict, budgets, solver,
     """One EvalRecord per (budget, pruner) pair.
 
     ``pruner_outputs`` maps pruner name to its pruned set; pruning is done
-    once per pruner by the caller and only the solving repeats per budget.
+    once per pruner by the caller, the ground and pruned sets are built once
+    per sweep, and only the solving repeats per budget.
     Budgets iterate in the given order, pruners in name order, so the output
     ordering is deterministic. Budgets outside ``budget_range`` are still
     evaluated but flagged.
     """
     _check_range(budget_range)
     prune_calls = prune_calls or {}
+    ground = set(U)
+    pruned = {name: set(pruner_outputs[name]) for name in sorted(pruner_outputs)}
     records = []
     for budget in budgets:
-        for name in sorted(pruner_outputs):
-            records.append(evaluate_pruning(
-                oracle, cost_fn, U, pruner_outputs[name], solver, budget,
-                pruner=name,
-                oracle_calls_prune=prune_calls.get(name, 0),
-                budget_range=budget_range,
-            ))
+        for name, U_pruned in pruned.items():
+            records.append(_evaluate(oracle, cost_fn, ground, U_pruned, solver, budget,
+                                     name, prune_calls.get(name, 0), budget_range))
     return records
 
 

@@ -182,7 +182,10 @@ class _VectorState:
 
 def _checked_ids(ids, n: int, into=list):
     """``ids`` as ints, collected ``into`` a list (or a set), or InputError
-    for the first one that is not an integer in ``[0, n)``."""
+    for the first one that is not an integer in ``[0, n)``. An array is
+    checked in numpy."""
+    if isinstance(ids, np.ndarray):
+        return into(_checked_array(ids, n).tolist())
     try:
         vs = into(map(operator.index, ids))
     except TypeError as exc:
@@ -194,16 +197,21 @@ def _checked_ids(ids, n: int, into=list):
 
 
 def _checked_array(ids, n: int):
-    """``_checked_ids(ids, n)`` as an intp array, range-checked in numpy."""
-    try:
-        vs = np.fromiter(map(operator.index, ids), dtype=np.intp)
-    except TypeError as exc:
-        raise InputError(f"element ids must be integers: {exc}") from None
-    except OverflowError:
-        raise InputError(f"element id outside ground set of size {n}") from None
+    """``_checked_ids(ids, n)`` as an intp array, range-checked in numpy.
+    A 1-D integer array is range-checked as it stands, with no per-element
+    conversion."""
+    if isinstance(ids, np.ndarray) and ids.ndim == 1 and ids.dtype.kind in "iu":
+        vs = ids
+    else:
+        try:
+            vs = np.fromiter(map(operator.index, ids), dtype=np.intp)
+        except TypeError as exc:
+            raise InputError(f"element ids must be integers: {exc}") from None
+        except OverflowError:
+            raise InputError(f"element id outside ground set of size {n}") from None
     if vs.size and not (vs.min() >= 0 and vs.max() < n):
         raise outside_ground_set(int(vs[(vs < 0) | (vs >= n)][0]), n)
-    return vs
+    return vs.astype(np.intp, copy=False)
 
 
 def _check_id(v, n: int) -> int:

@@ -32,7 +32,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import InputError, checked_costs, require_finite
-from .objectives import oracle_state
+from .objectives import _checked_ids, oracle_state
 
 __all__ = [
     "PruneParams",
@@ -311,7 +311,8 @@ def _prune(stream, oracle, cost_fn, rungs: list, n: int):
     Each distinct question is asked once per element: f({e}) once when some
     rung's budget admits ``e``, and one marginal per distinct (working list,
     cached value) among the admitting rungs. The stream is read in blocks of
-    ``_BLOCK`` elements; each block's costs are checked, and the singleton
+    ``_BLOCK`` elements; each block's ids are checked against ``oracle.n``
+    and taken as Python ints, its costs are checked, and the singleton
     values of the elements that fit the largest budget are asked in one
     batch, ``gains(ids, 0.0)`` on an empty oracle state. The elements then
     go through ``_steps``, which runs every admitting rung's query step
@@ -333,7 +334,7 @@ def _prune(stream, oracle, cost_fn, rungs: list, n: int):
     batch = oracle_state(oracle)  # stays empty: it answers the singleton batches
     screen = _Screen(per_rung, oracle, n, batch) if hasattr(batch, "gather") else None
     stream = iter(stream)
-    while block := list(itertools.islice(stream, _BLOCK)):
+    while block := _checked_ids(itertools.islice(stream, _BLOCK), oracle.n):
         costs = checked_costs(cost_fn, block)
         fit = [i for i, cost in enumerate(costs) if cost <= top]
         singles = [None] * len(block)
@@ -393,7 +394,9 @@ class _Screen:
     An admitted element is an *event* for a rung when it passes the rung's
     add test, beats its best singleton, is already in a working set, meets
     an empty working list, or meets a rung whose deletion test already holds
-    (possible with negative values). Between two events no rung changes, so
+    (possible with negative values). Membership is over-approximated, which
+    is safe, by a bool mask of every id fed to ``_steps`` so far, read in
+    one gather per window. Between two events no rung changes, so
     one numpy pass over a window of the block's admitted elements compares
     each rung's gains (one ``gather`` per distinct working list, value type
     and value), add thresholds (the scalar test's operations, in its order)
@@ -419,6 +422,8 @@ class _Screen:
         self.batch = batch
         self.kappa = np.array([[params.kappa] for params, _ in per_rung])
         self.delta = np.array([[params.delta] for params, _ in per_rung])
+        # every id fed to _steps so far, a superset of every working set
+        self.stepped = np.zeros(oracle.n, dtype=bool)
         self.look = _LOOK   # admitted elements the next window reads
         self.aside = 0      # admitted elements left to feed straight to _steps
         self.backoff = _LOOK  # the stretch the next window that does not pay sets aside
@@ -434,7 +439,7 @@ class _Screen:
         j = 0
         while j < len(fit):
             if self.aside:
-                stop = min(j + self.aside, len(fit))
+                first, stop = j, min(j + self.aside, len(fit))
                 self.aside -= stop - j
             else:
                 end = min(j + self.look, len(fit))
@@ -450,8 +455,9 @@ class _Screen:
                     self.backoff = _LOOK
                 self.look = _LOOK
                 self._skip(fit[k] - done)
-                done, stop = fit[k], k + 1
+                done, first, stop = fit[k], k, k + 1
             last = fit[stop - 1] + 1
+            self.stepped[ids[first:stop]] = True
             _steps(self.per_rung, self.oracle, self.n,
                    zip(block[done:last], costs[done:last], singles[done:last]))
             done, j = last, stop
@@ -472,7 +478,6 @@ class _Screen:
         f_working = np.zeros((rungs, 1))
         f_best = np.zeros((rungs, 1))
         always = np.zeros((rungs, 1), dtype=bool)
-        held = set()
         groups = []  # (state, its gains, the rows of the rungs sharing them)
         for r, (params, state) in enumerate(self.per_rung):
             f_working[r] = state.f_working
@@ -481,7 +486,6 @@ class _Screen:
                     or state.f_working > (self.n / params.epsilon) * state.f_checkpoint):
                 always[r] = True
                 continue
-            held.update(state.working)
             for first, gains, rows in groups:
                 if _shares_gains(first, state):
                     break
@@ -492,9 +496,7 @@ class _Screen:
             rows.append(r)
         threshold = self.delta * costs * f_working / self.kappa
         hit = (admitted & (always | (singles > f_best) | (gain >= threshold))).any(axis=0)
-        if held:
-            held = np.array(sorted(held), dtype=np.intp)
-            hit |= held.take(np.searchsorted(held, ids), mode="clip") == ids
+        hit |= self.stepped[ids]
         k = int(hit.argmax()) if hit.any() else len(ids)
         if k:
             self.batch.count(sum(int(np.count_nonzero(admitted[rows, :k].any(axis=0)))

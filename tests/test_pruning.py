@@ -1,3 +1,4 @@
+import json
 import math
 import random
 
@@ -174,6 +175,35 @@ def test_empty_stream_yields_empty():
     params = sp.PruneParams(kappa=1.0, delta=0.1, epsilon=0.1)
     pruned, report = sp.quickprune_single([], orc, unit_cost, params, 4)
     assert pruned == set() and report.oracle_calls == 0
+
+
+@pytest.mark.parametrize("oracle", [sp.CutOracle, sp.CoverageOracle])
+def test_numpy_stream_ids_leave_the_pruner_as_ints(oracle):
+    # np.int64 ids used to reach the pruned set and the deletion log, and
+    # json.dumps refused them
+    graph = sp.generate("barabasi_albert", 400, {"m_attach": 3}, seed=2)
+    orc = oracle(graph)
+    params = sp.LadderParams(kappa_min=2.0, kappa_max=8.0, eta=0.5, delta=0.1, epsilon=0.1)
+    pruned, report = sp.quickprune(np.arange(400), orc, unit_cost, params, 400)
+    assert pruned and all(type(v) is int for v in pruned)
+    assert report.events and all(type(ev.trigger) is int for ev in report.events)
+    json.dumps(report.to_json_dict())
+    want, want_report = sp.quickprune(range(400), oracle(graph), unit_cost, params, 400)
+    assert pruned == want and report.oracle_calls == want_report.oracle_calls
+
+
+def test_bool_stream_ids_leave_the_pruner_as_ints():
+    orc = sp.CutOracle(sp.generate("path", 6))
+    params = sp.PruneParams(kappa=3.0, delta=0.1, epsilon=0.1)
+    pruned, _ = sp.quickprune_single([True, 3, 5], orc, unit_cost, params, 6)
+    assert pruned == {1, 3, 5} and all(type(v) is int for v in pruned)
+    # a bad id is refused before its block's costs are read
+    costs_read = []
+    calls = orc.query_count
+    with pytest.raises(InputError):
+        sp.quickprune_single([0, 2.5], orc, lambda v: costs_read.append(v) or 1.0,
+                             params, 6)
+    assert costs_read == [] and orc.query_count == calls
 
 
 def test_epsilon_must_stay_below_ground_set_size():

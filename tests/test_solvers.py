@@ -1,18 +1,21 @@
 import dataclasses
+import itertools
+import json
 import math
 import random
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import setprune as sp
 from setprune.errors import InputError, checked_costs, outside_ground_set
 
-from conftest import (exhaustive_best, naive_greedy_cardinality, oracle_families,
-                      random_costs, random_graph, random_similarity_kernel,
-                      ref_greedy_cardinality, ref_greedy_knapsack, unit_cost)
+from conftest import (PlainOracle, exhaustive_best, naive_greedy_cardinality,
+                      oracle_families, random_costs, random_graph,
+                      random_similarity_kernel, ref_greedy_cardinality,
+                      ref_greedy_knapsack, unit_cost)
 
 
 # ---------------------------------------------------------------------------
@@ -87,12 +90,31 @@ def test_greedy_cardinality_k_must_be_an_integer():
 _TIED = st.sampled_from([0, 0.0, 1, 2.0, 2.0, 3.5])
 
 
+def _ground_set(draw, picks):
+    """``picks``, repeats kept, as a list of ints, numpy ints and (for ids 0
+    and 1) bools, as a set of those, or as an int64 or uint64 array."""
+    form = draw(st.sampled_from(["list", "set", "int64", "uint64"]))
+    if form in ("int64", "uint64"):
+        return np.array(picks, dtype=form)
+    U = [draw(st.sampled_from([v, np.int64(v)] + ([bool(v)] if v < 2 else [])))
+         for v in picks]
+    return set(U) if form == "set" else U
+
+
+def _same(got, want):
+    """The solutions agree in ids, value, cost and query count, bit for bit,
+    and ``got`` holds Python int ids and a Python float cost."""
+    assert all(type(v) is int for v in got.ids) and type(got.cost) is float
+    return (got.ids, repr(got.value), repr(got.cost), got.oracle_calls) == \
+        (want.ids, repr(want.value), repr(want.cost), want.oracle_calls)
+
+
 @st.composite
 def cardinality_instances(draw):
     """(oracle, U, k): coverage, cut, directed cut, influence on either kind
     of graph, modular with tied weights, an arbitrary non-monotone set
-    function or similarity cut; U with repeats and numpy ids, and k at 0, 1,
-    |U| or past it."""
+    function or similarity cut; U with repeats in every form of
+    ``_ground_set``, and k at 0, 1, |U| or past it."""
     n = draw(st.integers(1, 12))
     edges = draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)),
                           max_size=3 * n))
@@ -119,9 +141,7 @@ def cardinality_instances(draw):
                                              draw(st.integers(0, 99)), cand_hi=0.6)
         oracle = sp.SimilarityCutOracle(kernel)
     picks = draw(st.lists(st.integers(0, n - 1), max_size=2 * n))
-    U = [np.int64(v) if draw(st.booleans()) else v for v in picks]
-    if draw(st.booleans()):
-        U = np.array(picks, dtype=np.int64)
+    U = _ground_set(draw, picks)
     k = draw(st.sampled_from([0, 1, len(set(picks)), len(set(picks)) + 3]))
     return oracle, U, k
 
@@ -133,9 +153,7 @@ def test_greedy_cardinality_matches_the_all_element_heap(instance):
     # and the query count of the lazy greedy that heaps every element
     oracle, U, k = instance
     want = ref_greedy_cardinality(oracle, U, k)
-    got = sp.greedy_cardinality(oracle, U, k)
-    assert (got.ids, repr(got.value), repr(got.cost), got.oracle_calls) == \
-        (want.ids, repr(want.value), repr(want.cost), want.oracle_calls)
+    assert _same(sp.greedy_cardinality(oracle, U, k), want)
 
 
 # ---------------------------------------------------------------------------
@@ -244,18 +262,22 @@ _VALUES = (0, 0.5, 1.0, 2.0, 3.0)
 @st.composite
 def knapsack_instances(draw):
     """(oracle, graph carrying the costs, costs, U, kappa): modular with tied
-    weights, coverage, cut (not monotone) or an arbitrary set function;
-    zero gains, ties in ratio, U with repeats and numpy ids, and budgets
-    below the cheapest cost, on a cost sum, or anywhere up to past the
-    total."""
+    weights, modular with every ratio tied, coverage, cut (not monotone) or
+    an arbitrary set function; zero gains, ties in ratio, U with repeats in
+    every form of ``_ground_set``, and budgets below the cheapest cost, on
+    one element's cost or a cost sum, or anywhere up to past the total."""
     n = draw(st.integers(1, 12))
     costs = draw(st.lists(_COSTS, min_size=n, max_size=n))
     edges = draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)),
                           max_size=3 * n))
     graph = dataclasses.replace(sp.from_edges(n, edges), costs=costs)
-    kind = draw(st.sampled_from(["modular", "coverage", "cut", "arbitrary"]))
-    if kind == "modular":
-        weights = draw(st.lists(_WEIGHTS, min_size=n, max_size=n))
+    kind = draw(st.sampled_from(["modular", "tied", "coverage", "cut", "arbitrary"]))
+    if kind in ("modular", "tied"):
+        if kind == "modular":
+            weights = draw(st.lists(_WEIGHTS, min_size=n, max_size=n))
+        else:
+            ratio = draw(st.sampled_from([0.5, 2.0]))
+            weights = [ratio * c for c in costs]
         oracle = sp.CustomOracle(n, lambda S: sum(weights[v] for v in S))
     elif kind == "coverage":
         oracle = sp.CoverageOracle(graph)
@@ -266,12 +288,12 @@ def knapsack_instances(draw):
         oracle = sp.CustomOracle(
             n, lambda S: random.Random(hash((salt, *sorted(S)))).choice(_VALUES))
     picks = draw(st.lists(st.integers(0, n - 1), max_size=2 * n))
-    U = [np.int64(v) if draw(st.booleans()) else v for v in picks]
-    if draw(st.booleans()):
-        U = np.array(picks, dtype=np.int64)
-    where = draw(st.sampled_from(["below", "sum", "any"]))
+    U = _ground_set(draw, picks)
+    where = draw(st.sampled_from(["below", "one", "sum", "any"]))
     if where == "below":
         kappa = min(costs) / 2
+    elif where == "one":  # the best singleton often beats the density pass
+        kappa = draw(st.sampled_from(costs))
     elif where == "sum":
         kappa = sum(draw(st.lists(st.sampled_from(costs), min_size=1, max_size=n)))
     else:
@@ -279,7 +301,16 @@ def knapsack_instances(draw):
     return oracle, graph, costs, U, kappa
 
 
+def _crowded():
+    """A cheap item tops the ratio order and crowds out two tied heavier
+    ones: the best singleton decides, and it is the first maximum."""
+    costs = [1.0, 1.0, 0.25]
+    graph = dataclasses.replace(sp.from_edges(3, []), costs=costs)
+    return _modular(3, [2.0, 2.0, 1.0]), graph, costs, [2, 1, 0], 1.0
+
+
 @given(knapsack_instances())
+@example(_crowded())
 @settings(max_examples=400, deadline=None)
 def test_knapsack_matches_the_all_element_heap(instance):
     # the sorted seed and the early exit must not change the pop order or
@@ -288,7 +319,89 @@ def test_knapsack_matches_the_all_element_heap(instance):
     want = ref_greedy_knapsack(oracle, costs.__getitem__, U, kappa)
     for cost_fn in (graph.cost_fn(), lambda v: costs[v]):
         got = sp.greedy_knapsack(oracle, cost_fn, U, kappa)
-        assert got == want and type(got.value) is type(want.value)
+        assert _same(got, want) and type(got.value) is type(want.value)
+
+
+def _recording(solver, solutions):
+    def run(oracle, cost_fn, U, budget):
+        solutions.append(solver(oracle, cost_fn, U, budget))
+        return solutions[-1]
+    return run
+
+
+@pytest.mark.parametrize("constraint", ["knapsack", "cardinality"])
+def test_sweep_matches_per_budget_reference_solves(constraint):
+    # the sweep builds its sets once; every solve must still be the
+    # standalone one, query count included
+    graph = sp.assign_knapsack_costs(
+        sp.generate("barabasi_albert", 300, {"m_attach": 3}, seed=5), mode="degree")
+    cost_fn = graph.cost_fn()
+    if constraint == "knapsack":
+        oracle = sp.CutOracle(graph)
+        solver = sp.knapsack_solver
+        budgets = [0.5, 3.0, 8.0, 20.0]  # the cheapest cost is 1: nothing fits 0.5
+
+        def ref(oracle_, cost_fn_, U, budget):
+            return ref_greedy_knapsack(oracle_, cost_fn_, U, float(budget))
+    else:
+        oracle = sp.CoverageOracle(graph)
+        solver = sp.cardinality_solver
+        budgets = [0, 2, 5, 9]
+
+        def ref(oracle_, cost_fn_, U, budget):
+            return ref_greedy_cardinality(oracle_, U, int(budget))
+    pruned, _ = sp.quickprune(range(300), oracle, cost_fn,
+                              sp.LadderParams(3.0, 20.0, 0.5, 0.1, 0.1), 300)
+    outputs = {"quickprune": pruned, "every third": set(range(0, 300, 3))}
+    calls = {"quickprune": 11}
+    got_solutions, want_solutions = [], []
+    got = sp.sweep_budgets(oracle, cost_fn, range(300), outputs, budgets,
+                           _recording(solver, got_solutions), prune_calls=calls)
+    want = [sp.evaluate_pruning(oracle, cost_fn, range(300), outputs[name],
+                                _recording(ref, want_solutions), budget, pruner=name,
+                                oracle_calls_prune=calls.get(name, 0))
+            for budget in budgets for name in sorted(outputs)]
+    assert [repr(r) for r in got] == [repr(r) for r in want]
+    assert len(got_solutions) == 2 * len(want)
+    assert all(_same(g, w) for g, w in zip(got_solutions, want_solutions))
+
+
+_SOLVES = [
+    lambda orc, U: sp.greedy_cardinality(orc, U, 3),
+    lambda orc, U: sp.greedy_knapsack(orc, unit_cost, U, 3.0),
+]
+
+
+@pytest.mark.parametrize("solve", _SOLVES)
+@pytest.mark.parametrize("U", [np.arange(4), np.arange(4, dtype=np.uint8), [True, False, 3]])
+def test_solution_ids_leave_the_solver_as_python_ints(solve, U):
+    # np.int64 ids used to break json.dumps, and [True, False, 3] returned
+    # the ids [false, true, 3]
+    sol = solve(_modular(4, [1.0, 2.0, 0.5, 3.0]), U)
+    assert sol.ids == {0, 1, 3} and all(type(v) is int for v in sol.ids)
+    assert type(sol.cost) is float
+    assert json.dumps(sol.to_json_dict()["ids"]) == "[0, 1, 3]"
+
+
+@pytest.mark.parametrize("solve", _SOLVES + [
+    lambda orc, U: sp.greedy_knapsack(orc, _cost_fns([1.0] * 4)[0], U, 3.0),
+])
+@pytest.mark.parametrize("bad", [2.5, -1, 4, 2**70, "1"])
+def test_solvers_refuse_a_bad_id_before_any_query(solve, bad):
+    # with a cost vector the knapsack path used to raise IndexError on 2.5
+    orc = _modular(4, [1.0, 2.0, 0.5, 3.0])
+    with pytest.raises(InputError):
+        solve(orc, [0, bad])
+    assert orc.query_count == 0
+
+
+@pytest.mark.parametrize("solve", _SOLVES)
+def test_a_nan_singleton_is_refused(solve):
+    # a NaN would sort last and make the best-singleton pick depend on the
+    # position of the NaN; the solvers refuse it instead
+    orc = sp.CustomOracle(3, lambda S: math.nan if 1 in S else float(len(S)))
+    with pytest.raises(InputError, match="NaN"):
+        solve(orc, range(3))
 
 
 def _cost_fns(values):
@@ -411,6 +524,25 @@ def test_brute_force_matches_independent_enumerator():
         _, opt_val = exhaustive_best(orc, cost_fn, range(n), kappa)
         assert sol.value == opt_val
         assert sum(cost_fn(v) for v in sol.ids) <= kappa
+
+
+def test_brute_force_asks_one_query_per_feasible_subset():
+    # an Oracle is asked through _value, a wrapper through eval: same answer,
+    # same bill, and a bad id is refused before either is asked anything
+    graph = random_graph(9, 0.35, 700)
+    costs, cost_fn = random_costs(9, 0.4, 1.4, 3)
+    feasible = sum(1 for r in range(1, 10) for combo in itertools.combinations(range(9), r)
+                   if sum(costs[v] for v in combo) <= 2.5)
+    for orc in (sp.CutOracle(graph), PlainOracle(sp.CutOracle(graph))):
+        sol = sp.brute_force_opt(orc, cost_fn, np.arange(9), 2.5)
+        assert sol.oracle_calls == orc.query_count == feasible
+        assert all(type(v) is int for v in sol.ids)
+        assert sol.value == exhaustive_best(orc, cost_fn, range(9), 2.5)[1]
+        calls = orc.query_count
+        for bad in (9, 1.5):
+            with pytest.raises(InputError):
+                sp.brute_force_opt(orc, cost_fn, [0, bad], 2.5)
+        assert orc.query_count == calls
 
 
 def test_brute_force_dominates_greedy():
