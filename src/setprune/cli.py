@@ -253,9 +253,11 @@ def _run_eval(args, budgets_key):
     budget_range = None
     if opts["kappa_min"] is not None and opts["kappa_max"] is not None:
         budget_range = (opts["kappa_min"], opts["kappa_max"])
+    start_calls = oracle.query_count
     records = metrics.sweep_budgets(
         oracle, cost_fn, ground, {name: pruned}, budgets, _solver_for(opts),
         budget_range=budget_range)
+    asked = oracle.query_count - start_calls
     with open(opts["out"], "wt", newline="") as fh:
         metrics.write_csv(records, fh)
     if opts["out_jsonl"]:
@@ -264,6 +266,9 @@ def _run_eval(args, budgets_key):
     for record in records:
         print(f"budget {record.budget}: p_r={record.p_r:.4f} "
               f"p_g={record.p_g:.4f} combined={record.combined:.4f}")
+    # solves that share a seed ask fewer queries than their standalone bills
+    billed = sum(record.oracle_calls_solve for record in records)
+    print(f"solver queries: {asked} asked, {billed} billed")
     return EXIT_OK
 
 

@@ -16,6 +16,7 @@ import math
 from dataclasses import dataclass
 
 from .errors import InputError, require_finite
+from .solvers import _SweepSet
 
 __all__ = ["EvalRecord", "CSV_COLUMNS", "evaluate_pruning", "sweep_budgets",
            "write_csv", "write_json_lines"]
@@ -60,25 +61,25 @@ def evaluate_pruning(oracle, cost_fn, U, U_pruned, solver, budget,
                      budget_range=None) -> EvalRecord:
     """Run the solver on the full and pruned ground sets at one budget.
 
-    ``solver(oracle, cost_fn, ids, budget)`` must return a Solution. When the
-    full-set solution has zero value, p_r is 1 if the pruned-set solution is
-    also zero and NaN (with the undefined flag) otherwise.
+    ``solver(oracle, cost_fn, ids, budget)`` must return a Solution; the
+    record's ``oracle_calls_solve`` is the sum of the two solutions'
+    ``oracle_calls``. When the full-set solution has zero value, p_r is 1 if
+    the pruned-set solution is also zero and NaN (with the undefined flag)
+    otherwise.
     """
     _check_range(budget_range)
     return _evaluate(oracle, cost_fn, set(U), set(U_pruned), solver, budget,
                      pruner, oracle_calls_prune, budget_range)
 
 
-def _evaluate(oracle, cost_fn, U: set, U_pruned: set, solver, budget, pruner,
+def _evaluate(oracle, cost_fn, U, U_pruned, solver, budget, pruner,
               oracle_calls_prune, budget_range) -> EvalRecord:
     if not U:
         raise InputError("ground set must be non-empty")
     if not U_pruned <= U:
         raise InputError("pruned set must be a subset of the ground set")
-    calls_before = oracle.query_count
     full_solution = solver(oracle, cost_fn, U, budget)
     pruned_solution = solver(oracle, cost_fn, U_pruned, budget)
-    calls_solve = oracle.query_count - calls_before
     undefined = False
     if full_solution.value == 0:
         p_r = 1.0 if pruned_solution.value == 0 else math.nan
@@ -99,7 +100,7 @@ def _evaluate(oracle, cost_fn, U: set, U_pruned: set, solver, budget, pruner,
         n=len(U),
         n_pruned=len(U_pruned),
         oracle_calls_prune=oracle_calls_prune,
-        oracle_calls_solve=calls_solve,
+        oracle_calls_solve=full_solution.oracle_calls + pruned_solution.oracle_calls,
         undefined=undefined,
         out_of_range=out_of_range,
     )
@@ -110,16 +111,29 @@ def sweep_budgets(oracle, cost_fn, U, pruner_outputs: dict, budgets, solver,
     """One EvalRecord per (budget, pruner) pair.
 
     ``pruner_outputs`` maps pruner name to its pruned set; pruning is done
-    once per pruner by the caller, the ground and pruned sets are built once
-    per sweep, and only the solving repeats per budget.
+    once per pruner by the caller. The ground set and each pruned set are
+    built once per sweep, as frozensets that keep the solve seed (checked
+    ids, costs, singleton values and their order) that their first solve
+    builds for the sweep's largest budget; every later solve with the same
+    oracle and cost function filters that seed instead of building its own.
+    ``oracle_calls_solve`` stays the standalone bill of the two solves, so
+    the records are those of per-budget ``evaluate_pruning`` calls; the
+    queries actually asked are the difference in ``oracle.query_count``
+    over the sweep.
     Budgets iterate in the given order, pruners in name order, so the output
     ordering is deterministic. Budgets outside ``budget_range`` are still
     evaluated but flagged.
     """
     _check_range(budget_range)
     prune_calls = prune_calls or {}
-    ground = set(U)
-    pruned = {name: set(pruner_outputs[name]) for name in sorted(pruner_outputs)}
+    budgets = list(budgets)
+    try:
+        reach = float(max(budgets))
+    except (TypeError, ValueError, OverflowError):  # left to the solver to refuse
+        reach = -math.inf
+    ground = _SweepSet(U, reach)
+    pruned = {name: _SweepSet(pruner_outputs[name], reach)
+              for name in sorted(pruner_outputs)}
     records = []
     for budget in budgets:
         for name, U_pruned in pruned.items():

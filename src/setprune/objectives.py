@@ -127,14 +127,16 @@ class Oracle:
 
 
 class EvalState:
-    """Per-caller state that answers through the oracle's ``marginal`` and
-    ``eval``: the path for oracles without incremental statistics and for
+    """Per-caller state that holds the member set and asks the set function
+    afresh: the path for oracles without incremental statistics and for
     oracle-like wrappers that have no ``state()``.
 
-    ``gains`` checks the ids and, on an ``Oracle``, counts them in one step
-    and calls its ``_value`` directly, not ``eval``: a subclass that
-    overrides ``eval`` must override ``state`` too. A wrapper counts through
-    its own ``eval``, one call per id."""
+    On an ``Oracle``, ``marginal`` and ``gains`` check only the asked ids
+    (the members were checked when they were added), count them in one
+    step and call its ``_value`` directly, not ``eval`` or ``marginal``: a
+    subclass that overrides either must override ``state`` too. A wrapper
+    answers through its own ``marginal`` and counts through its own
+    ``eval``, one call per id."""
 
     __slots__ = ("oracle", "members")
 
@@ -143,7 +145,14 @@ class EvalState:
         self.members = set()
 
     def marginal(self, e, f_S):
-        return self.oracle.marginal(e, self.members, f_S)
+        oracle = self.oracle
+        if not isinstance(oracle, Oracle):
+            return oracle.marginal(e, self.members, f_S)
+        e = _check_id(e, oracle.n)
+        oracle.counter.bump()
+        # rebuilt by insertion, as eval's id check rebuilds its argument, so a
+        # set function that sums floats in iteration order gets eval's bits
+        return oracle._value(set(iter(self.members | {e}))) - f_S
 
     def gains(self, ids, f_S):
         oracle, members = self.oracle, self.members

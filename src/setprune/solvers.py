@@ -11,16 +11,27 @@ not rescan it where the oracle has incremental statistics. A pass stops at
 a fresh negative gain, which only a non-monotone objective gives, so no
 solution is worth less than the empty set.
 
-Each solve builds its seed in numpy: the ids of ``U`` are checked once and
-sorted without repeats into an array, the costs are read in one gather
-(``cost_array``, from the cost vector when the cost function carries one)
-and must be positive (NaN is refused), the state's ``gains(ids, 0.0)``
-batch gives every singleton value, and one stable argsort of the
-gain-to-cost ratios orders the seed. The lazy loop then reads only the
+A solve starts from a seed built in numpy: the ids of ``U`` are checked
+once and sorted without repeats into an array, the costs are read in one
+gather (``cost_array``, from the cost vector when the cost function
+carries one) and must be positive (NaN is refused), the state's
+``gains(ids, 0.0)`` batch gives the singleton values of the ids that fit,
+and one stable argsort of the gain-to-cost ratios orders them. A
+standalone solve builds the seed for its own budget. A ground set that
+``metrics.sweep_budgets`` hands in keeps the seed its first solve builds,
+over the ids that fit the sweep's largest budget, and every later solve
+with the same oracle and cost function filters it by cost, which gives
+the order a seed of its own would. The lazy loop then reads only the
 entries it reaches, as Python floats and ints, so a solution's ids are
 Python ints and its value and cost Python floats whatever the type of
 ``U``. A set function that is NaN on a singleton is refused. Every solver
 that takes a cost function refuses costs that are not positive.
+
+``Solution.oracle_calls`` is the standalone bill whether or not the seed
+was shared: the singletons of the feasible ids, the marginals the loop
+asked and the final ``eval``. The oracle's ``query_count`` counts only
+the queries actually asked, so in a sweep it can be below the bills' sum.
+
 ``brute_force_opt`` is the exhaustive verification oracle used to check
 retention guarantees at desk scale.
 """
@@ -78,10 +89,12 @@ def greedy_cardinality(oracle, U, k: int) -> Solution:
         raise InputError(f"k must be an integer, got {k!r}") from None
     if k < 0:
         raise InputError("k must be non-negative")
-    ids = _ground(oracle, U)
+    # a k past n changes nothing; the cap keeps it comparable with float64 costs
+    k = min(k, oracle.n)
+    seed = _seed(oracle, None, U, k)
     start_calls = oracle.query_count
-    chosen, _, spent, _ = _density_pass(oracle, ids, np.ones(ids.size), k)
-    return _solution(oracle, chosen, spent, start_calls)
+    chosen, _, spent, fit = _density_pass(oracle, seed, k)
+    return _solution(oracle, chosen, spent, fit.size, start_calls)
 
 
 def greedy_knapsack(oracle, cost_fn, U, kappa: float) -> Solution:
@@ -90,65 +103,120 @@ def greedy_knapsack(oracle, cost_fn, U, kappa: float) -> Solution:
     require_finite(kappa=kappa)
     if kappa <= 0:
         raise InputError("kappa must be positive")
-    ids = _ground(oracle, U)
+    seed = _seed(oracle, cost_fn, U, kappa)
     start_calls = oracle.query_count
-    costs = cost_array(cost_fn, ids)
-    fits = costs <= kappa
-    feasible, costs = ids[fits], costs[fits]
-    chosen, value, spent, singles = _density_pass(oracle, feasible, costs, kappa)
-    if singles.size:
+    chosen, value, spent, fit = _density_pass(oracle, seed, kappa)
+    if fit.size:
         # the first best singleton, when it beats the density pass and zero
-        best = int(singles.argmax())
-        if singles.item(best) > max(value, 0.0):
-            chosen = {feasible.item(best)}
-            spent = costs.item(best)
-    return _solution(oracle, chosen, spent, start_calls)
+        best = fit[seed.singles[fit].argmax()]
+        if seed.singles.item(best) > max(value, 0.0):
+            chosen = {seed.ids.item(best)}
+            spent = seed.costs.item(best)
+    return _solution(oracle, chosen, spent, fit.size, start_calls)
 
 
-def _ground(oracle, U) -> np.ndarray:
-    """The distinct ids of ``U``, ascending, as an intp array; InputError
-    for an id that is not an integer in ``[0, oracle.n)``."""
+@dataclass(frozen=True, eq=False)
+class _Seed:
+    """What a solve reads before its lazy loop, for the ids of a ground set
+    whose cost fits a budget: the ids ascending, their costs, their
+    singleton values, the ratios ``-f / c`` and the ratios' stable argsort
+    ``order``. Built for one oracle and one cost function (None for unit
+    costs)."""
+
+    oracle: object
+    cost_fn: object
+    ids: np.ndarray
+    costs: np.ndarray
+    singles: np.ndarray
+    ratios: np.ndarray
+    order: np.ndarray
+
+
+class _SweepSet(frozenset):
+    """A ground set of one sweep: a frozenset that keeps the seed its first
+    solve builds, over the ids whose cost fits ``reach``, the sweep's
+    largest budget, so that the sweep's later solves filter it."""
+
+    __slots__ = ("reach", "seed")
+
+    def __new__(cls, ids, reach: float):
+        self = super().__new__(cls, ids)
+        self.reach = reach
+        self.seed = None
+        return self
+
+
+def _seed(oracle, cost_fn, U, budget) -> _Seed:
+    """The seed of a solve of ``U`` at ``budget``: the one a sweep's set
+    keeps, when it was built for this oracle and cost function and reaches
+    ``budget``, else a new one over the ids that fit ``budget``."""
+    if isinstance(U, _SweepSet) and budget <= U.reach:
+        if U.seed is None:
+            U.seed = _new_seed(oracle, cost_fn, U, U.reach)
+        if U.seed.oracle is oracle and U.seed.cost_fn is cost_fn:
+            return U.seed
+    return _new_seed(oracle, cost_fn, U, budget)
+
+
+def _new_seed(oracle, cost_fn, U, reach) -> _Seed:
+    """Check the ids of ``U`` and sort them without repeats, read their
+    costs in one gather (all 1.0 when ``cost_fn`` is None), keep the ids
+    whose cost fits ``reach`` and ask their singleton values in one counted
+    ``gains`` batch; nothing is asked when none fits. InputError for an id
+    that is not an integer in ``[0, oracle.n)``, a cost that is not
+    positive, or a singleton value that is NaN."""
     ids = np.sort(_checked_array(U, oracle.n))
-    return ids[np.diff(ids, prepend=-1) != 0]
+    ids = ids[np.diff(ids, prepend=-1) != 0]
+    costs = np.ones(ids.size) if cost_fn is None else cost_array(cost_fn, ids)
+    fits = costs <= reach
+    ids, costs = ids[fits], costs[fits]
+    singles = np.empty(0)
+    if ids.size:
+        singles = np.array(oracle_state(oracle).gains(ids, 0.0), dtype=np.float64)
+        if np.isnan(singles).any():
+            raise InputError("the set function is NaN on a singleton")
+    # the same IEEE operations as -f / c on Python floats
+    ratios = -singles / costs
+    return _Seed(oracle, cost_fn, ids, costs, singles, ratios,
+                 np.argsort(ratios, kind="stable"))
 
 
-def _density_pass(oracle, ids, costs, budget):
-    """Lazy cost-benefit greedy over the sorted id array ``ids`` with
-    positive float64 ``costs``: ``(chosen, value, spent, singles)``, where
-    ``singles`` is the float64 array of the f({v}) values of ``ids``.
-    Nothing is asked when no element fits. InputError when some f({v}) is
-    NaN.
+def _density_pass(oracle, seed, budget):
+    """Lazy cost-benefit greedy over the entries of ``seed`` whose cost
+    fits ``budget``: ``(chosen, value, spent, fit)``, where ``fit`` holds
+    those entries' positions in the seed, ascending. Nothing is asked when
+    none fits.
 
     Each step commits the element with the best fresh gain-to-cost ratio
     that still fits the remaining budget; elements that stop fitting are
     dropped for good since the remaining budget only shrinks. The
     candidates come in ``(-gain / cost, id)`` order from two sources: the
-    elements sorted once by their singleton ratios, and a heap that holds
-    only re-evaluated entries. The pass stops once even the cheapest
-    element no longer fits: every later candidate would be dropped without
-    a query. It also stops at the first fresh candidate whose gain is
-    negative, which only a non-monotone objective can give: committing it
-    would lose value, and for a submodular one no later candidate gains
-    more. Zero gains are still committed.
+    seed's stable order filtered to ``fit``, which is the order a stable
+    argsort of the fitting entries alone gives, and a heap that holds only
+    re-evaluated entries. The pass stops once even the cheapest element no
+    longer fits: every later candidate would be dropped without a query. It
+    also stops at the first fresh candidate whose gain is negative, which
+    only a non-monotone objective can give: committing it would lose value,
+    and for a submodular one no later candidate gains more. Zero gains are
+    still committed.
     """
-    if not ids.size or (c_min := costs.min().item()) > budget:
-        return set(), 0.0, 0.0, np.empty(0)
+    ids, costs, singles, ratios = seed.ids, seed.costs, seed.singles, seed.ratios
+    fits = costs <= budget
+    fit = np.flatnonzero(fits)
+    if not fit.size:
+        return set(), 0.0, 0.0, fit
+    c_min = costs[fit].min().item()
+    order = seed.order[fits[seed.order]]
     st = oracle_state(oracle)
-    singles = np.array(st.gains(ids, 0.0), dtype=np.float64)
-    if np.isnan(singles).any():
-        raise InputError("the set function is NaN on a singleton")
-    # the same IEEE operations as -f / c on Python floats
-    ratios = -singles / costs
-    seed = np.argsort(ratios, kind="stable")
     # candidates are (ratio, j, stamp, gain) for ids[j]; j rises with the
     # id, and an entry is fresh iff its stamp is len(chosen)
-    pos = 0  # seed[pos] heads the sorted source
+    pos = 0  # order[pos] heads the sorted source
     heap = []
     chosen = set()
     value = 0.0
     spent = 0.0
     while spent + c_min <= budget:
-        head = seed.item(pos) if pos < seed.size else None
+        head = order.item(pos) if pos < order.size else None
         # the two sources never hold the same j, so (ratio, j) decides
         if head is not None and not (heap and heap[0] < (ratios.item(head), head)):
             j, stamp, gain = head, 0, singles.item(head)
@@ -171,15 +239,19 @@ def _density_pass(oracle, ids, costs, budget):
         else:
             gain = st.marginal(v, value)
             heapq.heappush(heap, (-gain / c, j, len(chosen), gain))
-    return chosen, value, spent, singles
+    return chosen, value, spent, fit
 
 
-def _solution(oracle, chosen, spent, start_calls) -> Solution:
+def _solution(oracle, chosen, spent, singletons, start_calls) -> Solution:
+    """The solution, valued by one counted ``eval``. Its bill is that of a
+    standalone solve: the ``singletons`` of the feasible ids, which a
+    sweep's seed asked once for all its solves, plus every query asked
+    since ``start_calls``."""
     return Solution(
         ids=frozenset(chosen),
         value=oracle.eval(chosen) if chosen else 0.0,
         cost=spent,
-        oracle_calls=oracle.query_count - start_calls,
+        oracle_calls=singletons + oracle.query_count - start_calls,
     )
 
 

@@ -2,6 +2,7 @@ import csv
 import gzip
 import json
 import math
+import re
 import time
 
 from hypothesis import HealthCheck, given, settings
@@ -322,6 +323,30 @@ def test_sweep_emits_one_row_per_budget(tmp_path):
     assert len(rows) == 10
     assert [float(r["budget"]) for r in rows] == [float(b) for b in budgets]
     assert len((tmp_path / "sweep.jsonl").read_text().splitlines()) == 10
+
+
+def test_sweep_prints_the_queries_it_asked_and_billed(tmp_path, capsys):
+    # the shared solve seed asks each set's singletons once per sweep, while
+    # every row bills them as a standalone solve would; with one budget the
+    # two counts agree
+    graph = _write_graph(tmp_path, kind="barabasi_albert", n=80,
+                         params={"m_attach": 2}, seed=3)
+    ids_file = tmp_path / "p.ids"
+    sp.write_id_file(range(0, 80, 3), ids_file)
+    out = tmp_path / "w.csv"
+    common = ["--graph", str(graph), "--objective", "cut", "--constraint", "knapsack",
+              "--ids", str(ids_file), "--out", str(out)]
+    for argv, shared in ((["sweep", "--budgets", "2", "6", "4"], True),
+                         (["sweep", "--budgets", "6"], False),
+                         (["eval", "--budget", "6"], False)):
+        assert main([*argv, *common]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        rows = list(csv.DictReader(out.read_text().splitlines()))
+        assert len(lines) == len(rows) + 1
+        summary = re.fullmatch(r"solver queries: (\d+) asked, (\d+) billed", lines[-1])
+        asked, billed = map(int, summary.groups())
+        assert billed == sum(int(r["oracle_calls_solve"]) for r in rows)
+        assert (asked < billed) if shared else (asked == billed)
 
 
 def test_bounds_prints_closed_forms(capsys):

@@ -107,6 +107,17 @@ def test_sweep_flags_out_of_range_budgets():
     assert [r.out_of_range for r in records] == [True, False, True]
 
 
+@pytest.mark.parametrize("budgets", [[3, 10**400], [math.nan, 3], [3, math.inf]])
+def test_sweep_refuses_the_budgets_its_solver_refuses(budgets):
+    # the largest budget, which the shared solve seeds reach, is taken before
+    # any solve; a budget past the float range must still be refused by the
+    # solver, not fail in that step
+    orc, cost_fn = _coverage_setup(8)
+    with pytest.raises(InputError):
+        sp.sweep_budgets(orc, cost_fn, range(12), {"x": {0}}, budgets,
+                         sp.cardinality_solver)
+
+
 def test_csv_and_jsonl_output():
     orc, cost_fn = _coverage_setup(7)
     records = sp.sweep_budgets(orc, cost_fn, range(12), {"x": {0, 1}}, [2, 3],

@@ -164,6 +164,41 @@ def test_wrappers_without_state_fall_back_to_eval_state():
     assert type(sp.oracle_state(PlainOracle(build_oracle("cut", 0)))) is sp.EvalState
 
 
+@given(st.sampled_from(STATE_KINDS), st.integers(min_value=0, max_value=500),
+       st.frozensets(ids), ids, st.sampled_from([0, 0.0, 0.25, 1e-9]), st.booleans())
+@settings(max_examples=200, deadline=None)
+def test_eval_state_marginal_is_one_fresh_query(kind, seed, S, e, offset, wrapped):
+    # on an Oracle, EvalState checks only e and asks the set function once;
+    # a wrapper goes through its own marginal; both give the fresh float
+    oracle = build_oracle(kind, seed)
+    state = sp.EvalState(PlainOracle(oracle) if wrapped else oracle)
+    for v in S:
+        state.add(v)
+    f_S = (oracle.eval(S) if S else 0) + offset
+    before = oracle.query_count
+    got = state.marginal(e, f_S)
+    assert oracle.query_count == before + 1
+    expect = oracle.eval(S | {e}) - f_S
+    assert repr(got) == repr(expect) and type(got) is type(expect)
+
+
+@given(st.lists(st.integers(0, 39), max_size=40), st.integers(0, 39),
+       st.integers(min_value=0, max_value=500))
+@settings(max_examples=200, deadline=None)
+def test_eval_state_marginal_keeps_the_summation_order_of_eval(adds, e, seed):
+    # a float sum in set order depends on that order: the set function must
+    # see the set as eval's id check builds it, which is what a wrapper gets
+    rng = random.Random(seed)
+    weights = [2.0 ** rng.randrange(40) * rng.uniform(0.9, 1.1) for _ in range(40)]
+    oracle = sp.CustomOracle(40, lambda S: sum(weights[v] for v in S))
+    direct, wrapped = sp.EvalState(oracle), sp.EvalState(PlainOracle(oracle))
+    for v in adds:
+        direct.add(v)
+        wrapped.add(v)
+    expect = repr(oracle.eval(direct.members | {e}) - 0.25)
+    assert repr(direct.marginal(e, 0.25)) == repr(wrapped.marginal(e, 0.25)) == expect
+
+
 @pytest.mark.parametrize("kind", ["cut", "influence"])
 def test_pruner_and_solvers_unchanged_by_incremental_state(kind):
     graph = random_graph(60, 0.1, 4)

@@ -365,6 +365,115 @@ def test_sweep_matches_per_budget_reference_solves(constraint):
     assert len(got_solutions) == 2 * len(want)
     assert all(_same(g, w) for g, w in zip(got_solutions, want_solutions))
 
+# ---------------------------------------------------------------------------
+# one solve seed per ground set per sweep, against standalone solves
+
+_SWEEP_N = 40
+# budgets as multiples of the cheapest cost (1.0): zero, below it, exactly
+# it, between costs, and far above the total cost of the ground set
+_SCALES = st.sampled_from([0.0, 0.5, 1.0, 2.0, 3.5, 7.0, 1e3])
+
+
+def _sweep_instance(kind, seed):
+    """``(oracle, cost_fn, solver)``: cut with degree costs under a knapsack,
+    coverage under a size constraint, a custom (``EvalState``) oracle under
+    a knapsack with callable costs, and cut behind a wrapper that has only
+    ``n``, ``eval``, ``marginal`` and ``query_count``."""
+    if kind == "coverage":
+        return sp.CoverageOracle(random_graph(_SWEEP_N, 0.1, seed)), unit_cost, \
+            sp.cardinality_solver
+    if kind == "custom":
+        weights = [1.0 + (seed + 7 * v) % 5 for v in range(_SWEEP_N)]
+        _, cost_fn = random_costs(_SWEEP_N, 1.0, 6.0, seed)
+        oracle = sp.CustomOracle(
+            _SWEEP_N, lambda S: math.sqrt(math.fsum(weights[v] for v in sorted(S))))
+        return oracle, cost_fn, sp.knapsack_solver
+    graph = sp.assign_knapsack_costs(
+        sp.generate("barabasi_albert", _SWEEP_N, {"m_attach": 2}, seed=seed), mode="degree")
+    oracle = sp.CutOracle(graph)
+    return (PlainOracle(oracle) if kind == "wrapper" else oracle), graph.cost_fn(), \
+        sp.knapsack_solver
+
+
+@st.composite
+def sweep_instances(draw):
+    kind = draw(st.sampled_from(["cut", "coverage", "custom", "wrapper"]))
+    oracle, cost_fn, solver = _sweep_instance(kind, draw(st.integers(0, 200)))
+    ids = st.integers(0, _SWEEP_N - 1)
+    U = draw(st.one_of(st.just(range(_SWEEP_N)), st.lists(ids, min_size=1, max_size=60)))
+    ground = sorted(set(U))
+    outputs = {name: draw(st.sets(st.sampled_from(ground))) for name in ("a", "b")}
+    budgets = draw(st.lists(_SCALES, min_size=1, max_size=6))
+    order = draw(st.sampled_from([list, sorted, lambda b: sorted(b, reverse=True)]))
+    return oracle, cost_fn, solver, U, outputs, order(budgets)
+
+
+@given(sweep_instances())
+@settings(max_examples=150, deadline=None)
+def test_sweep_reusing_seeds_matches_standalone_solves(instance):
+    # every record and every solution of the sweep, query bill included,
+    # must be those of per-budget evaluate_pruning calls, whose solves each
+    # build their own seed
+    oracle, cost_fn, solver, U, outputs, budgets = instance
+    calls = {"a": 5}
+    got_solutions, want_solutions = [], []
+    try:
+        want = [sp.evaluate_pruning(oracle, cost_fn, U, outputs[name],
+                                    _recording(solver, want_solutions), budget,
+                                    pruner=name, oracle_calls_prune=calls.get(name, 0))
+                for budget in budgets for name in sorted(outputs)]
+    except InputError:  # a knapsack budget of zero
+        with pytest.raises(InputError):
+            sp.sweep_budgets(oracle, cost_fn, U, outputs, budgets, solver)
+        return
+    before = oracle.query_count
+    got = sp.sweep_budgets(oracle, cost_fn, U, outputs, budgets,
+                           _recording(solver, got_solutions), prune_calls=calls)
+    asked = oracle.query_count - before
+    assert [repr(r) for r in got] == [repr(r) for r in want]
+    assert len(got_solutions) == len(want_solutions) == 2 * len(want)
+    assert all(_same(g, w) for g, w in zip(got_solutions, want_solutions))
+    assert asked <= sum(r.oracle_calls_solve for r in got)
+
+
+@pytest.mark.parametrize("deviation", ["oracle", "cost_fn", "budget"])
+def test_a_solver_that_deviates_from_the_sweep_solves_standalone(deviation):
+    # at budget 8 the solver asks another oracle, another cost function
+    # object, or a budget past the sweep's largest; those solves must ask
+    # every query they bill, and all solves equal solves on a plain set
+    graph = sp.assign_knapsack_costs(
+        sp.generate("barabasi_albert", 200, {"m_attach": 3}, seed=4), mode="degree")
+    oracle, other, cost_fn = sp.CutOracle(graph), sp.CutOracle(graph), graph.cost_fn()
+    budgets = [3.0, 8.0, 5.0]
+
+    def solver(oracle_, cost_fn_, U, budget):
+        if budget == 8.0:
+            if deviation == "oracle":
+                oracle_ = other
+            elif deviation == "cost_fn":
+                cost_fn_ = lambda v: cost_fn(v)  # noqa: E731 - another object, same costs
+            else:
+                budget = 3 * max(budgets)
+        before = oracle_.query_count
+        sol = sp.knapsack_solver(oracle_, cost_fn_, U, budget)
+        if budget != 3.0:  # the first solves build the seeds and ask more
+            assert (oracle_.query_count - before == sol.oracle_calls) == (budget != 5.0)
+        assert _same(sol, sp.knapsack_solver(oracle_, cost_fn_, set(U), budget))
+        return sol
+
+    records = sp.sweep_budgets(oracle, cost_fn, range(200), {"p": set(range(0, 200, 3))},
+                               budgets, solver)
+    assert len(records) == 3
+
+
+@pytest.mark.parametrize("solver", [sp.knapsack_solver, sp.cardinality_solver])
+def test_sweep_refuses_a_nan_singleton(solver):
+    orc = sp.CustomOracle(4, lambda S: math.nan if 3 in S else float(len(S)))
+    costs = [1.0, 1.0, 1.0, 2.0]  # id 3 fits only the largest knapsack budget
+    with pytest.raises(InputError, match="NaN"):
+        sp.sweep_budgets(orc, lambda v: costs[v], range(4), {"p": {0, 1}}, [1.0, 2.0],
+                         solver)
+
 
 _SOLVES = [
     lambda orc, U: sp.greedy_cardinality(orc, U, 3),
