@@ -24,7 +24,7 @@ def require_finite(**values):
     for name, value in values.items():
         try:
             finite = math.isfinite(value)
-        except OverflowError:  # an int past the float range
+        except (OverflowError, TypeError):  # an int past the float range, a str
             finite = False
         if not finite:
             raise InputError(f"{name} must be finite, got {value!r}")

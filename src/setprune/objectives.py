@@ -376,77 +376,51 @@ class _CutState(_VectorState):
             hits[_index(into)] += 1
 
 
-class _DisjointSet:
-    __slots__ = ("parent",)
-
-    def __init__(self, n):
-        self.parent = list(range(n))
-
-    def find(self, x):
-        parent = self.parent
-        root = x
-        while parent[root] != root:
-            root = parent[root]
-        while parent[x] != root:
-            parent[x], x = root, parent[x]
-        return root
-
-    def union(self, a, b):
-        ra, rb = self.find(a), self.find(b)
-        if ra != rb:
-            self.parent[rb] = ra
-
-
 class LiveEdgeSamplePool:
     """Frozen collection of live-edge subgraphs for cascade estimation.
 
     Each stored edge of the source graph survives independently with
     probability ``p``, sampled once at construction; averaging the size of
     the set reachable from the seeds over the ``m`` samples gives a
-    deterministic Monte Carlo estimate of expected spread. Undirected live
-    edges are traversable in both directions.
+    deterministic Monte Carlo estimate of expected spread.
 
-    Undirected pools keep the samples' connected components as two arrays:
-    ``roots[i, v]`` is the component id of node ``v`` in sample ``i``, unique
-    across all samples (``i * n + root``), and ``sizes[c]`` is the size of
-    component ``c`` (zero for ids that name no component). ``reach[v]`` is
-    the summed size of ``v``'s components over the samples, so
-    ``reach[v] / m`` is the spread of ``{v}``.
+    Undirected pools keep the samples' connected components: ``roots[i, v]``
+    is the id of node ``v``'s component in sample ``i``, its smallest node
+    plus ``i * n``; ``sizes[c]`` is the size of component ``c`` (zero for
+    ids that name no component); ``reach[v]`` sums ``v``'s component sizes
+    over the samples, so ``reach[v] / m`` is the spread of ``{v}``. Directed
+    pools keep each sample's out-adjacency instead.
     """
 
     def __init__(self, graph, p: float, m: int = 100, seed: int = 0):
+        try:
+            m, seed = operator.index(m), operator.index(seed)
+        except TypeError:
+            raise InputError(f"m and seed must be integers, got {m!r} and {seed!r}") from None
+        require_finite(p=p)
         if not 0.0 <= p <= 1.0:
             raise InputError("edge probability p must be in [0, 1]")
         if m < 1:
             raise InputError("sample count m must be >= 1")
-        self.n = graph.n
-        self.p = float(p)
-        self.m = int(m)
-        self.seed = int(seed)
-        self.directed = graph.directed
+        if seed < 0:
+            raise InputError("seed must be non-negative")
+        self.n, self.directed = graph.n, graph.directed
+        self.p, self.m, self.seed = float(p), m, seed
         edges = graph.edge_array()
         rng = np.random.default_rng(seed)
-        self._adjacency = []  # directed: out-adjacency per sample
-        if not self.directed:
-            self.roots = np.empty((self.m, self.n), dtype=np.int64)
-            self.reach = np.zeros(self.n, dtype=np.int64)
-        for i in range(self.m):
-            live = edges[rng.random(len(edges)) < p] if len(edges) else edges
-            if self.directed:
-                adj = {}
-                for u, v in live:
-                    adj.setdefault(int(u), []).append(int(v))
-                self._adjacency.append(adj)
-            else:
-                dsu = _DisjointSet(self.n)
-                for u, v in live:
-                    dsu.union(int(u), int(v))
-                row = self.roots[i]
-                row[:] = [dsu.find(v) for v in range(self.n)]
-                self.reach += np.bincount(row, minlength=self.n)[row]
-        if not self.directed:
-            self.roots += np.arange(self.m, dtype=np.int64)[:, None] * self.n
-            self.sizes = np.bincount(self.roots.ravel(), minlength=self.m * self.n)
+        # one draw per sample, never an m x E matrix
+        draws = (edges[np.flatnonzero(rng.random(len(edges)) < p)] for _ in range(m))
+        if self.directed:
+            self._adjacency = [{} for _ in range(m)]  # out-adjacency per sample
+            for adj, live in zip(self._adjacency, draws):
+                for u, v in live.tolist():
+                    adj.setdefault(u, []).append(v)
+            return
+        labels = np.arange(m * self.n, dtype=np.int64)  # fails fast when m * n is too large
+        _components(labels, np.concatenate([live + i * self.n for i, live in enumerate(draws)]))
+        self.roots = labels.reshape(m, self.n)
+        self.sizes = np.bincount(labels, minlength=labels.size)
+        self.reach = sum(self.sizes[row] for row in self.roots)  # no m x n temporary
 
     def mean_reach(self, S) -> float:
         """Average number of nodes reachable from S, distinct ids in
@@ -469,6 +443,31 @@ class LiveEdgeSamplePool:
                         stack.append(w)
             total += len(visited)
         return total / self.m
+
+
+def _components(labels, edges):
+    """``labels`` (an ``arange``) set in place to each node's smallest
+    connected node over the (E, 2) ``edges``: hook the larger label of each
+    edge whose ends differ onto the smaller, then jump pointers until every
+    label is a root (Shiloach and Vishkin, 1982). Only nodes on an edge ever
+    leave their own label, so only they jump."""
+    on_edge = np.zeros(labels.size, dtype=bool)
+    on_edge[edges] = True
+    ids = np.flatnonzero(on_edge)
+    u, v = edges.T
+    while True:
+        lu, lv = labels[u], labels[v]
+        cross = lu != lv
+        if not cross.any():
+            return
+        u, v, lu, lv = u[cross], v[cross], lu[cross], lv[cross]
+        np.minimum.at(labels, np.maximum(lu, lv), np.minimum(lu, lv))
+        while True:
+            cur = labels[ids]
+            up = labels[cur]
+            if np.array_equal(up, cur):
+                break
+            labels[ids] = up
 
 
 def _distinct(a):

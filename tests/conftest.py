@@ -110,6 +110,28 @@ def ref_live_edges(graph, pool):
             for _ in range(pool.m)]
 
 
+def ref_components(graph, pool):
+    """Per sample, each node's component root in a union-find over the
+    sample's live edges (``ref_live_edges``): the sample's own node ids,
+    not offset, in whatever order the unions leave them."""
+    out = []
+    for live in ref_live_edges(graph, pool):
+        parent = list(range(pool.n))
+
+        def find(x):
+            while parent[x] != x:
+                parent[x] = parent[parent[x]]
+                x = parent[x]
+            return x
+
+        for u, v in live.tolist():
+            ru, rv = find(u), find(v)
+            if ru != rv:
+                parent[rv] = ru
+        out.append([find(v) for v in range(pool.n)])
+    return out
+
+
 def ref_influence(graph, pool, S):
     """Spread estimate of ``pool`` over ``graph``: a BFS from S over each
     sample's live edges, both ways on an undirected graph."""

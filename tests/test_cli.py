@@ -65,6 +65,14 @@ def test_prune_non_finite_budget_is_config_error(tmp_path):
         assert rc == 2
 
 
+def test_prune_negative_influence_seed_is_config_error(tmp_path):
+    # the live-edge pool once handed -1 to numpy's generator and exited 4
+    graph = _write_graph(tmp_path)
+    rc = main(["prune", "--graph", str(graph), "--objective", "influence", "--kappa-max", "4",
+               "--seed", "-1", "--out-ids", str(tmp_path / "i"), "--out-report", str(tmp_path / "r")])
+    assert rc == 2
+
+
 _KERNEL = b"1,0.5,0.2\n0.5,1,0.1\n0.2,0.1,1\n"
 
 

@@ -1,3 +1,4 @@
+import collections
 import itertools
 import random
 import threading
@@ -11,7 +12,7 @@ from hypothesis import strategies as st
 import setprune as sp
 from setprune.errors import InputError
 
-from conftest import (oracle_families, random_graph, random_similarity_kernel,
+from conftest import (oracle_families, random_graph, random_similarity_kernel, ref_components,
                       ref_coverage, ref_cut, ref_influence, ref_live_edges, ref_simcut)
 
 
@@ -234,6 +235,121 @@ def test_pool_rejects_bad_params():
         sp.LiveEdgeSamplePool(g, p=1.5)
     with pytest.raises(InputError):
         sp.LiveEdgeSamplePool(g, p=0.5, m=0)
+
+
+@pytest.mark.parametrize("kwargs", [
+    {"m": 2.5}, {"m": "3"}, {"m": None}, {"seed": 1.5}, {"seed": "7"}, {"seed": -1},
+    {"p": "0.5"}, {"p": None}, {"p": float("nan")}, {"p": float("inf")},
+])
+def test_pool_rejects_non_integer_counts_and_non_numeric_p(kwargs):
+    # m=2.5 once ran 2 samples and p="0.5" raised TypeError
+    with pytest.raises(InputError):
+        sp.LiveEdgeSamplePool(random_graph(5, 0.5, 0), **{"p": 0.5, **kwargs})
+
+
+def test_pool_accepts_numpy_integers_and_floats():
+    g = random_graph(6, 0.5, 1)
+    a = sp.LiveEdgeSamplePool(g, p=np.float64(0.5), m=np.int64(3), seed=np.int32(2))
+    b = sp.LiveEdgeSamplePool(g, p=0.5, m=3, seed=2)
+    assert (a.m, a.seed) == (3, 2) and type(a.m) is int and type(a.seed) is int
+    assert np.array_equal(a.roots, b.roots)
+
+
+def test_pools_keep_only_the_state_their_direction_reads():
+    g = random_graph(6, 0.5, 1)
+    undirected = sp.LiveEdgeSamplePool(g, p=0.5, m=3)
+    directed = sp.LiveEdgeSamplePool(sp.from_edges(3, [(0, 1), (1, 2)], directed=True), p=0.5, m=3)
+    assert not hasattr(undirected, "_adjacency")
+    assert not any(hasattr(directed, name) for name in ("roots", "sizes", "reach"))
+
+
+def assert_pool_components_match_union_find(graph, pool):
+    """The pool's components against ``ref_components``: the same partition
+    per sample, each id the smallest node of its component plus ``i * n``,
+    equal ``sizes[roots]`` and ``reach``, and ``sizes`` zero at every id
+    that names no component."""
+    n, m = pool.n, pool.m
+    assert pool.roots.shape == (m, n) and pool.roots.dtype == np.int64
+    assert pool.sizes.shape == (m * n,) and pool.reach.shape == (n,)
+    reach = [0] * n
+    for i, ref in enumerate(ref_components(graph, pool)):
+        got = pool.roots[i].tolist()
+        assert len(set(zip(got, ref))) == len(set(got)) == len(set(ref))  # a bijection
+        members = collections.defaultdict(list)
+        for v, r in enumerate(ref):
+            members[r].append(v)
+        assert got == [i * n + min(members[r]) for r in ref]
+        assert pool.sizes[pool.roots[i]].tolist() == [len(members[r]) for r in ref]
+        reach = [t + len(members[r]) for t, r in zip(reach, ref)]
+    assert pool.reach.tolist() == reach
+    unnamed = np.ones(m * n, dtype=bool)
+    unnamed[pool.roots.ravel()] = False
+    assert not pool.sizes[unnamed].any()
+
+
+@st.composite
+def _graphs_with_isolated_nodes(draw):
+    n = draw(st.integers(1, 14))
+    # endpoints come from a prefix of the ids, so the rest stay isolated
+    hub = draw(st.integers(1, n))
+    edges = draw(st.lists(st.tuples(st.integers(0, hub - 1), st.integers(0, hub - 1)),
+                          max_size=3 * n))
+    return sp.from_edges(n, [(u, v) for u, v in edges if u != v])
+
+
+@given(_graphs_with_isolated_nodes(), st.sampled_from([0.0, 0.05, 0.5, 1.0]),
+       st.integers(1, 8), st.integers(0, 2**32), st.data())
+@settings(max_examples=150, deadline=None)
+def test_pool_components_match_a_union_find(graph, p, m, seed, data):
+    pool = sp.LiveEdgeSamplePool(graph, p=p, m=m, seed=seed)
+    assert_pool_components_match_union_find(graph, pool)
+    orc = sp.InfluenceOracle(pool)
+    for _ in range(3):
+        S = data.draw(st.sets(st.integers(0, graph.n - 1), max_size=graph.n))
+        assert orc.eval(S) == ref_influence(graph, pool, S)
+
+
+@pytest.mark.parametrize("case", ["no-edges", "p-zero", "p-one-path", "one-node", "csr-duplicate"])
+def test_pool_build_edge_cases(case):
+    m = 4
+    if case == "no-edges":
+        graph, p = sp.from_edges(6, []), 0.5
+    elif case == "p-zero":
+        graph, p = random_graph(9, 0.5, 2), 0.0
+    elif case == "p-one-path":
+        graph, p = sp.generate("path", 7), 1.0
+    elif case == "one-node":
+        graph, p, m = sp.from_edges(1, []), 1.0, 1
+    else:  # node 0 lists node 1 twice, and node 1 lists node 0 twice
+        graph, p = sp.Graph(3, np.array([0, 3, 5, 6]), np.array([1, 1, 2, 0, 0, 0])), 0.5
+        assert graph.edge_array().tolist() == [[0, 1], [0, 1], [0, 2]]
+    pool = sp.LiveEdgeSamplePool(graph, p=p, m=m, seed=3)
+    assert_pool_components_match_union_find(graph, pool)
+    n = graph.n
+    offsets = np.arange(m)[:, None] * n
+    if case in ("no-edges", "p-zero", "one-node"):  # every node is its own component
+        assert np.array_equal(pool.roots, offsets + np.arange(n))
+        assert pool.reach.tolist() == [m] * n
+    if case in ("p-one-path", "one-node"):  # one component per sample
+        assert np.array_equal(pool.roots, np.broadcast_to(offsets, (m, n)))
+        assert pool.reach.tolist() == [m * n] * n
+    orc = sp.InfluenceOracle(pool)
+    assert orc.eval(range(n)) == n
+    assert [orc.eval({v}) for v in range(n)] == (pool.reach / m).tolist()
+
+
+def test_pool_build_draws_one_sample_at_a_time():
+    # one m x E float64 draw matrix would take 200 * 49,792 * 8 bytes, ~80 MB
+    graph = random_graph(500, 0.4, 0)
+    assert 45_000 < graph.num_edges < 55_000
+    tracemalloc.start()
+    try:
+        pool = sp.LiveEdgeSamplePool(graph, p=0.01, m=200, seed=0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert pool.roots.shape == (200, 500)
+    assert peak < 40_000_000, peak
 
 
 # ---------------------------------------------------------------------------
