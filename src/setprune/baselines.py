@@ -10,7 +10,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InputError, checked_costs
+from .errors import InputError, cost_array
 from .objectives import oracle_state
 
 __all__ = ["BaselineConfig", "top_k_prune", "random_prune", "ss_prune"]
@@ -43,7 +43,7 @@ def top_k_prune(graph, cost_fn, k: int) -> set:
         raise InputError(f"k = {k} exceeds ground-set size {graph.n}")
     if k < 0:
         raise InputError("k must be non-negative")
-    costs = np.array(checked_costs(cost_fn, range(graph.n)), dtype=np.float64)
+    costs = cost_array(cost_fn, np.arange(graph.n))
     # a stable sort keeps tied ratios in id order
     order = np.argsort(-graph.degrees / costs, kind="stable")
     return set(order[:k].tolist())

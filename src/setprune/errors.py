@@ -64,11 +64,16 @@ def checked_costs(cost_fn, ids) -> list:
 def cost_array(cost_fn, ids: np.ndarray) -> np.ndarray:
     """``checked_costs(cost_fn, ids)`` as a float64 array, for a 1-D integer
     array of ``ids``: the gather itself, when ``cost_fn`` carries a cost
-    vector. Errors name the ids as Python ints."""
+    vector. Errors name the ids as Python ints, past the float range too."""
     vector = getattr(cost_fn, "cost_vector", None)
     if vector is not None and ids.size > 1:
         return _gathered(vector, ids, ids.item)
-    return np.array(checked_costs(cost_fn, ids.tolist()), dtype=np.float64)
+    costs = checked_costs(cost_fn, ids.tolist())
+    try:
+        return np.array(costs, dtype=np.float64)
+    except OverflowError:  # every cost is positive, so the largest is past the range
+        raise InputError(f"cost of element {ids.item(costs.index(max(costs)))} "
+                         "is past the float range") from None
 
 
 def _gathered(vector, idx, at) -> np.ndarray:

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import dataclasses
 import gzip
+import operator
 import zlib
 from dataclasses import dataclass, field
 
@@ -403,10 +404,16 @@ def generate(kind: str, n: int, params: dict | None = None, seed: int = 0) -> Gr
     """Generate a reproducible synthetic graph.
 
     Kinds: "erdos_renyi" (params: p), "barabasi_albert" (params: m_attach),
-    "star", "path".
+    "star", "path". The seed must be a non-negative integer.
     """
     if n < 1:
         raise InputError("n must be >= 1")
+    try:
+        seed = operator.index(seed)
+    except TypeError:
+        raise InputError(f"seed must be an integer, got {seed!r}") from None
+    if seed < 0:
+        raise InputError("seed must be non-negative")
     params = params or {}
     if kind == "star":
         return from_edges(n, ((0, i) for i in range(1, n)))

@@ -213,11 +213,13 @@ def _checked_array(ids, n: int):
         vs = ids
     else:
         try:
-            vs = np.fromiter(map(operator.index, ids), dtype=np.intp)
+            vs = list(map(operator.index, ids))
         except TypeError as exc:
             raise InputError(f"element ids must be integers: {exc}") from None
+        try:
+            vs = np.array(vs, dtype=np.intp)
         except OverflowError:
-            raise InputError(f"element id outside ground set of size {n}") from None
+            raise outside_ground_set(next(v for v in vs if not 0 <= v < n), n) from None
     if vs.size and not (vs.min() >= 0 and vs.max() < n):
         raise outside_ground_set(int(vs[(vs < 0) | (vs >= n)][0]), n)
     return vs.astype(np.intp, copy=False)
@@ -404,6 +406,8 @@ class LiveEdgeSamplePool:
             raise InputError("sample count m must be >= 1")
         if seed < 0:
             raise InputError("seed must be non-negative")
+        if m * graph.n > np.iinfo(np.intp).max:
+            raise InputError(f"sample count m is too large to index {graph.n} nodes per sample")
         self.n, self.directed = graph.n, graph.directed
         self.p, self.m, self.seed = float(p), m, seed
         edges = graph.edge_array()
@@ -416,7 +420,7 @@ class LiveEdgeSamplePool:
                 for u, v in live.tolist():
                     adj.setdefault(u, []).append(v)
             return
-        labels = np.arange(m * self.n, dtype=np.int64)  # fails fast when m * n is too large
+        labels = np.arange(m * self.n, dtype=np.int64)
         _components(labels, np.concatenate([live + i * self.n for i, live in enumerate(draws)]))
         self.roots = labels.reshape(m, self.n)
         self.sizes = np.bincount(labels, minlength=labels.size)

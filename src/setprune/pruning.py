@@ -8,13 +8,13 @@ factor ``n / epsilon`` since that checkpoint. The multi-budget variant runs
 one such pruner per rung of a geometric budget ladder and returns the union
 of their outputs. Both go through one streaming driver: ``quickprune_single``
 is the one-rung case of the driver that ``quickprune`` runs over the ladder.
-The ladder pass asks each distinct oracle question once per element, and
-asks the singleton values of each block of the stream in one ``gains``
-batch. When the oracle's states answer a batch with one numpy gather (cut,
-undirected influence), a screen finds in numpy the elements that can change
-some rung and skips the rest, charging them exactly the queries the
-element-by-element pass asks; only the skipped elements' Python work is
-saved, so outputs, events and query counts are unchanged.
+The driver reads the stream in blocks: elements over every budget are
+dropped at the block, the rest have their singleton values asked in one
+``gains`` batch, and one rule decides which rungs share a marginal. When
+the oracle's states answer a batch with one numpy gather (cut, undirected
+influence), a screen skips in numpy the elements that can change no rung,
+charging them exactly the queries the element-by-element pass asks, so
+outputs, events and query counts are unchanged.
 
 Closed-form companions to the pruners live here as well: the pruned-set
 size bound, the worst-case retention ratios, the ladder-size formula, the
@@ -31,8 +31,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import InputError, checked_costs, require_finite
-from .objectives import _checked_ids, oracle_state
+from .errors import InputError, checked_costs, cost_array, require_finite
+from .objectives import _checked_array, oracle_state
 
 __all__ = [
     "PruneParams",
@@ -216,34 +216,32 @@ def process_element(state: SinglePrunerState, oracle, cost_fn, params: PrunePara
     """Feed one element through the single-budget pruning rules, in order:
     budget guard, add rule, best-singleton update, checkpoint deletion.
 
-    Runs the query step (``_gain``), then the apply step (``_apply``);
-    ``_prune`` runs the same two steps, querying every rung before any
-    applies. Costs at most two fresh oracle queries (one when the
-    working set is empty, where the singleton value doubles as the
-    marginal), plus one evaluation of the survivors when a deletion
-    removes elements and rebuilds the oracle state from them. Raises
-    InputError when ``cost_fn(e)`` is not positive (NaN included).
+    The one-rung case of ``_steps``, at stream position
+    ``state.processed`` (which it advances by one). Costs at most two fresh
+    oracle queries (one when the working set is empty, where the singleton
+    value doubles as the marginal), plus one evaluation of the survivors
+    when a deletion removes elements and rebuilds the oracle state from
+    them. Raises InputError when ``cost_fn(e)`` is not positive (NaN
+    included).
     """
     if n < 1:
         raise InputError("ground-set size n must be >= 1")
     state.processed += 1
     (cost,) = checked_costs(cost_fn, (e,))
     if cost <= params.kappa:
-        f_single = oracle.eval({e})
-        gain = _gain(state, oracle, e, f_single, {})
-        _apply(state, oracle, params, n, e, cost, gain, f_single)
+        _steps([(params, state)], oracle, n, [(state.processed - 1, e, cost, oracle.eval({e}))])
     return state
 
 
 def _gain(state: SinglePrunerState, oracle, e, f_single, answers: dict):
     """Query step: the gain of ``e`` for the state's working set.
 
-    ``answers`` maps a cached working-set value to the ``(working, value,
-    gain)`` triples already asked for ``e`` with an equal value. A state
-    holding the same list under an equal value of the same type reuses the
-    gain instead of asking again: the oracle's answer depends only on the
-    set and the cached value. Mutates nothing but ``answers`` (and makes the
-    oracle state on first use).
+    ``answers`` maps a cached value to the ``(state, gain)`` pairs already
+    asked for ``e`` under an equal value, so rungs with distinct values are
+    never compared; a state that ``_shares_gains`` with one of them reuses
+    its gain, as the oracle's answer depends only on the set and the cached
+    value. Mutates nothing but ``answers`` (and the oracle state, made on
+    first use).
     """
     if state.oracle_state is None:
         state.oracle_state = oracle_state(oracle)
@@ -253,22 +251,20 @@ def _gain(state: SinglePrunerState, oracle, e, f_single, answers: dict):
         return 0.0
     if not state.working:
         return f_single - state.f_working
-    f_working = state.f_working
-    asked = answers.setdefault(f_working, [])
-    for working, value, gain in asked:
-        # An int and a float value compare equal but give gains of
-        # different types (a cut re-evaluated after a deletion is an int).
-        if type(value) is type(f_working) and working == state.working:
+    asked = answers.setdefault(state.f_working, [])
+    for other, gain in asked:
+        if _shares_gains(other, state):
             return gain
-    gain = state.oracle_state.marginal(e, f_working)
-    asked.append((state.working, f_working, gain))
+    gain = state.oracle_state.marginal(e, state.f_working)
+    asked.append((state, gain))
     return gain
 
 
-def _apply(state: SinglePrunerState, oracle, params: PruneParams, n: int, e, cost,
-           gain, f_single) -> None:
-    """Apply step: add rule, best-singleton update, checkpoint deletion; a
-    deletion gives the rung a fresh oracle state holding the survivors."""
+def _apply(state: SinglePrunerState, oracle, params: PruneParams, n: int, pos: int, e,
+           cost, gain, f_single) -> None:
+    """Apply step for ``e`` at stream position ``pos``: add rule,
+    best-singleton update, checkpoint deletion; a deletion gives the rung a
+    fresh oracle state holding the survivors."""
     if e not in state.working_set and gain >= params.delta * cost * state.f_working / params.kappa:
         state.working.append(e)
         state.working_set.add(e)
@@ -295,7 +291,7 @@ def _apply(state: SinglePrunerState, oracle, params: PruneParams, n: int, e, cos
         state.checkpoint_len = len(state.working)
         state.f_checkpoint = state.f_working
         state.events.append(DeletionEvent(
-            stream_pos=state.processed - 1,
+            stream_pos=pos,
             trigger=e,
             removed=removed,
             value_before=value_before,
@@ -309,19 +305,18 @@ def _prune(stream, oracle, cost_fn, rungs: list, n: int):
     of their outputs, the run's report and the per-rung states.
 
     Each distinct question is asked once per element: f({e}) once when some
-    rung's budget admits ``e``, and one marginal per distinct (working list,
-    cached value) among the admitting rungs. The stream is read in blocks of
-    ``_BLOCK`` elements; each block's ids are checked against ``oracle.n``
-    and taken as Python ints, its costs are checked, and the singleton
-    values of the elements that fit the largest budget are asked in one
-    batch, ``gains(ids, 0.0)`` on an empty oracle state. The elements then
-    go through ``_steps``, which runs every admitting rung's query step
-    before any applies the element, so the comparisons see unmutated
-    states. When the oracle's states answer a batch with one gather (cut,
-    undirected influence), a ``_Screen`` hands ``_steps`` only the elements
-    that can change some rung and skips the rest, charging them the queries
-    ``_steps`` would have asked; outputs, events and query counts are those
-    of the element-by-element pass.
+    rung's budget admits ``e``, and one marginal per group of admitting
+    rungs that ``_shares_gains``. The stream is read in blocks of ``_BLOCK``
+    ids, checked against ``oracle.n`` as one array, with one ``cost_array``
+    read. Elements over the largest budget are dropped there; the rest have
+    their singleton values asked in one batch, ``gains(ids, 0.0)`` on an
+    empty oracle state, and go on to ``_steps`` as ``(pos, e, cost,
+    f_single)``, ``pos`` the stream position. When the oracle's states
+    answer a batch with one gather (cut, undirected influence), a
+    ``_Screen`` hands ``_steps`` only the elements that can change some
+    rung, charging the rest the queries ``_steps`` would have asked; outputs,
+    events and query counts are those of the element-by-element pass. Every
+    state's ``processed`` is set to the stream length at the end.
     """
     if n < 1:
         raise InputError("ground-set size n must be >= 1")
@@ -333,56 +328,55 @@ def _prune(stream, oracle, cost_fn, rungs: list, n: int):
     top = max(params.kappa for params in rungs)
     batch = oracle_state(oracle)  # stays empty: it answers the singleton batches
     screen = _Screen(per_rung, oracle, n, batch) if hasattr(batch, "gather") else None
+    pos = 0
     stream = iter(stream)
-    while block := _checked_ids(itertools.islice(stream, _BLOCK), oracle.n):
-        costs = checked_costs(cost_fn, block)
-        fit = [i for i, cost in enumerate(costs) if cost <= top]
-        singles = [None] * len(block)
-        for i, value in zip(fit, batch.gains([block[i] for i in fit], 0.0)):
-            singles[i] = value
+    while (block := _checked_array(itertools.islice(stream, _BLOCK), oracle.n)).size:
+        costs = cost_array(cost_fn, block)
+        fit = np.flatnonzero(costs <= top)
+        ids, costs = block[fit], costs[fit]
+        singles = batch.gains(ids, 0.0)
+        elements = list(zip((fit + pos).tolist(), ids.tolist(), costs.tolist(), singles))
         if screen is None:
-            _steps(per_rung, oracle, n, zip(block, costs, singles))
+            _steps(per_rung, oracle, n, elements)
         else:
-            screen.feed(block, costs, fit, singles)
+            screen.feed(elements, ids, costs, singles)
+        pos += block.size
     union = set()
     sizes = {}
-    events = []
-    deletions = 0
     for params, state in per_rung:
+        state.processed = pos
         out = state.pruned_set()
         sizes[params.kappa] = len(out)
         union |= out
-        deletions += state.deletions
-        events.extend(state.events)
     report = PruneReport(
         pruned=frozenset(union),
         oracle_calls=oracle.query_count - calls_before,
-        deletions=deletions,
+        deletions=sum(state.deletions for _, state in per_rung),
         per_budget_sizes=sizes,
         elapsed=time.monotonic() - start,
         n=n,
-        events=events,
+        events=[ev for _, state in per_rung for ev in state.events],
     )
     return union, report, [state for _, state in per_rung]
 
 
 def _steps(per_rung, oracle, n: int, elements) -> None:
-    """Feed each ``(e, cost, f_single)`` of ``elements`` to every rung, in
-    order: each admitting rung runs the query step before any applies it."""
-    for e, cost, f_single in elements:
+    """Feed each ``(pos, e, cost, f_single)`` of ``elements`` to every rung,
+    in order: each admitting rung runs the query step before any applies
+    it, so the query steps see unmutated states."""
+    for pos, e, cost, f_single in elements:
         answers = {}
-        admitted = []
-        for params, state in per_rung:
-            state.processed += 1
-            if cost <= params.kappa:
-                admitted.append((params, state, _gain(state, oracle, e, f_single, answers)))
+        admitted = [(params, state, _gain(state, oracle, e, f_single, answers))
+                    for params, state in per_rung if cost <= params.kappa]
         for params, state, gain in admitted:
-            _apply(state, oracle, params, n, e, cost, gain, f_single)
+            _apply(state, oracle, params, n, pos, e, cost, gain, f_single)
 
 
 def _shares_gains(a: SinglePrunerState, b: SinglePrunerState) -> bool:
-    """Whether ``_gain`` hands ``b`` the answer it asked for ``a``: the
-    same working list under an equal cached value of the same type."""
+    """Whether ``b`` reuses the gain asked for ``a``: the same working list
+    under an equal cached value of the same type (an int and a float value
+    compare equal but give gains of different types; a cut re-evaluated
+    after a deletion is an int)."""
     return (type(a.f_working) is type(b.f_working) and a.f_working == b.f_working
             and a.working == b.working)
 
@@ -401,11 +395,10 @@ class _Screen:
     each rung's gains (one ``gather`` per distinct working list, value type
     and value), add thresholds (the scalar test's operations, in its order)
     and best singleton, and finds the first event. The elements before it
-    add one to every rung's ``processed`` and are charged in one step the
-    queries ``_steps`` asks for them: one marginal per group of rungs sharing
-    a working list, value type and value, when some rung of the group admits
-    the element. Gains computed past the event are not charged. ``_steps``
-    then decides the event itself.
+    are charged in one step the queries ``_steps`` asks for them: one
+    marginal per group of rungs that ``_shares_gains``, when some rung of
+    the group admits the element. Gains computed past the event are not
+    charged. ``_steps`` then decides the event itself.
 
     A window that finds no event doubles the next one, up to a block. A
     window that skips fewer than ``_LOOK // 2`` elements before its event
@@ -428,22 +421,19 @@ class _Screen:
         self.aside = 0      # admitted elements left to feed straight to _steps
         self.backoff = _LOOK  # the stretch the next window that does not pay sets aside
 
-    def feed(self, block, costs, fit, singles) -> None:
-        """Run one block; ``fit`` are the positions of the elements that fit
-        the largest budget, with ids already checked, and ``singles[i]`` is
-        the singleton value of the element at such a position ``i``."""
-        ids = np.array([block[i] for i in fit], dtype=np.intp)
-        fit_costs = np.array([costs[i] for i in fit], dtype=np.float64)
-        fit_singles = np.array([singles[i] for i in fit], dtype=np.float64)
-        done = 0  # elements of the block counted in every rung's `processed`
+    def feed(self, elements, ids, costs, singles) -> None:
+        """Run the ``(pos, e, cost, f_single)`` ``elements`` of one block
+        through ``_steps`` or past it; ``ids`` and ``costs`` are their ids
+        (checked) and costs as arrays, ``singles`` their singleton values."""
+        singles = np.array(singles, dtype=np.float64)
         j = 0
-        while j < len(fit):
+        while j < len(ids):
             if self.aside:
-                first, stop = j, min(j + self.aside, len(fit))
+                stop = min(j + self.aside, len(ids))
                 self.aside -= stop - j
             else:
-                end = min(j + self.look, len(fit))
-                k = self._first_event(ids, fit_costs, fit_singles, j, end)
+                end = min(j + self.look, len(ids))
+                k = self._first_event(ids, costs, singles, j, end)
                 if k == end:
                     self.look = min(2 * self.look, _BLOCK)
                     j = end
@@ -454,18 +444,10 @@ class _Screen:
                 else:
                     self.backoff = _LOOK
                 self.look = _LOOK
-                self._skip(fit[k] - done)
-                done, first, stop = fit[k], k, k + 1
-            last = fit[stop - 1] + 1
-            self.stepped[ids[first:stop]] = True
-            _steps(self.per_rung, self.oracle, self.n,
-                   zip(block[done:last], costs[done:last], singles[done:last]))
-            done, j = last, stop
-        self._skip(len(block) - done)
-
-    def _skip(self, count: int) -> None:
-        for _, state in self.per_rung:
-            state.processed += count
+                j, stop = k, k + 1
+            self.stepped[ids[j:stop]] = True
+            _steps(self.per_rung, self.oracle, self.n, elements[j:stop])
+            j = stop
 
     def _first_event(self, ids, costs, singles, j: int, end: int) -> int:
         """The index of the first event among the admitted elements

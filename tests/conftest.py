@@ -375,7 +375,8 @@ def ref_prune(stream, oracle, cost_fn, rungs, n):
                     admitted.append((params, state,
                                      pruning._gain(state, oracle, e, f_single, answers)))
             for params, state, gain in admitted:
-                pruning._apply(state, oracle, params, n, e, cost, gain, f_single)
+                pruning._apply(state, oracle, params, n, state.processed - 1, e, cost, gain,
+                               f_single)
     union = set()
     sizes = {}
     events = []

@@ -5,6 +5,7 @@ import math
 import re
 import time
 
+import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
@@ -70,6 +71,24 @@ def test_prune_negative_influence_seed_is_config_error(tmp_path):
     graph = _write_graph(tmp_path)
     rc = main(["prune", "--graph", str(graph), "--objective", "influence", "--kappa-max", "4",
                "--seed", "-1", "--out-ids", str(tmp_path / "i"), "--out-report", str(tmp_path / "r")])
+    assert rc == 2
+
+
+def test_gen_negative_seed_is_config_error(tmp_path):
+    # generate once handed -1 to numpy's generator and exited 4
+    rc = main(["gen", "--kind", "erdos_renyi", "--n", "10", "--p", "0.5", "--seed", "-1",
+               "--out", str(tmp_path / "g.txt")])
+    assert rc == 2
+    assert not (tmp_path / "g.txt").exists()
+
+
+@pytest.mark.parametrize("directed", [[], ["--directed"]], ids=["undirected", "directed"])
+def test_prune_huge_sample_count_is_config_error(tmp_path, directed):
+    # once exit 4 undirected, and killed (137) directed, building one dict per sample
+    graph = _write_graph(tmp_path, n=4)
+    rc = main(["prune", "--graph", str(graph), "--objective", "influence", "--kappa-max", "4",
+               "--samples", str(10**20), *directed,
+               "--out-ids", str(tmp_path / "i"), "--out-report", str(tmp_path / "r")])
     assert rc == 2
 
 

@@ -385,6 +385,12 @@ def test_generate_validation():
         sp.generate("barabasi_albert", 5, {"m_attach": 5})
     with pytest.raises(InputError):
         sp.generate("mystery", 5)
+    # checked before any draw, as the live-edge pool checks its seed
+    for kind, params in (("erdos_renyi", {"p": 0.5}), ("barabasi_albert", {"m_attach": 2}),
+                         ("path", {})):
+        for seed in (-1, 1.5, "3"):
+            with pytest.raises(InputError, match="seed"):
+                sp.generate(kind, 10, params, seed=seed)
 
 
 def test_graph_metadata(star6):

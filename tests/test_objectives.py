@@ -247,6 +247,17 @@ def test_pool_rejects_non_integer_counts_and_non_numeric_p(kwargs):
         sp.LiveEdgeSamplePool(random_graph(5, 0.5, 0), **{"p": 0.5, **kwargs})
 
 
+@pytest.mark.parametrize("directed", [False, True])
+def test_pool_refuses_more_samples_than_an_index_can_count(directed):
+    # 10**20 samples once exited 4 (undirected) or were killed building one
+    # dict per sample (directed); refused before any draw
+    graph = sp.from_edges(4, [(0, 1), (1, 2), (2, 3)], directed=directed)
+    # the last is past str()'s digit limit, so the message must not print it
+    for m in (np.iinfo(np.intp).max // 4 + 1, 10**20, 10**5000):
+        with pytest.raises(InputError, match="sample count"):
+            sp.LiveEdgeSamplePool(graph, p=0.5, m=m)
+
+
 def test_pool_accepts_numpy_integers_and_floats():
     g = random_graph(6, 0.5, 1)
     a = sp.LiveEdgeSamplePool(g, p=np.float64(0.5), m=np.int64(3), seed=np.int32(2))

@@ -206,6 +206,28 @@ def test_bool_stream_ids_leave_the_pruner_as_ints():
     assert costs_read == [] and orc.query_count == calls
 
 
+def test_an_id_past_the_int64_range_is_named_before_any_query():
+    orc = sp.CutOracle(sp.generate("path", 5))
+    params = sp.LadderParams(1.0, 4.0, 0.5, 0.1, 0.1)
+    with pytest.raises(InputError, match=f"element id {2**70} outside ground set of size 5"):
+        sp.quickprune([1, 2**70], orc, unit_cost, params, 5)
+    assert orc.query_count == 0
+
+
+def test_a_cost_past_the_float_range_is_named_before_any_query():
+    # costs are read as one float64 array per block, in a solve's seed and
+    # by the top-k baseline
+    orc = sp.CutOracle(sp.generate("path", 5))
+    cost_fn = [1, 1, 10**400, 1, 1].__getitem__
+    with pytest.raises(InputError, match="cost of element 2 is past the float range"):
+        sp.quickprune(range(5), orc, cost_fn, sp.LadderParams(1.0, 4.0, 0.5, 0.1, 0.1), 5)
+    with pytest.raises(InputError, match="cost of element 2 is past the float range"):
+        sp.greedy_knapsack(orc, cost_fn, range(5), 4.0)
+    with pytest.raises(InputError, match="cost of element 2 is past the float range"):
+        sp.baselines.top_k_prune(sp.generate("path", 5), cost_fn, 2)
+    assert orc.query_count == 0
+
+
 def test_epsilon_must_stay_below_ground_set_size():
     orc = sp.CoverageOracle(random_graph(4, 0.5, 2))
     params = sp.PruneParams(kappa=1.0, delta=0.1, epsilon=4.0)
@@ -512,6 +534,25 @@ def test_query_step_shares_a_gain_only_for_the_same_list_and_value_type():
     assert orc.query_count - asked == 5 + 4  # evals, then marginals
 
 
+def test_a_query_step_compares_only_rungs_under_an_equal_value(monkeypatch):
+    # a count, not a timing: on a 52-rung ladder whose rungs mostly hold
+    # distinct values, scanning every earlier rung's answer made about 17
+    # sharing checks per query step (197k for 11.8k steps)
+    n = 300
+    weights = [1.0 + (v * 7919 % 1000) / 100 for v in range(n)]
+    calls = {"_shares_gains": 0, "_gain": 0}
+    for name in calls:
+        def counted(*args, real=getattr(pruning, name), name=name):
+            calls[name] += 1
+            return real(*args)
+        monkeypatch.setattr(pruning, name, counted)
+    ladder = sp.LadderParams(1.0, 200.0, 0.1, 0.1, 0.1)
+    assert sp.ladder_size(1.0, 200.0, 0.1) == 52
+    oracle = sp.CustomOracle(n, lambda S: math.sqrt(math.fsum(weights[v] for v in S)))
+    sp.quickprune(range(n), oracle, lambda v: 1.0 + v % 7, ladder, n)
+    assert 0 < calls["_shares_gains"] <= calls["_gain"]
+
+
 def test_rungs_with_one_working_set_ask_one_marginal():
     # unit costs inside every budget and a steep modular objective: all
     # rungs keep the same working list, so after the first element each
@@ -749,34 +790,75 @@ def test_screen_fires_a_deletion_test_that_already_holds(monkeypatch):
 
 
 def _ba_ladder(make_oracle):
-    """(admitted (element, rung) pairs, `_gain` calls) of one ladder prune of
-    a seeded 3,000-node BA graph with degree costs."""
+    """(the costs, `_gain` calls, the elements `_steps` received) of one
+    ladder prune over [10, 40] of a seeded 3,000-node BA graph with degree
+    costs."""
     graph = sp.assign_knapsack_costs(
         sp.generate("barabasi_albert", 3000, {"m_attach": 4}, seed=11), mode="degree")
-    taus = sp.budget_ladder(10.0, 40.0, 0.5)
-    admitted = sum(int(np.count_nonzero(graph.costs <= tau)) for tau in taus)
-    calls = []
-    real = pruning._gain
+    calls, stepped = [], []
+    real_gain, real_steps = pruning._gain, pruning._steps
 
     def counted(*args):
         calls.append(1)
-        return real(*args)
+        return real_gain(*args)
+
+    def recorded(per_rung, oracle, n, elements):
+        elements = list(elements)
+        stepped.extend(elements)
+        real_steps(per_rung, oracle, n, elements)
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(pruning, "_gain", counted)
+        mp.setattr(pruning, "_steps", recorded)
         sp.quickprune(range(graph.n), make_oracle(graph), graph.cost_fn(),
                       sp.LadderParams(10.0, 40.0, 0.5, 0.1, 0.1), graph.n)
-    return admitted, len(calls)
+    return graph.costs, len(calls), stepped
+
+
+def _custom_cut(graph):
+    return sp.CustomOracle(graph.n, sp.CutOracle(graph).eval)
 
 
 def test_screen_engages_on_cut_and_steps_aside_for_custom():
     # a query-count guard, not a timing: the cut prune decides only its few
     # events element by element, a custom oracle every admitted pair
-    admitted, screened = _ba_ladder(sp.CutOracle)
+    costs, screened, _ = _ba_ladder(sp.CutOracle)
+    admitted = sum(int(np.count_nonzero(costs <= tau))
+                   for tau in sp.budget_ladder(10.0, 40.0, 0.5))
     assert screened < admitted / 20
     # the same values through a custom oracle, whose EvalState has no gather
-    admitted, plain = _ba_ladder(lambda g: sp.CustomOracle(g.n, sp.CutOracle(g).eval))
+    _, plain, _ = _ba_ladder(_custom_cut)
     assert plain == admitted
+
+
+@pytest.mark.parametrize("make_oracle", [sp.CutOracle, _custom_cut], ids=["cut", "custom"])
+def test_steps_never_sees_an_element_over_every_budget(make_oracle):
+    # a count, not a timing: elements over the top rung are dropped at the
+    # block, on the screened path and on the plain one
+    costs, _, stepped = _ba_ladder(make_oracle)
+    assert np.count_nonzero(costs > 40.0) > 0 and stepped
+    assert all(element[-2] <= 40.0 for element in stepped)  # the cost
+    if make_oracle is _custom_cut:  # no screen: every fitting element, in order
+        assert [element[0] for element in stepped] == np.flatnonzero(costs <= 40.0).tolist()
+
+
+@pytest.mark.parametrize("kind", ["cut", "custom"])
+def test_a_first_block_over_every_budget_keeps_the_stream_positions(kind, monkeypatch):
+    monkeypatch.setattr(pruning, "_BLOCK", 4)
+    n = 12
+    graph = sp.generate("path", n)
+    costs = [9.0] * 4 + [1.0, 2.0, 9.0, 1.0, 4.0, 1.0, 9.0, 2.0]  # 9.0 fits no rung
+    rungs = [sp.PruneParams(tau, 0.1, 0.5) for tau in sp.budget_ladder(1.0, 4.0, 0.5)]
+    runs = []
+    for prune in (pruning._prune, ref_prune):
+        oracle = sp.CutOracle(graph) if kind == "cut" else _custom_cut(graph)
+        pruned, report, states = prune(range(n), oracle, costs.__getitem__, rungs, n)
+        runs.append((_outputs(pruned, report.per_budget_sizes, report.events),
+                     report.deletions, report.oracle_calls,
+                     [(s.processed, s.working, s.best_single) for s in states]))
+    assert runs[0] == runs[1]
+    assert report.events[0].stream_pos == 4
+    assert all(s.processed == n for s in states)
 
 
 # ---------------------------------------------------------------------------
