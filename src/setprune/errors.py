@@ -31,8 +31,22 @@ def require_finite(**values):
 
 
 def outside_ground_set(v, n: int) -> InputError:
-    """The error for an element id ``v`` that is not in ``[0, n)``."""
+    """The error for an element id ``v`` that is not in ``[0, n)``. An int
+    too long to print usefully (or at all: Python refuses to convert one of
+    more than 4,300 digits) is named by its number of digits."""
+    if isinstance(v, int) and v.bit_length() > _SHOWN_BITS:
+        return InputError(f"element id of {_digits(v)} digits outside ground set of size {n}")
     return InputError(f"element id {v!r} outside ground set of size {n}")
+
+
+_SHOWN_BITS = 256  # ints of up to 77 digits are printed in full
+
+
+def _digits(v: int) -> int:
+    """The number of decimal digits of ``v``, sign aside, without printing it."""
+    v = abs(v)
+    guess = int((v.bit_length() - 1) * math.log10(2)) + 1
+    return guess + (v >= 10 ** guess)
 
 
 def checked_costs(cost_fn, ids) -> list:

@@ -80,8 +80,7 @@ class Graph:
             raise InputError("indptr must rise from 0 to the length of indices")
         if self.indices.size and (self.indices.min() < 0 or self.indices.max() >= self.n):
             raise InputError("neighbor id out of range")
-        # arc keys u * n + v fit in 32 bits up to n = 2^16, and sort twice as fast
-        key = np.uint32 if self.n <= 1 << 16 else np.int64
+        key = _arc_key(self.n)
         src = np.repeat(np.arange(self.n, dtype=key), np.diff(self.indptr))
         if np.any(self.indices == src):
             raise InputError("self loops are not allowed")
@@ -190,25 +189,50 @@ def _csr(n: int, src: np.ndarray, dst: np.ndarray, directed: bool, orig_ids=None
     return Graph(n, indptr, indices, directed, orig_ids=orig_ids)
 
 
+def _arc_key(n: int):
+    """The dtype of arc keys ``u * n + v``: they fit in 32 bits up to
+    n = 2^16, and sort twice as fast."""
+    return np.uint32 if n <= 1 << 16 else np.int64
+
+
 def _grouped(n: int, src: np.ndarray, dst: np.ndarray):
-    """``(indptr, heads)``: the arcs src[i] -> dst[i] (int64 ids in [0, n))
-    grouped into CSR rows of ascending heads, an arc listed twice kept once."""
-    keys = src * n
-    keys += dst
+    """``(indptr, heads)``: the arcs src[i] -> dst[i] (integer ids in [0, n))
+    grouped into CSR rows of ascending int64 heads, an arc listed twice kept
+    once."""
+    key = _arc_key(n)
+    keys = src.astype(key)
+    keys *= key(n)
+    keys += dst.astype(key, copy=False)
     keys.sort()
-    keys = keys[np.diff(keys, prepend=-1) != 0]  # keys are >= 0
-    src, heads = np.divmod(keys, n)
+    fresh = np.empty(keys.size, dtype=bool)
+    fresh[:1] = True
+    np.not_equal(keys[1:], keys[:-1], out=fresh[1:])
+    src, heads = np.divmod(keys[fresh], key(n))
     indptr = np.zeros(n + 1, dtype=np.int64)
     np.cumsum(np.bincount(src, minlength=n), out=indptr[1:])
-    return indptr, heads
+    return indptr, heads.astype(np.int64, copy=False)
 
 
 def _from_ids(ids: np.ndarray, directed: bool) -> Graph:
     """The Graph of the edges (ids[0], ids[1]), (ids[2], ids[3]), ... over
     non-negative int64 ids, re-indexed densely in sorted order of the ids."""
-    orig, dense = np.unique(ids, return_inverse=True)
-    dense = dense.astype(np.int64, copy=False)
+    orig, dense = _ranked(ids)
     return _csr(orig.size, dense[0::2], dense[1::2], directed, orig_ids=orig)
+
+
+def _ranked(ids: np.ndarray):
+    """``np.unique(ids, return_inverse=True)`` of non-negative int64 ids,
+    the inverse as int64: the distinct ids and each id's rank among them."""
+    if ids.size and (top := int(ids.max())) < 2 * ids.size:
+        # a presence mask of at most 2 bytes per id, a quarter of the ids'
+        # (with the ranks, less than np.unique's temporaries at any top)
+        present = np.zeros(top + 1, dtype=bool)
+        present[ids] = True
+        rank = np.cumsum(present, dtype=np.int64)
+        rank -= 1
+        return np.flatnonzero(present), rank[ids]
+    orig, dense = np.unique(ids, return_inverse=True)
+    return orig, dense.astype(np.int64, copy=False)
 
 
 _MAX_ID = 2**63 - 1
@@ -253,11 +277,6 @@ def _decoded(line, line_no: int) -> str:
         raise ParseError(f"byte {line[exc.start]:#04x} is not UTF-8 text", line_no) from None
 
 
-# byte classes for _fast_ids: 0 anything else, 1 digit, 2 blank, 3 newline
-_BYTE_CLASS = np.zeros(256, dtype=np.uint8)
-_BYTE_CLASS[ord("0"):ord("9") + 1] = 1
-_BYTE_CLASS[[ord(" "), ord("\t"), ord("\r")]] = 2
-_BYTE_CLASS[ord("\n")] = 3
 _MAX_DIGITS = 18  # 10^18 - 1 < 2^63 - 1
 
 
@@ -268,39 +287,55 @@ def _fast_ids(data: bytes):
 
     Proven well formed: every byte is an ASCII digit, space, tab, CR or LF;
     every CR starts a CRLF (a lone CR is a line break to text mode); every
-    line holds zero or two tokens; no token has more than 18 digits.
+    line holds zero or two tokens; no token has more than 18 digits. Each
+    temporary over the bytes holds one byte per byte.
     """
     buf = np.frombuffer(data, dtype=np.uint8)
-    cls = _BYTE_CLASS.take(buf)
-    if not cls.all():
+    digit = buf - np.uint8(ord("0")) <= 9
+    newline = buf == ord("\n")
+    cr = buf == ord("\r")
+    known = digit | newline
+    known |= cr
+    known |= buf == ord(" ")
+    known |= buf == ord("\t")
+    if not known.all():
         return None
-    cr = np.flatnonzero(buf == ord("\r"))
+    del known
+    cr = np.flatnonzero(cr)
     if cr.size and (cr[-1] + 1 == buf.size or np.any(buf[cr + 1] != ord("\n"))):
         return None
     # +1 where a run of digits starts, -1 just past where it ends
-    step = np.diff((cls == 1).view(np.int8), prepend=np.int8(0), append=np.int8(0))
-    starts = np.flatnonzero(step == 1)
+    step = np.diff(digit.view(np.int8), prepend=np.int8(0), append=np.int8(0))
     ends = np.flatnonzero(step == -1)
-    del step
-    if starts.size == 0:
+    # token starts and line breaks in file order, and which are tokens
+    newline |= step[:-1] == 1
+    events = np.flatnonzero(newline)
+    del digit, newline, step
+    token = np.flatnonzero(buf.take(events) != ord("\n"))
+    if token.size == 0:
         return np.empty(0, dtype=np.int64)
-    width = int((ends - starts).max())
+    # two tokens per line: no line break inside a pair, one or more between pairs
+    if (token.size % 2 or np.any(token[1::2] - token[0::2] != 1)
+            or np.any(token[2::2] - token[1:-1:2] == 1)):
+        return None
+    starts = events.take(token)
+    del events, token
+    widths = ends - starts
+    width, short = int(widths.max()), int(widths.min())
     if width > _MAX_DIGITS:
         return None
-    # two tokens per line: each pair shares a line, the next pair starts a new one
-    lines = np.searchsorted(np.flatnonzero(cls == 3), starts)
-    if (starts.size % 2 or np.any(lines[0::2] != lines[1::2])
-            or np.any(lines[2::2] == lines[1:-1:2])):
-        return None
-    # Horner's rule over right-aligned digit columns, one column per pass
+    # Horner's rule over right-aligned digit columns, one column per pass; a
+    # column left of a token's start reads some other byte, masked to 0
     ids = np.zeros(starts.size, dtype=np.int64)
+    pos = ends - width
     for offset in range(width, 0, -1):
-        pos = ends - offset
-        digit = buf[np.maximum(pos, 0)].astype(np.int64)
-        digit -= ord("0")
-        digit[pos < starts] = 0
+        column = buf.take(pos, mode="clip")
+        column -= ord("0")
+        if offset > short:
+            column *= widths >= offset
         ids *= 10
-        ids += digit
+        ids += column
+        pos += 1
     return ids
 
 

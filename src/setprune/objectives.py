@@ -10,9 +10,15 @@ frozen sample pool. Every ``eval`` and state method checks its ids once, at
 the boundary: an id that is not an integer in ``[0, n)`` raises
 ``InputError``, and a repeated id counts once in a set.
 
-Cut and coverage answer from the graph's deduplicated CSR rows, held as one
-tuple of neighbour ids per node, so their memory and build time are linear
-in nodes plus arcs.
+Cut and coverage answer from CSR arrays: the graph's own ``indptr`` and
+``indices`` when every row is strictly ascending, as ``from_edges`` and
+``load_edge_list`` build them, else a deduplicated copy (directed cut also
+keeps its in-rows, a transposed copy). Building either oracle makes no Python
+object per node; its memory and build time are linear in nodes plus arcs.
+The Python loops (``eval`` of a small set, the coverage state) read a node's
+row as a tuple of ints, made the first time that node is read and then kept:
+about 100 + 36 deg(v) bytes per node read. ``eval`` of a set larger than
+``_NUMPY_SET`` ids gathers the members' rows in numpy instead.
 
 Callers that grow one set element by element (the pruner's working set, a
 greedy solution) ask the oracle for a per-caller state with ``state()``.
@@ -236,27 +242,67 @@ def _check_id(v, n: int) -> int:
     return v
 
 
-def _rows(graph, transpose=False, closed=False) -> list:
-    """The graph's arcs as one ascending tuple of neighbour ids per node:
-    out-neighbours, or in-neighbours when ``transpose``, with each node in
-    its own row when ``closed``. An arc the CSR lists twice appears once.
-    The rows share one int object per node id."""
-    n = graph.n
-    if not n:
-        return []
-    src = np.repeat(np.arange(n, dtype=np.int64), np.diff(graph.indptr))
-    dst = graph.indices.astype(np.int64)
-    if transpose:
-        src, dst = dst, src
-    if closed:
-        ids = np.arange(n, dtype=np.int64)
-        src, dst = np.concatenate([src, ids]), np.concatenate([dst, ids])
-    bounds, dst = _grouped(n, src, dst)
-    # an object array indexes one shared int per node, not a new int per arc
-    heads = np.array(range(n), dtype=object)[dst].tolist()
-    b = bounds.tolist()
-    # tuples of ints drop out of the garbage collector's traversals
-    return [tuple(heads[b[v]:b[v + 1]]) for v in range(n)]
+# sets of more ids than this are evaluated in numpy: below it, a Python loop
+# over the members' rows is faster than a numpy call per set
+_NUMPY_SET = 24
+
+
+def _deduplicated(graph, transpose=False):
+    """``(indptr, indices)`` of the graph's rows, each strictly ascending so
+    that an arc the CSR lists twice counts once: its out-rows, or its in-rows
+    when ``transpose``. The graph's own arrays when they qualify already."""
+    indptr, indices = graph.indptr, graph.indices
+    if not transpose:
+        # arc i rises over arc i - 1 or starts a row; one pad past the last arc
+        rising = np.empty(indices.size + 1, dtype=bool)
+        np.greater(indices[1:], indices[:-1], out=rising[1:-1])
+        rising[indptr] = True
+        if rising.all():
+            return indptr, indices
+    src = np.repeat(np.arange(graph.n, dtype=np.int64), np.diff(indptr))
+    return _grouped(graph.n, indices, src) if transpose else _grouped(graph.n, src, indices)
+
+
+def _row(csr, v):
+    indptr, indices = csr
+    return indices[indptr[v]:indptr[v + 1]]
+
+
+class _Rows(dict):
+    """Row ``v`` of a CSR as a tuple of ints, made the first time ``v`` is
+    read: ``rows[v]``. A closed row holds ``v`` too."""
+
+    __slots__ = ("_csr", "_closed")
+
+    def __init__(self, csr, closed=False):
+        super().__init__()
+        self._csr, self._closed = csr, closed
+
+    def __missing__(self, v):
+        row = _row(self._csr, v).tolist()
+        if self._closed:
+            row.append(v)
+        row = self[v] = tuple(row)
+        return row
+
+
+def _member_mask(S, n: int):
+    """The ids of the set ``S`` as an array, and a boolean mask of them."""
+    vs = np.fromiter(S, dtype=np.intp, count=len(S))
+    mask = np.zeros(n, dtype=bool)
+    mask[vs] = True
+    return vs, mask
+
+
+def _heads(csr, vs):
+    """The rows of the nodes ``vs`` of a CSR, one after another."""
+    indptr, indices = csr
+    starts = indptr[vs]
+    sizes = indptr[vs + 1] - starts
+    ends = np.cumsum(sizes)
+    pos = np.repeat(starts - (ends - sizes), sizes)
+    pos += np.arange(pos.size)
+    return indices[pos]
 
 
 class CoverageOracle(Oracle):
@@ -266,12 +312,17 @@ class CoverageOracle(Oracle):
 
     def __init__(self, graph):
         super().__init__(graph.n)
-        self._nbhd = _rows(graph, closed=True)
+        self._out = _deduplicated(graph)
+        self._nbhd = _Rows(self._out, closed=True)
 
     def state(self):
         return _CoverageState(self)
 
     def _value(self, S):
+        if len(S) > _NUMPY_SET:
+            vs, covered = _member_mask(S, self.n)
+            covered[_heads(self._out, vs)] = True
+            return int(np.count_nonzero(covered))
         nbhd = self._nbhd
         covered = set()
         for v in S:
@@ -317,24 +368,25 @@ class CutOracle(Oracle):
 
     def __init__(self, graph):
         super().__init__(graph.n)
-        self._out = _rows(graph)
-        self._in = _rows(graph, transpose=True) if graph.directed else self._out
-        self._indeg = np.array([len(row) for row in self._in], dtype=np.int64)
+        self._out = _deduplicated(graph)
+        self._in = _deduplicated(graph, transpose=True) if graph.directed else self._out
+        self._indeg = np.diff(self._in[0])
+        self._in_rows = _Rows(self._in)
 
     def state(self):
         return _CutState(self)
 
     def _value(self, S):
         # arcs into each member of S from outside S
+        if len(S) > _NUMPY_SET:
+            vs, member = _member_mask(S, self.n)
+            return int(self._indeg[vs].sum()) - int(np.count_nonzero(member[_heads(self._in, vs)]))
+        rows = self._in_rows
         total = 0
         for v in S:
-            row = self._in[v]
+            row = rows[v]
             total += len(row) - len(S.intersection(row))
         return total
-
-
-def _index(row):
-    return np.fromiter(row, dtype=np.intp, count=len(row))
 
 
 class _CutState(_VectorState):
@@ -370,12 +422,11 @@ class _CutState(_VectorState):
             return
         self._member[e] = True
         self._value += oracle._indeg.item(e) - hits.item(e)
-        out, into = oracle._out[e], oracle._in[e]
-        if out is into:  # undirected: each neighbour is hit both ways
-            hits[_index(out)] += 2
+        if oracle._in is oracle._out:  # undirected: each neighbour is hit both ways
+            hits[_row(oracle._out, e)] += 2
         else:
-            hits[_index(out)] += 1
-            hits[_index(into)] += 1
+            hits[_row(oracle._out, e)] += 1
+            hits[_row(oracle._in, e)] += 1
 
 
 class LiveEdgeSamplePool:

@@ -104,6 +104,9 @@ ASCII_FILES = line_file_bytes(oddities=("cr", "widths"))
 @example(b"1 2\r", False, False).via("a lone CR at the end")
 @example(b"1 " + b"9" * 19 + b"\n", False, False).via("an id past 18 digits")
 @example(b"1 +2\n", True, True).via("a byte outside digits and blanks")
+@example(b" 1 2 \n\n \t3\t4\r\n", False, False).via("blanks and blank lines between pairs")
+@example(b"1\n2 3\n4\n", False, False).via("pairs across lines, an even count in all")
+@example(b"1 2\n3 4 5 6\n", False, False).via("a pair per line, then two on one")
 @settings(max_examples=400, deadline=None,
           suppress_health_check=[HealthCheck.function_scoped_fixture])
 def test_load_matches_the_text_mode_line_loop(tmp_path, data, directed, gz):
@@ -414,3 +417,76 @@ def test_round_trip_property(n, seed):
     for v, degree in enumerate(g.degrees.tolist()):
         if degree:
             assert degs[v] == degree
+
+
+# ---------------------------------------------------------------------------
+# array ingest against np.unique and int64 arc keys
+
+def _unique_path(ids, directed):
+    """The re-index by ``np.unique`` and the Graph ``_csr`` builds from it."""
+    orig, dense = np.unique(ids, return_inverse=True)
+    dense = dense.astype(np.int64)
+    return orig, dense, graphio._csr(orig.size, dense[0::2], dense[1::2], directed,
+                                     orig_ids=orig)
+
+
+def _assert_same_arrays(got, expect):
+    for a, b in zip(got, expect):
+        assert a.dtype == b.dtype and np.array_equal(a, b)
+
+
+_ID_ARRAYS = [
+    np.empty(0, dtype=np.int64),
+    np.array([0, 1], dtype=np.int64),
+    np.array([3, 1, 1, 3, 2, 0], dtype=np.int64),       # dense, top below 2 * size
+    np.array([5, 7, 7, 5], dtype=np.int64),             # top of 2 * size - 1
+    np.array([8, 1, 1, 8], dtype=np.int64),             # top of 2 * size: np.unique
+    np.array([10**12, 3, 3, 10**12], dtype=np.int64),    # sparse: np.unique
+    np.array([2**63 - 1, 0, 2**63 - 2, 2**63 - 1], dtype=np.int64),
+]
+
+
+@pytest.mark.parametrize("ids", _ID_ARRAYS, ids=range(len(_ID_ARRAYS)))
+@pytest.mark.parametrize("directed", [False, True])
+def test_ranked_ids_equal_np_unique(ids, directed):
+    orig, dense, expect = _unique_path(ids, directed)
+    _assert_same_arrays(graphio._ranked(ids), (orig, dense))
+    graph = graphio._from_ids(ids, directed)
+    _assert_same_arrays((graph.orig_ids, graph.indptr, graph.indices),
+                        (expect.orig_ids, expect.indptr, expect.indices))
+
+
+@given(st.lists(st.integers(0, 60), max_size=80).map(lambda xs: xs[:len(xs) // 2 * 2]),
+       st.sampled_from([1, 2, 10**9, (2**63 - 1) // 60]), st.booleans())
+@settings(max_examples=150, deadline=None)
+def test_ranked_ids_equal_np_unique_at_any_spread(values, scale, directed):
+    # scale 1 and 2 keep most tops below twice the id count, the others never
+    ids = np.array(values, dtype=np.int64) * scale
+    orig, dense, expect = _unique_path(ids, directed)
+    _assert_same_arrays(graphio._ranked(ids), (orig, dense))
+    graph = graphio._from_ids(ids, directed)
+    _assert_same_arrays((graph.orig_ids, graph.indptr, graph.indices),
+                        (expect.orig_ids, expect.indptr, expect.indices))
+
+
+def _grouped_int64(n, src, dst):
+    """Arcs grouped by int64 keys ``u * n + v``, sorted and deduplicated."""
+    keys = np.unique(src.astype(np.int64) * n + dst.astype(np.int64))
+    src, heads = np.divmod(keys, n)
+    indptr = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(np.bincount(src, minlength=n), out=indptr[1:])
+    return indptr, heads
+
+
+@pytest.mark.parametrize("n", [0, 1, 2**16 - 1, 2**16, 2**16 + 1])
+def test_grouped_keys_match_int64_keys_at_the_32_bit_edge(n):
+    # at n = 2^16 the largest key, (n - 1) * n + n - 1, is 2^32 - 1
+    rng = np.random.default_rng(n)
+    src = rng.integers(0, n, 3000) if n else np.empty(0, dtype=np.int64)
+    dst = rng.integers(0, n, 3000) if n else np.empty(0, dtype=np.int64)
+    if n:
+        src[:4], dst[:4] = [n - 1, n - 1, 0, n - 1], [n - 1, n - 1, n - 1, 0]
+    got = graphio._grouped(n, src, dst)
+    _assert_same_arrays(got, _grouped_int64(n, src, dst))
+    # transposed, as the directed cut oracle groups its in-rows
+    _assert_same_arrays(graphio._grouped(n, dst, src), _grouped_int64(n, dst, src))

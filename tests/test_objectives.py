@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 
 import setprune as sp
 from setprune.errors import InputError
+from setprune.objectives import _NUMPY_SET
 
 from conftest import (oracle_families, random_graph, random_similarity_kernel, ref_components,
                       ref_coverage, ref_cut, ref_influence, ref_live_edges, ref_simcut)
@@ -166,6 +167,103 @@ def test_directed_cut_counts_incoming_arcs():
     orc = sp.CutOracle(g)
     assert orc.eval({1}) == 2 == ref_cut(g, {1})
     assert orc.eval({0}) == 0 == ref_cut(g, {0})
+
+
+# ---------------------------------------------------------------------------
+# cut and coverage over CSR arrays, against the references
+
+@st.composite
+def _raw_and_clean_graphs(draw):
+    """A Graph straight from CSR arrays whose rows list their arcs in a drawn
+    order, some twice, and the same graph built by ``from_edges``; isolated
+    nodes and ``n = 0`` included."""
+    n = draw(st.integers(0, 40))
+    directed = draw(st.booleans())
+    node = st.integers(0, max(n - 1, 0))
+    arcs = [(u, v) for u, v in draw(st.lists(st.tuples(node, node), max_size=90)) if u != v]
+    arcs += draw(st.lists(st.sampled_from(arcs), max_size=10)) if arcs else []
+    if not directed:
+        arcs += [(v, u) for u, v in arcs]
+    rows = [draw(st.permutations([v for u, v in arcs if u == w])) for w in range(n)]
+    indptr = np.cumsum([0] + [len(row) for row in rows])
+    indices = np.array([v for row in rows for v in row], dtype=np.int64)
+    raw = sp.Graph(n, indptr, indices, directed=directed)
+    return raw, sp.from_edges(n, arcs, directed=directed)
+
+
+def _same_int(got, expect):
+    assert got == expect and type(got) is int
+
+
+@given(_raw_and_clean_graphs(), st.data())
+@settings(max_examples=150, deadline=None)
+def test_csr_cut_and_coverage_match_the_references(graphs, data):
+    raw, clean = graphs
+    n = raw.n
+    for make, ref in ((sp.CutOracle, ref_cut), (sp.CoverageOracle, ref_coverage)):
+        oracles = (make(raw), make(clean))
+        sizes = st.sampled_from(sorted({0, n // 2, n} | {k for k in (_NUMPY_SET,
+                                                               _NUMPY_SET + 1) if k <= n}))
+        for _ in range(3):
+            S = set(data.draw(st.permutations(range(n)))[:data.draw(sizes)])
+            for oracle in oracles:
+                _same_int(oracle.eval(S), ref(clean, S))
+        # a state after adds, then rebuilt on another set
+        for oracle in oracles:
+            for members in (data.draw(st.lists(st.integers(0, max(n - 1, 0)), max_size=n)),
+                            data.draw(st.lists(st.integers(0, max(n - 1, 0)), max_size=n))):
+                state, S = oracle.state(), set()
+                for v in members:
+                    state.add(v)
+                    S.add(v)
+                f_S = ref(clean, S)
+                for v in range(n):
+                    _same_int(state.marginal(v, f_S), ref(clean, S | {v}) - f_S)
+                got = state.gains(list(range(n)), f_S)
+                assert got == [ref(clean, S | {v}) - f_S for v in range(n)]
+                assert all(type(x) is int for x in got)
+
+
+@pytest.mark.parametrize("directed", [False, True])
+def test_large_set_evals_match_the_references(directed):
+    # sets past the cutoff are evaluated in numpy, the rest in Python loops
+    rng = random.Random(7)
+    arcs = [(u, v) for u in range(150) for v in range(150)
+            if u != v and rng.random() < 0.04]
+    graph = sp.from_edges(150, arcs, directed=directed)
+    cut, cov = sp.CutOracle(graph), sp.CoverageOracle(graph)
+    for size in (_NUMPY_SET - 1, _NUMPY_SET, _NUMPY_SET + 1, 60, 149, 150):
+        for _ in range(5):
+            S = set(rng.sample(range(150), size))
+            _same_int(cut.eval(S), ref_cut(graph, S))
+            _same_int(cov.eval(S), ref_coverage(graph, S))
+            _same_int(cut.eval(np.array(sorted(S))), ref_cut(graph, S))
+
+
+@pytest.mark.parametrize("directed", [False, True])
+def test_building_cut_and_coverage_makes_no_per_node_objects(directed):
+    # rows become tuples only when a Python loop reads them
+    n = 20_000
+    graph = sp.from_edges(n, [(i, i + 1) for i in range(n - 1)], directed=directed)
+    tracemalloc.start()
+    try:
+        cut, cov = sp.CutOracle(graph), sp.CoverageOracle(graph)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # ascending rows are kept as they are: the in-degree array and a byte per
+    # arc, where one tuple per node alone would take 48 bytes a node; a
+    # directed cut groups its in-rows in numpy
+    for indptr, indices in (cut._out, cov._out):
+        assert indptr is graph.indptr and indices is graph.indices
+    if not directed:
+        assert cut._in is cut._out and peak < 16 * n, peak
+    assert len(cut._in_rows) == len(cov._nbhd) == 0
+    cut.eval({3, 9})
+    cov.eval({3})
+    assert sorted(cut._in_rows) == [3, 9] and sorted(cov._nbhd) == [3]
+    assert cov._nbhd[3] == ((4, 3) if directed else (2, 4, 3))
+    assert cut._in_rows[9] == ((8,) if directed else (8, 10))
 
 
 # ---------------------------------------------------------------------------

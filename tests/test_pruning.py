@@ -214,6 +214,20 @@ def test_an_id_past_the_int64_range_is_named_before_any_query():
     assert orc.query_count == 0
 
 
+def test_an_id_too_long_to_print_is_named_by_its_digit_count():
+    # Python refuses to print an int of more than 4,300 digits
+    orc = sp.CutOracle(sp.generate("path", 5))
+    params = sp.LadderParams(1.0, 4.0, 0.5, 0.1, 0.1)
+    message = "element id of 5001 digits outside ground set of size 5"
+    with pytest.raises(InputError, match=message):
+        orc.eval({1, 10**5000})
+    with pytest.raises(InputError, match=message):
+        sp.quickprune([1, 10**5000], orc, unit_cost, params, 5)
+    with pytest.raises(InputError, match="element id of 81 digits outside"):
+        orc.eval({-10**80})
+    assert orc.query_count == 0
+
+
 def test_a_cost_past_the_float_range_is_named_before_any_query():
     # costs are read as one float64 array per block, in a solve's seed and
     # by the top-k baseline
