@@ -15,10 +15,10 @@ Cut and coverage answer from CSR arrays: the graph's own ``indptr`` and
 ``load_edge_list`` build them, else a deduplicated copy (directed cut also
 keeps its in-rows, a transposed copy). Building either oracle makes no Python
 object per node; its memory and build time are linear in nodes plus arcs.
-The Python loops (``eval`` of a small set, the coverage state) read a node's
-row as a tuple of ints, made the first time that node is read and then kept:
-about 100 + 36 deg(v) bytes per node read. ``eval`` of a set larger than
-``_NUMPY_SET`` ids gathers the members' rows in numpy instead.
+``eval`` of a set of at most ``_NUMPY_SET`` ids loops in Python over its
+members' rows, each a tuple of ints made the first time that node is read
+and then kept: about 100 + 36 deg(v) bytes per node read. A larger set
+gathers the members' rows in numpy, in time linear in the arcs it reads.
 
 Callers that grow one set element by element (the pruner's working set, a
 greedy solution) ask the oracle for a per-caller state with ``state()``.
@@ -33,8 +33,9 @@ checkpoint deletion) makes a fresh state and adds the survivors again.
 
 Cut (either direction), coverage and undirected influence keep incremental
 statistics, so a marginal does not rescan ``S``: the cut state keeps
-per-node hit counts and answers in O(1), the coverage state keeps the
-covered set and answers in O(deg e). The cut and undirected influence
+per-node hit counts and answers in O(1), the coverage state keeps a mask
+of the covered nodes and answers in O(deg e); both read the CSR arrays and
+keep no rows. The cut and undirected influence
 states keep them in numpy arrays and answer a batch with one gather; their
 ``gather(vs, f_S)`` is that gather on ids already checked, as an array, and
 counts nothing; ``count(k)`` counts ``k`` queries, so the pruner's screen
@@ -265,7 +266,7 @@ def _deduplicated(graph, transpose=False):
 
 def _row(csr, v):
     indptr, indices = csr
-    return indices[indptr[v]:indptr[v + 1]]
+    return indices[indptr.item(v):indptr.item(v + 1)]
 
 
 class _Rows(dict):
@@ -284,14 +285,6 @@ class _Rows(dict):
             row.append(v)
         row = self[v] = tuple(row)
         return row
-
-
-def _member_mask(S, n: int):
-    """The ids of the set ``S`` as an array, and a boolean mask of them."""
-    vs = np.fromiter(S, dtype=np.intp, count=len(S))
-    mask = np.zeros(n, dtype=bool)
-    mask[vs] = True
-    return vs, mask
 
 
 def _heads(csr, vs):
@@ -320,9 +313,14 @@ class CoverageOracle(Oracle):
 
     def _value(self, S):
         if len(S) > _NUMPY_SET:
-            vs, covered = _member_mask(S, self.n)
-            covered[_heads(self._out, vs)] = True
-            return int(np.count_nonzero(covered))
+            vs = np.fromiter(S, dtype=np.intp, count=len(S))
+            ids = np.concatenate([vs, _heads(self._out, vs)])
+            # count the distinct ids in O(len(ids)), not O(n): each distinct
+            # id keeps exactly one of the positions that wrote it
+            order = np.arange(ids.size)
+            slot = np.empty(self.n, dtype=np.intp)
+            slot[ids] = order
+            return int(np.count_nonzero(slot[ids] == order))
         nbhd = self._nbhd
         covered = set()
         for v in S:
@@ -331,31 +329,51 @@ class CoverageOracle(Oracle):
 
 
 class _CoverageState:
-    """Coverage: the set of nodes S covers. Adding ``e`` covers
-    N[e] minus what is covered already, found in O(deg e)."""
+    """Coverage: a boolean mask of the nodes S covers, and their number.
+    Adding ``e`` covers N[e] minus what is covered already; both that and a
+    marginal read e's CSR row against the mask, in O(deg e)."""
 
-    __slots__ = ("_oracle", "_covered")
+    __slots__ = ("_oracle", "_covered", "_value")
 
     def __init__(self, oracle: CoverageOracle):
         self._oracle = oracle
-        self._covered = set()
+        self._covered = np.zeros(oracle.n, dtype=bool)
+        self._value = 0
+
+    def _fresh(self, e):
+        """The nodes of N(e) not covered yet, and whether e itself is."""
+        row = _row(self._oracle._out, e)
+        return row[~self._covered[row]], self._covered.item(e)
 
     def marginal(self, e, f_S):
-        row = self._oracle._nbhd[_check_id(e, self._oracle.n)]
-        gain = len(row) - len(self._covered.intersection(row))
+        fresh, hit = self._fresh(_check_id(e, self._oracle.n))
         self._oracle.counter.bump()
-        return (len(self._covered) + gain) - f_S
+        return (self._value + (fresh.size + (not hit))) - f_S
 
     def gains(self, ids, f_S):
-        vs = _checked_ids(ids, self._oracle.n)
-        self._oracle.counter.bump(len(vs))
-        nbhd, covered = self._oracle._nbhd, self._covered
-        value = len(covered)
-        return [(value + (len(nbhd[v]) - len(covered.intersection(nbhd[v])))) - f_S
-                for v in vs]
+        oracle = self._oracle
+        vs = _checked_array(ids, oracle.n)
+        oracle.counter.bump(len(vs))
+        indptr = oracle._out[0]
+        starts = indptr[vs]
+        sizes = indptr[vs + 1] - starts
+        gain = sizes + 1  # |N[v]|: nothing covered yet
+        if self._value:
+            # minus the covered part of each N[v], summed over the gathered rows
+            covered = self._covered
+            hits = np.zeros(sizes.sum() + 1, dtype=np.int64)
+            np.cumsum(covered[_heads(oracle._out, vs)], out=hits[1:])
+            ends = np.cumsum(sizes)
+            gain -= hits[ends] - hits[ends - sizes]
+            gain -= covered[vs]
+        return ((self._value + gain) - f_S).tolist()
 
     def add(self, e):
-        self._covered.update(self._oracle._nbhd[_check_id(e, self._oracle.n)])
+        e = _check_id(e, self._oracle.n)
+        fresh, hit = self._fresh(e)
+        self._covered[fresh] = True
+        self._covered[e] = True
+        self._value += fresh.size + (not hit)
 
 
 class CutOracle(Oracle):
@@ -379,8 +397,13 @@ class CutOracle(Oracle):
     def _value(self, S):
         # arcs into each member of S from outside S
         if len(S) > _NUMPY_SET:
-            vs, member = _member_mask(S, self.n)
-            return int(self._indeg[vs].sum()) - int(np.count_nonzero(member[_heads(self._in, vs)]))
+            vs = np.fromiter(S, dtype=np.intp, count=len(S))
+            heads = _heads(self._in, vs)
+            # a membership mask set only where it is read: O(len(heads)), not O(n)
+            member = np.empty(self.n, dtype=bool)
+            member[heads] = False
+            member[vs] = True
+            return int(self._indeg[vs].sum()) - int(np.count_nonzero(member[heads]))
         rows = self._in_rows
         total = 0
         for v in S:

@@ -222,6 +222,9 @@ def test_csr_cut_and_coverage_match_the_references(graphs, data):
                 got = state.gains(list(range(n)), f_S)
                 assert got == [ref(clean, S | {v}) - f_S for v in range(n)]
                 assert all(type(x) is int for x in got)
+                as_float = [state.marginal(v, float(f_S)) for v in range(n)]
+                assert state.gains(list(range(n)), float(f_S)) == as_float
+                assert all(type(x) is float for x in as_float)
 
 
 @pytest.mark.parametrize("directed", [False, True])
@@ -264,6 +267,14 @@ def test_building_cut_and_coverage_makes_no_per_node_objects(directed):
     assert sorted(cut._in_rows) == [3, 9] and sorted(cov._nbhd) == [3]
     assert cov._nbhd[3] == ((4, 3) if directed else (2, 4, 3))
     assert cut._in_rows[9] == ((8,) if directed else (8, 10))
+    # states and large sets read the CSR arrays and cache no rows
+    for oracle in (cut, cov):
+        state = oracle.state()
+        state.gains(range(n), 0.0)
+        state.add(5)
+        state.marginal(6, 0.0)
+        oracle.eval(range(100, 200))
+    assert sorted(cut._in_rows) == [3, 9] and sorted(cov._nbhd) == [3]
 
 
 # ---------------------------------------------------------------------------
