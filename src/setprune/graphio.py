@@ -98,13 +98,10 @@ class Graph:
             if not np.array_equal(src, rev):
                 raise InputError("undirected adjacency must be symmetric")
         # read-only views, so that the checked arrays cannot change under a copy
-        views = []
-        for name in ("indptr", "indices"):
-            view = getattr(self, name).view()
-            view.flags.writeable = False
-            object.__setattr__(self, name, view)
-            views.append(view)
-        object.__setattr__(self, "_checked", (*views, self.n, self.directed))
+        indptr, indices = _read_only(self.indptr), _read_only(self.indices)
+        object.__setattr__(self, "indptr", indptr)
+        object.__setattr__(self, "indices", indices)
+        object.__setattr__(self, "_checked", (indptr, indices, self.n, self.directed))
 
     @property
     def degrees(self) -> np.ndarray:
@@ -186,7 +183,17 @@ def _csr(n: int, src: np.ndarray, dst: np.ndarray, directed: bool, orig_ids=None
     if not directed:
         src, dst = np.concatenate([src, dst]), np.concatenate([dst, src])
     indptr, indices = _grouped(n, src, dst)
-    return Graph(n, indptr, indices, directed, orig_ids=orig_ids)
+    # valid by construction: ascending rows of heads in [0, n), no self
+    # loops, and, undirected, every arc listed with its reverse
+    indptr, indices = _read_only(indptr), _read_only(indices)
+    return Graph(n, indptr, indices, directed, orig_ids=orig_ids,
+                 _checked=(indptr, indices, n, directed))
+
+
+def _read_only(arr: np.ndarray) -> np.ndarray:
+    view = arr.view()
+    view.flags.writeable = False
+    return view
 
 
 def _arc_key(n: int):

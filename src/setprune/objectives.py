@@ -35,11 +35,27 @@ Cut (either direction), coverage and undirected influence keep incremental
 statistics, so a marginal does not rescan ``S``: the cut state keeps
 per-node hit counts and answers in O(1), the coverage state keeps a mask
 of the covered nodes and answers in O(deg e); both read the CSR arrays and
-keep no rows. The cut and undirected influence
-states keep them in numpy arrays and answer a batch with one gather; their
-``gather(vs, f_S)`` is that gather on ids already checked, as an array, and
-counts nothing; ``count(k)`` counts ``k`` queries, so the pruner's screen
-charges only the gains the sequential pass would have asked for.
+keep no rows. The cut and undirected influence states keep them in numpy
+arrays, and their gains are integers in a fixed unit: the set's value is
+its integer ``total``, divided by ``divisor`` when that is not None (the
+sample count, for influence). Their hooks take ids already checked, as an
+array; the first two count no query:
+
+- ``raw(vs)``: the integer gains of ``vs``, one numpy gather;
+- ``gather(vs, f_S)``: the gains themselves, ``_marginals`` of the raw
+  ones, the formula every batch uses;
+- ``count(k)``: counts ``k`` queries, so the pruner's screen charges exactly
+  the gains the sequential pass would have asked for.
+
+The undirected influence state also has the two hooks the pruner's walk
+needs, which cut's two-read marginal does not pay for:
+
+- ``first_overlap(vs)``: the index of the first id of ``vs`` that shares a
+  sample component with an earlier one (a repeated id does), else
+  ``len(vs)``: adding an id changes the gains of exactly those that do;
+- ``extend(vs)``: adds the ids in one step, the same as adding them one by
+  one when no one of them overlaps an earlier one.
+
 Similarity cut, custom and directed influence oracles, and any oracle-like
 wrapper without ``state()``, get an ``EvalState`` that answers through
 ``marginal`` and ``eval``.
@@ -180,17 +196,32 @@ def oracle_state(oracle):
     return make() if make is not None else EvalState(oracle)
 
 
+def _marginals(total, raw, divisor, f_S):
+    """The gains over a set worth ``f_S`` of elements whose integer gains
+    are ``raw``, a scalar or an array, the set's integer total being
+    ``total``: ``(total + raw) / divisor - f_S``, without the division when
+    ``divisor`` is None. A scalar and an array give the same bits."""
+    values = total + raw
+    return (values if divisor is None else values / divisor) - f_S
+
+
 class _VectorState:
-    """A state whose batch is one numpy gather: ``gains`` checks the ids,
-    counts them, and hands them to the subclass's uncounted ``gather``.
-    ``count(k)`` counts ``k`` queries answered from earlier gathers."""
+    """A state whose gains are integers in a fixed unit, gathered in numpy
+    by the subclass's ``raw``: ``gather`` maps them through ``_marginals``,
+    and ``gains`` checks the ids, counts them, and gathers. ``count(k)``
+    counts ``k`` queries answered from earlier gathers."""
 
     __slots__ = ()
+
+    divisor = None
 
     def gains(self, ids, f_S):
         vs = _checked_array(ids, self._oracle.n)
         self.count(len(vs))
         return self.gather(vs, f_S).tolist()
+
+    def gather(self, vs, f_S):
+        return _marginals(self.total, self.raw(vs), self.divisor, f_S)
 
     def count(self, k: int):
         self._oracle.counter.bump(k)
@@ -415,28 +446,29 @@ class CutOracle(Oracle):
 class _CutState(_VectorState):
     """Cut in either direction: a boolean membership mask of S and
     ``hits[v] = |in(v) & S| + |out(v) & S|``, numpy arrays over the nodes,
-    and the integer cut value. Adding ``e`` outside S gains the arcs into e
-    from outside S and loses the arcs from e into S, so the gain is
-    indeg(e) - hits[e]; undirected, in(v) = out(v) = N(v)."""
+    and the integer cut value ``total``. Adding ``e`` outside S gains the
+    arcs into e from outside S and loses the arcs from e into S, so the gain
+    is indeg(e) - hits[e]; undirected, in(v) = out(v) = N(v)."""
 
-    __slots__ = ("_oracle", "_member", "_hits", "_value")
+    __slots__ = ("_oracle", "_member", "_hits", "total")
 
     def __init__(self, oracle: CutOracle):
         self._oracle = oracle
         self._member = np.zeros(oracle.n, dtype=bool)
         self._hits = np.zeros(oracle.n, dtype=np.int64)
-        self._value = 0
+        self.total = 0
 
     def marginal(self, e, f_S):
+        # raw() of one id, read without a numpy call
         e = _check_id(e, self._oracle.n)
         gain = 0 if self._member[e] else self._oracle._indeg.item(e) - self._hits.item(e)
         self._oracle.counter.bump()
-        return (self._value + gain) - f_S
+        return (self.total + gain) - f_S
 
-    def gather(self, vs, f_S):
+    def raw(self, vs):
         gain = self._oracle._indeg[vs] - self._hits[vs]
         gain[self._member[vs]] = 0
-        return (self._value + gain) - f_S
+        return gain
 
     def add(self, e):
         oracle, hits = self._oracle, self._hits
@@ -444,7 +476,7 @@ class _CutState(_VectorState):
         if self._member[e]:
             return
         self._member[e] = True
-        self._value += oracle._indeg.item(e) - hits.item(e)
+        self.total += oracle._indeg.item(e) - hits.item(e)
         if oracle._in is oracle._out:  # undirected: each neighbour is hit both ways
             hits[_row(oracle._out, e)] += 2
         else:
@@ -573,44 +605,61 @@ class InfluenceOracle(Oracle):
 
 class _InfluenceState(_VectorState):
     """Undirected spread: which sample components S touches, as an
-    ``m * n`` boolean mask, and the exact integer reach total ``T``.
+    ``m * n`` boolean mask, and the exact integer reach ``total``.
 
-    A marginal returns ``(T + gain) / m - f_S``, the same float a fresh
+    A gain is ``(total + raw) / m - f_S``, the same float a fresh
     ``eval(S | {e}) - f_S`` computes, so no threshold comparison can flip.
-    A batch gathers ``roots[:, ids]`` once; from the empty set each gain
-    is the id's ``reach``.
+    ``raw`` gathers ``roots[:, ids]`` once; from the empty set each raw gain
+    is the id's ``reach``. Adding ``a`` changes the gain only of the ids
+    that share a sample component with it.
     """
 
-    __slots__ = ("_oracle", "_covered", "_total")
+    __slots__ = ("_oracle", "_covered", "total")
 
     def __init__(self, oracle: InfluenceOracle):
         self._oracle = oracle
         self._covered = np.zeros(oracle.pool.sizes.size, dtype=bool)
-        self._total = 0
+        self.total = 0
 
-    def _fresh_roots(self, e):
-        roots = self._oracle.pool.roots[:, _check_id(e, self._oracle.n)]
+    @property
+    def divisor(self):
+        return self._oracle.pool.m
+
+    def _fresh(self, roots):
+        """The ``roots`` (of one id, or of several) that S does not cover."""
         return roots[~self._covered[roots]]
 
     def marginal(self, e, f_S):
-        gain = int(self._oracle.pool.sizes[self._fresh_roots(e)].sum())
+        # raw() of one id, read from its column without raw()'s gather
+        fresh = self._fresh(self._oracle.pool.roots[:, _check_id(e, self._oracle.n)])
+        gain = int(self._oracle.pool.sizes[fresh].sum())
         self._oracle.counter.bump()
-        return (self._total + gain) / self._oracle.pool.m - f_S
+        return (self.total + gain) / self._oracle.pool.m - f_S
 
-    def gather(self, vs, f_S):
+    def raw(self, vs):
         pool = self._oracle.pool
-        if self._total:  # every component holds a node, so T > 0 once S is not empty
-            roots = pool.roots[:, vs]
-            sizes = pool.sizes[roots]
-            sizes[self._covered[roots]] = 0
-            gain = sizes.sum(axis=0)
-        else:
-            gain = pool.reach[vs]
-        return (self._total + gain) / pool.m - f_S
+        if not self.total:  # every component holds a node, so T > 0 once S is not empty
+            return pool.reach[vs]
+        roots = pool.roots[:, vs]
+        sizes = pool.sizes[roots]
+        sizes[self._covered[roots]] = 0
+        return sizes.sum(axis=0)
+
+    def first_overlap(self, vs):
+        roots = self._oracle.pool.roots[:, vs].T.ravel()  # id by id; samples never share a root
+        order = np.argsort(roots, kind="stable")          # so equal roots stay in id order
+        later = roots[order[1:]] == roots[order[:-1]]
+        if not later.any():
+            return len(vs)
+        return int(order[1:][later].min()) // self._oracle.pool.m
 
     def add(self, e):
-        fresh = self._fresh_roots(e)
-        self._total += int(self._oracle.pool.sizes[fresh].sum())
+        self.extend(_check_id(e, self._oracle.n))
+
+    def extend(self, vs):
+        # a component two of the ids share would be counted twice
+        fresh = self._fresh(self._oracle.pool.roots[:, vs])
+        self.total += int(self._oracle.pool.sizes[fresh].sum())
         self._covered[fresh] = True
 
 

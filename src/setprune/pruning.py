@@ -12,9 +12,13 @@ The driver reads the stream in blocks: elements over every budget are
 dropped at the block, the rest have their singleton values asked in one
 ``gains`` batch, and one rule decides which rungs share a marginal. When
 the oracle's states answer a batch with one numpy gather (cut, undirected
-influence), a screen skips in numpy the elements that can change no rung,
-charging them exactly the queries the element-by-element pass asks, so
-outputs, events and query counts are unchanged.
+influence), a screen skips in numpy the elements that can change no rung.
+When the states can also tell which ids' gains an add changes (undirected
+influence), the screen walks the elements that can: one scalar loop
+repeats the element-by-element float operations on a window's gathered
+integer gains and commits the adds in bulk. Skipped and walked elements
+are charged exactly the queries the element-by-element pass asks, so
+outputs, events, every float and query counts are unchanged.
 
 Closed-form companions to the pruners live here as well: the pruned-set
 size bound, the worst-case retention ratios, the ladder-size formula, the
@@ -32,7 +36,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import InputError, checked_costs, cost_array, require_finite
-from .objectives import _checked_array, oracle_state
+from .objectives import _checked_array, _marginals, oracle_state
 
 __all__ = [
     "PruneParams",
@@ -65,8 +69,8 @@ MAX_RUNGS = 10_000
 # the rungs.
 _BLOCK = 256
 
-# Admitted elements in the screen's first window; a window that finds no
-# event doubles the next one.
+# Admitted elements in the screen's first window, and the most a walk
+# decides; a window that finds no event doubles the next one.
 _LOOK = 16
 
 
@@ -313,10 +317,11 @@ def _prune(stream, oracle, cost_fn, rungs: list, n: int):
     empty oracle state, and go on to ``_steps`` as ``(pos, e, cost,
     f_single)``, ``pos`` the stream position. When the oracle's states
     answer a batch with one gather (cut, undirected influence), a
-    ``_Screen`` hands ``_steps`` only the elements that can change some
-    rung, charging the rest the queries ``_steps`` would have asked; outputs,
-    events and query counts are those of the element-by-element pass. Every
-    state's ``processed`` is set to the stream length at the end.
+    ``_Screen`` decides the elements that change no rung, and, for
+    influence, most of the others, charging them the queries ``_steps``
+    would have asked; outputs, events and query counts are those of the
+    element-by-element pass. Every state's ``processed`` is set to the
+    stream length at the end.
     """
     if n < 1:
         raise InputError("ground-set size n must be >= 1")
@@ -381,31 +386,79 @@ def _shares_gains(a: SinglePrunerState, b: SinglePrunerState) -> bool:
             and a.working == b.working)
 
 
+class _Group:
+    """Rungs that ``_shares_gains`` in one window: their rows in the ladder,
+    their states, and the window's raw gains against their common set."""
+
+    __slots__ = ("rows", "states", "raw")
+
+    def __init__(self, row: int, state: SinglePrunerState, raw):
+        self.rows, self.states, self.raw = [row], [state], raw
+
+
+def _decide(rungs, state: SinglePrunerState, window, raw, divisor, stop: int):
+    """Repeat ``_gain`` and ``_apply`` for a group of rungs that share
+    ``state``'s working list, over the first ``stop`` of the ``(pos, e,
+    cost, f_single)`` ``window``, whose raw gains against that list are
+    ``raw``. ``rungs`` holds each rung's budget, delta, deletion limit and
+    best singleton as ``[(index, e, f_single)]``, to which the changes are
+    appended. Return the index of the first element that would split the
+    group or fire a deletion test, else ``stop``, and the adds as
+    ``(index, e, value after)``."""
+    f, total = state.f_working, state.oracle_state.total
+    top = max(kappa for kappa, _, _, _ in rungs)
+    adds = []
+    for i, ((_, e, cost, f_single), x) in enumerate(zip(window[:stop], raw)):
+        if cost > top:
+            continue
+        gain = _marginals(total, x, divisor, f)
+        added = 0
+        for kappa, delta, limit, best in rungs:
+            if cost <= kappa:
+                if gain >= delta * cost * f / kappa:
+                    if f + gain > limit:
+                        return i, adds
+                    added += 1
+                if f_single > best[-1][2]:
+                    best.append((i, e, f_single))
+        if added:
+            if added < len(rungs):
+                return i, adds
+            total += x
+            f += gain
+            adds.append((i, e, f))
+    return stop, adds
+
+
 class _Screen:
-    """Finds, block by block, the elements that can change some rung, and
-    skips the others.
+    """Finds, block by block, the elements that can change some rung and
+    skips the others in numpy; walks the rest in a scalar loop when the
+    oracle's states have ``first_overlap``, else hands them to ``_steps``.
 
     An admitted element is an *event* for a rung when it passes the rung's
     add test, beats its best singleton, is already in a working set, meets
     an empty working list, or meets a rung whose deletion test already holds
     (possible with negative values). Membership is over-approximated, which
-    is safe, by a bool mask of every id fed to ``_steps`` so far, read in
-    one gather per window. Between two events no rung changes, so
-    one numpy pass over a window of the block's admitted elements compares
-    each rung's gains (one ``gather`` per distinct working list, value type
-    and value), add thresholds (the scalar test's operations, in its order)
-    and best singleton, and finds the first event. The elements before it
-    are charged in one step the queries ``_steps`` asks for them: one
-    marginal per group of rungs that ``_shares_gains``, when some rung of
-    the group admits the element. Gains computed past the event are not
-    charged. ``_steps`` then decides the event itself.
+    is safe, by a bool mask of every id decided so far, read in one gather
+    per window. Each window reads the raw gains of its admitted elements,
+    one ``raw`` gather per group of rungs that ``_shares_gains``. Between
+    two events no rung changes, so one numpy pass compares each rung's gains
+    (``_marginals`` of the raw ones), add thresholds (the scalar test's
+    operations, in its order) and best singleton, and finds the first event.
+    The elements before it are charged in one step the queries ``_steps``
+    asks for them: one marginal per group of rungs that ``_shares_gains``,
+    when some rung of the group admits the element. A window that finds no
+    event doubles the next one, up to a block. A window that skips fewer
+    than ``_LOOK // 2`` elements before its event did not pay for itself,
+    so the screen steps aside for a stretch of elements that it does not
+    screen, twice as long each time this happens before a window pays again.
 
-    A window that finds no event doubles the next one, up to a block. A
-    window that skips fewer than ``_LOOK // 2`` elements before its event
-    did not pay for itself, so the screen steps aside for a stretch of
-    elements fed straight to ``_steps``, twice as long each time this
-    happens before a window pays again: a stream where nearly every element
-    is an event costs about what the element-by-element pass costs.
+    ``_walk`` decides the event and the elements after it, and the
+    stretches, ``_LOOK`` elements at a time, by repeating the float
+    operations of ``_gain`` and ``_apply`` on the window's raw gains, and
+    commits each group's adds in bulk. A cut marginal is two array reads, so
+    walking cut costs more than ``_steps`` does: cut states have no
+    ``first_overlap``, and ``_steps`` decides their events and stretches.
     """
 
     def __init__(self, per_rung, oracle, n: int, batch):
@@ -415,75 +468,149 @@ class _Screen:
         self.batch = batch
         self.kappa = np.array([[params.kappa] for params, _ in per_rung])
         self.delta = np.array([[params.delta] for params, _ in per_rung])
-        # every id fed to _steps so far, a superset of every working set
+        # every id walked or fed to _steps so far, a superset of every working set
         self.stepped = np.zeros(oracle.n, dtype=bool)
         self.look = _LOOK   # admitted elements the next window reads
-        self.aside = 0      # admitted elements left to feed straight to _steps
+        self.aside = 0      # admitted elements left to walk, or to feed to _steps, unscreened
         self.backoff = _LOOK  # the stretch the next window that does not pay sets aside
+        self.walks = hasattr(batch, "first_overlap")
+        self.rungs = [(params.kappa, params.delta, n / params.epsilon) for params, _ in per_rung]
 
     def feed(self, elements, ids, costs, singles) -> None:
         """Run the ``(pos, e, cost, f_single)`` ``elements`` of one block
-        through ``_steps`` or past it; ``ids`` and ``costs`` are their ids
-        (checked) and costs as arrays, ``singles`` their singleton values."""
+        past ``_steps``, through the walk, or through ``_steps``; ``ids``
+        and ``costs`` are their ids (checked) and costs as arrays,
+        ``singles`` their singleton values."""
         singles = np.array(singles, dtype=np.float64)
         j = 0
         while j < len(ids):
             if self.aside:
                 stop = min(j + self.aside, len(ids))
-                self.aside -= stop - j
-            else:
-                end = min(j + self.look, len(ids))
-                k = self._first_event(ids, costs, singles, j, end)
-                if k == end:
-                    self.look = min(2 * self.look, _BLOCK)
-                    j = end
-                    continue
-                if k - j < _LOOK // 2:
-                    self.aside = self.backoff
-                    self.backoff *= 2
+                if self.walks:
+                    end = min(j + _LOOK, stop)
+                    stop = self._walk(elements, ids, costs, *self._groups(ids[j:end]), j, j, end)
                 else:
-                    self.backoff = _LOOK
-                self.look = _LOOK
-                j, stop = k, k + 1
-            self.stepped[ids[j:stop]] = True
-            _steps(self.per_rung, self.oracle, self.n, elements[j:stop])
-            j = stop
-
-    def _first_event(self, ids, costs, singles, j: int, end: int) -> int:
-        """The index of the first event among the admitted elements
-        ``j..end-1``, or ``end``; counts the queries of the elements before
-        it."""
-        ids, costs, singles = ids[j:end], costs[j:end], singles[j:end]
-        rungs = len(self.per_rung)
-        admitted = costs <= self.kappa
-        gain = np.zeros(admitted.shape)
-        f_working = np.zeros((rungs, 1))
-        f_best = np.zeros((rungs, 1))
-        always = np.zeros((rungs, 1), dtype=bool)
-        groups = []  # (state, its gains, the rows of the rungs sharing them)
-        for r, (params, state) in enumerate(self.per_rung):
-            f_working[r] = state.f_working
-            f_best[r] = state.f_best_single
-            if (not state.working
-                    or state.f_working > (self.n / params.epsilon) * state.f_checkpoint):
-                always[r] = True
+                    self.stepped[ids[j:stop]] = True
+                    _steps(self.per_rung, self.oracle, self.n, elements[j:stop])
+                self.aside -= stop - j
+                j = stop
                 continue
-            for first, gains, rows in groups:
-                if _shares_gains(first, state):
+            end = min(j + self.look, len(ids))
+            groups, blocked = self._groups(ids[j:end])
+            k = j + self._first_event(groups, blocked, ids[j:end], costs[j:end], singles[j:end])
+            if k == end:
+                self.look = min(2 * self.look, _BLOCK)
+                j = end
+                continue
+            if k - j < _LOOK // 2:
+                self.aside, self.backoff = self.backoff, 2 * self.backoff
+            else:
+                self.backoff = _LOOK
+            self.look = _LOOK
+            if self.walks:
+                j = self._walk(elements, ids, costs, groups, blocked, j, k, min(k + _LOOK, end))
+            else:
+                self.stepped[ids[k]] = True
+                _steps(self.per_rung, self.oracle, self.n, elements[k:k + 1])
+                j = k + 1
+
+    def _groups(self, vs):
+        """The groups of rungs that ``_shares_gains``, each with the raw
+        gains of the ids ``vs``, and the largest budget of a rung for which
+        every admitted element is an event (-inf when there is none)."""
+        groups, blocked = [], -math.inf
+        for r, (params, state) in enumerate(self.per_rung):
+            if not state.working or state.f_working > self.rungs[r][2] * state.f_checkpoint:
+                blocked = max(blocked, params.kappa)
+                continue
+            for group in groups:
+                if _shares_gains(group.states[0], state):
+                    group.rows.append(r)
+                    group.states.append(state)
                     break
             else:
-                gains, rows = state.oracle_state.gather(ids, state.f_working), []
-                groups.append((state, gains, rows))
-            gain[r] = gains
-            rows.append(r)
+                groups.append(_Group(r, state, state.oracle_state.raw(vs)))
+        return groups, blocked
+
+    def _first_event(self, groups, blocked, ids, costs, singles) -> int:
+        """The index of the first event in a window of admitted elements,
+        or its length; counts the queries of the elements before it."""
+        admitted = costs <= self.kappa
+        gain = np.zeros(admitted.shape)
+        f_working = np.array([[state.f_working] for _, state in self.per_rung], dtype=float)
+        f_best = np.array([[state.f_best_single] for _, state in self.per_rung])
+        divisor = self.batch.divisor
+        for group in groups:
+            state = group.states[0]
+            gains = _marginals(state.oracle_state.total, group.raw, divisor, state.f_working)
+            for r in group.rows:
+                gain[r] = gains
         threshold = self.delta * costs * f_working / self.kappa
-        hit = (admitted & (always | (singles > f_best) | (gain >= threshold))).any(axis=0)
-        hit |= self.stepped[ids]
+        hit = (admitted & ((singles > f_best) | (gain >= threshold))).any(axis=0)
+        hit |= (costs <= blocked) | self.stepped[ids]
         k = int(hit.argmax()) if hit.any() else len(ids)
         if k:
-            self.batch.count(sum(int(np.count_nonzero(admitted[rows, :k].any(axis=0)))
-                                 for _, _, rows in groups))
-        return j + k
+            self.batch.count(sum(int(np.count_nonzero(admitted[group.rows, :k].any(axis=0)))
+                                 for group in groups))
+        return k
+
+    def _walk(self, elements, ids, costs, groups, blocked, j: int, k: int, end: int) -> int:
+        """Decide ``elements[k:end]`` of the window that starts at ``j``, in
+        order, by ``_decide`` over each group's raw gains; return the index
+        of the first element not decided.
+
+        The walk ends before the first element that overlaps an earlier one
+        of ``k..end-1``: the next window reads its gains afresh. It stops at
+        the first element that was decided before, fits the ``blocked``
+        budget, or would split a group or fire a deletion test, and
+        ``_steps`` decides that one, after each group's adds are committed
+        in one step. Each decided element is charged one query per
+        group with an admitting rung. With two groups over one working list
+        (values that differ in type or in their last bits, which adds could
+        make equal), nothing is walked."""
+        vs = ids[k:end]
+        halt = self.stepped[vs]
+        if blocked > -math.inf:
+            halt |= costs[k:end] <= blocked
+        stop = int(halt.argmax()) if halt.any() else len(vs)
+        if any(a.states[0].working == b.states[0].working
+               for a, b in itertools.combinations(groups, 2)):
+            stop = 0
+        limit = self.batch.first_overlap(vs) if stop else len(vs)
+        window, divisor = elements[k:end], self.batch.divisor
+        decided = []
+        for group in groups:
+            rungs = [(*self.rungs[r][:2], self.rungs[r][2] * state.f_checkpoint,
+                      [(-1, state.best_single, state.f_best_single)])
+                     for r, state in zip(group.rows, group.states)]
+            walked = min(stop, limit)
+            raw = group.raw[k - j:k - j + walked].tolist()
+            group_stop, adds = _decide(rungs, group.states[0], window, raw, divisor, walked)
+            stop = min(stop, group_stop)
+            decided.append((group, rungs, adds))
+        walked = min(stop, limit)
+        charged = 0
+        for group, rungs, adds in decided:
+            top = max(kappa for kappa, _, _, _ in rungs)
+            charged += sum(1 for _, _, cost, _ in window[:walked] if cost <= top)
+            adds = [add for add in adds if add[0] < walked]
+            if adds:
+                added = [e for _, e, _ in adds]
+                vector = np.array(added, dtype=np.intp)
+                for state in group.states:
+                    state.working += added
+                    state.working_set.update(added)
+                    state.f_working = adds[-1][2]
+                    state.oracle_state.extend(vector)
+            for state, (_, _, _, best) in zip(group.states, rungs):
+                _, state.best_single, state.f_best_single = [b for b in best if b[0] < walked][-1]
+        self.batch.count(charged)
+        self.stepped[vs[:walked]] = True
+        if stop >= limit:
+            return k + limit
+        self.stepped[vs[stop]] = True
+        _steps(self.per_rung, self.oracle, self.n, window[stop:stop + 1])
+        return k + stop + 1
 
 
 def quickprune_single(stream, oracle, cost_fn, params: PruneParams, n: int,

@@ -174,7 +174,9 @@ def test_corrupt_gzip_is_a_parse_error(tmp_path):
             sp.load_edge_list(path)
 
 
-def test_load_and_cost_assignment_check_the_adjacency_once(tmp_path, monkeypatch):
+def test_load_and_cost_assignment_skip_the_adjacency_check(tmp_path, monkeypatch):
+    # ingest builds arrays that are valid by construction (see
+    # test_csr_builds_a_graph_that_passes_the_adjacency_checks)
     path = tmp_path / "e.txt"
     sp.write_edge_list(sp.generate("barabasi_albert", 60, {"m_attach": 3}, seed=1), path)
     checks = []
@@ -182,17 +184,17 @@ def test_load_and_cost_assignment_check_the_adjacency_once(tmp_path, monkeypatch
     monkeypatch.setattr(sp.Graph, "_check_adjacency",
                         lambda self: checks.append(self.n) or check(self))
     g = sp.assign_knapsack_costs(sp.load_edge_list(path))
-    assert checks == [60]
+    assert checks == []
     dataclasses.replace(g, orig_ids=g.orig_ids[::-1].copy(), costs=g.costs * 2)
-    assert checks == [60]
-    with pytest.raises(ValueError):  # the checked arrays are read-only
+    assert checks == []
+    with pytest.raises(ValueError):  # the arrays are read-only
         g.indices[0] = g.indices[1]
     # a copy with new arrays, or over another node count or direction, is checked
     dataclasses.replace(g, indices=g.indices.copy())
     dataclasses.replace(g, directed=True)
     with pytest.raises(InputError, match="indptr length"):
         dataclasses.replace(g, n=59, costs=g.costs[:59], orig_ids=None)
-    assert checks == [60, 60, 60, 59]
+    assert checks == [60, 60, 59]
     with pytest.raises(InputError, match="orig_ids"):
         dataclasses.replace(g, orig_ids=g.orig_ids[:5])
 
@@ -428,6 +430,26 @@ def _unique_path(ids, directed):
     dense = dense.astype(np.int64)
     return orig, dense, graphio._csr(orig.size, dense[0::2], dense[1::2], directed,
                                      orig_ids=orig)
+
+
+@given(st.integers(0, 30), st.integers(0, 120), st.booleans(), st.integers(0, 10**6))
+@settings(max_examples=150, deadline=None)
+def test_csr_builds_a_graph_that_passes_the_adjacency_checks(n, arcs, directed, seed):
+    # _csr skips Graph._check_adjacency, so its arrays must pass the checks
+    # as built: edge lists with repeated arcs, reversed pairs, self loops and
+    # isolated nodes, n = 0 included
+    rng = np.random.default_rng(seed)
+    arcs = arcs if n else 0
+    span = int(rng.integers(1, n + 1)) if n else 1  # nodes from span on are isolated
+    src, dst = rng.integers(0, span, arcs), rng.integers(0, span, arcs)
+    dst[::4] = src[::4]
+    half = arcs // 2
+    src = np.concatenate([src, dst[:half], src[::3]])
+    dst = np.concatenate([dst, src[:half], dst[::3]])
+    graph = graphio._csr(n, src, dst, directed)
+    assert not graph.indptr.flags.writeable and not graph.indices.flags.writeable
+    rebuilt = sp.Graph(n, graph.indptr.copy(), graph.indices.copy(), directed)
+    _assert_same_arrays((rebuilt.indptr, rebuilt.indices), (graph.indptr, graph.indices))
 
 
 def _assert_same_arrays(got, expect):

@@ -350,3 +350,61 @@ def test_singletons_reject_bad_ids_before_counting(kind):
             with pytest.raises(InputError):
                 state.gains([0, 1, bad, 2], 0.0)
             assert oracle.query_count == 0
+
+
+# ---------------------------------------------------------------------------
+# the hooks the pruner's walk reads
+
+GATHER_KINDS = ("cut", "cut-directed", "cut-dup", "cut-directed-dup", "influence",
+                "influence-dup")
+
+
+@given(st.sampled_from(GATHER_KINDS), st.integers(min_value=0, max_value=500),
+       st.frozensets(ids), st.lists(ids, max_size=12), st.sampled_from([0, 0.0, 0.25]))
+@settings(max_examples=200, deadline=None)
+def test_gather_is_its_raw_gains_and_matches_fresh_evals(kind, seed, S, vs, offset):
+    oracle = build_oracle(kind, seed)
+    state = oracle.state()
+    for v in S:
+        state.add(v)
+    f_S = (oracle.eval(S) if S else 0) + offset
+    vs = np.array(vs, dtype=np.intp)
+    before = oracle.query_count
+    got = state.gather(vs, f_S)
+    assert oracle.query_count == before  # uncounted
+    expect = [oracle.eval(S | {v}) - f_S for v in vs.tolist()]
+    _same(got.tolist(), expect)
+    raw = state.raw(vs)
+    assert raw.dtype.kind == "i" and type(state.total) is int
+    values = state.total + raw
+    _same(((values if state.divisor is None else values / state.divisor) - f_S).tolist(), expect)
+
+
+def _shares_a_component(pool, u, v):
+    return bool((pool.roots[:, u] == pool.roots[:, v]).any())
+
+
+@given(st.sampled_from(["influence", "influence-dup"]), st.integers(min_value=0, max_value=500),
+       st.frozensets(ids), st.lists(ids, max_size=N))
+@settings(max_examples=200, deadline=None)
+def test_influence_overlap_and_bulk_add_against_one_by_one(kind, seed, S, vs):
+    oracle = build_oracle(kind, seed)
+    pool = oracle.pool
+    vs = np.array(vs, dtype=np.intp)
+    expect = next((j for j in range(len(vs))
+                   if any(_shares_a_component(pool, vs[i], vs[j]) for i in range(j))), len(vs))
+    assert oracle.state().first_overlap(vs) == expect
+    # a bulk add of the ids up to the first overlap equals adding them one by one
+    bulk, single = oracle.state(), oracle.state()
+    for v in S:
+        bulk.add(v)
+        single.add(v)
+    fresh = [v for v in vs[:expect].tolist() if v not in S]
+    bulk.extend(np.array(fresh, dtype=np.intp))
+    for v in fresh:
+        single.add(v)
+    assert np.array_equal(bulk._covered, single._covered)
+    assert bulk.total == single.total and type(bulk.total) is type(single.total) is int
+    f_S = oracle.eval(S | set(fresh)) if S | set(fresh) else 0.0
+    assert bulk.gains(range(N), f_S) == [oracle.eval(S | set(fresh) | {v}) - f_S
+                                         for v in range(N)]

@@ -692,12 +692,14 @@ class _SignedOracle(sp.Oracle):
 
 
 class _SignedState:
+    divisor = None  # values are the integer totals
+
     def __init__(self, oracle):
         self.oracle = oracle
         self.members = set()
-        self.value = 0
+        self.total = 0
 
-    def gather(self, vs, f_S):
+    def raw(self, vs):
         o = self.oracle
         gain = o.w[vs].copy()
         if not self.members:
@@ -705,7 +707,14 @@ class _SignedState:
         elif not o.hub[sorted(self.members)].any():
             gain += o.penalty * o.hub[vs]
         gain[np.isin(vs, sorted(self.members))] = 0
-        return (self.value + gain) - f_S
+        return gain
+
+    def gather(self, vs, f_S):
+        return (self.total + self.raw(vs)) - f_S
+
+    def first_overlap(self, vs):
+        # conservative: an add can move the penalty of every later id
+        return min(len(vs), 1)
 
     def count(self, k):
         self.oracle.counter.bump(k)
@@ -722,8 +731,12 @@ class _SignedState:
 
     def add(self, e):
         if e not in self.members:
-            self.value += self.gather(np.array([e], dtype=np.intp), 0).item()
+            self.total += self.raw(np.array([e], dtype=np.intp)).item()
             self.members.add(e)
+
+    def extend(self, vs):
+        for v in vs.tolist():
+            self.add(v)
 
 
 def _screen_instance(kind, seed, n):
@@ -745,6 +758,11 @@ def _screen_instance(kind, seed, n):
         graph = sp.from_edges(n, arcs, directed=True)
     else:
         graph = random_graph(n, rng.choice([0.05, 0.15, 0.4]), seed)
+    if kind == "influence-sparse":
+        # few live edges over a sparse graph: most pairs share no component,
+        # so walks decide many elements in a row
+        graph = random_graph(n, 0.08, seed)
+        return sp.InfluenceOracle(sp.LiveEdgeSamplePool(graph, p=0.05, m=3, seed=seed))
     if kind.startswith("cut"):
         return sp.CutOracle(graph)
     if kind == "coverage":
@@ -752,8 +770,14 @@ def _screen_instance(kind, seed, n):
     return sp.InfluenceOracle(sp.LiveEdgeSamplePool(graph, p=0.3, m=5, seed=seed))
 
 
-SCREEN_KINDS = ("cut", "cut-directed", "coverage", "influence", "influence-directed",
-                "modular", "custom", "negative", "signed")
+SCREEN_KINDS = ("cut", "cut-directed", "coverage", "influence", "influence-sparse",
+                "influence-directed", "modular", "custom", "negative", "signed")
+
+
+def _rung_states(states):
+    """What each rung holds, its floats as reprs so that every bit counts."""
+    return [(s.processed, s.working, s.best_single, repr(s.f_working), repr(s.f_checkpoint),
+             repr(s.f_best_single)) for s in states]
 
 
 @given(st.sampled_from(SCREEN_KINDS), st.integers(0, 10**6), st.integers(8, 40),
@@ -782,8 +806,7 @@ def test_screen_matches_the_element_by_element_pass(kind, seed, n, repeats, ladd
             pruned, report, states = prune(stream, _screen_instance(kind, seed, n),
                                            costs.__getitem__, rungs, n)
             runs.append((_outputs(pruned, report.per_budget_sizes, report.events),
-                         report.deletions, report.oracle_calls,
-                         [(s.processed, s.working, s.best_single) for s in states]))
+                         report.deletions, report.oracle_calls, _rung_states(states)))
     assert runs[0] == runs[1]
 
 
@@ -843,6 +866,33 @@ def test_screen_engages_on_cut_and_steps_aside_for_custom():
     # the same values through a custom oracle, whose EvalState has no gather
     _, plain, _ = _ba_ladder(_custom_cut)
     assert plain == admitted
+
+
+def test_walks_keep_an_event_dense_influence_stream_out_of_steps():
+    # a query-count guard, not a timing: most elements of a 1,000-node BA
+    # graph with a sparse live-edge pool are events, and walks decide them
+    n = 1000
+    graph = sp.generate("barabasi_albert", n, {"m_attach": 8}, seed=7)
+    pool = sp.LiveEdgeSamplePool(graph, p=0.01, m=25, seed=7)
+    ladder = sp.LadderParams(20.0, 80.0, 0.5, 0.1, 0.1)
+    stepped = []
+    real_steps = pruning._steps
+
+    def recorded(per_rung, oracle, n, elements):
+        elements = list(elements)
+        stepped.extend(elements)
+        real_steps(per_rung, oracle, n, elements)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(pruning, "_steps", recorded)
+        pruned, report = sp.quickprune(range(n), sp.InfluenceOracle(pool), unit_cost, ladder, n)
+    assert len(stepped) < n / 5
+    rungs = [sp.PruneParams(tau, ladder.delta, ladder.epsilon)
+             for tau in sp.budget_ladder(ladder.kappa_min, ladder.kappa_max, ladder.eta)]
+    ref, ref_report, _ = ref_prune(range(n), sp.InfluenceOracle(pool), unit_cost, rungs, n)
+    assert report.oracle_calls == ref_report.oracle_calls
+    assert _outputs(pruned, report.per_budget_sizes, report.events) == _outputs(
+        ref, ref_report.per_budget_sizes, ref_report.events)
 
 
 @pytest.mark.parametrize("make_oracle", [sp.CutOracle, _custom_cut], ids=["cut", "custom"])
