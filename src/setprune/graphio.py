@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import InputError, ParseError, outside_ground_set
+from .errors import InputError, ParseError, outside_ground_set, require_finite
 
 DEFAULT_COST_ALPHA = 1.0 / 20.0
 
@@ -423,21 +423,31 @@ def assign_knapsack_costs(graph: Graph, cost_alpha: float = DEFAULT_COST_ALPHA,
 
     In "degree" mode, cost(v) = cost_beta / n * (deg(v) - cost_alpha) with
     cost_beta chosen as the smallest value that makes the minimum cost
-    exactly 1. "unit" mode sets every cost to 1 (the size-constraint case).
-    Nodes whose degree does not exceed cost_alpha make the degree formula
-    degenerate and raise InputError.
+    exactly 1. A directed graph prices its nodes by out-degree. "unit" mode
+    sets every cost to 1 (the size-constraint case). ``cost_alpha`` must be
+    finite, and nodes whose degree does not exceed it make the degree
+    formula degenerate: both raise InputError. A ``cost_alpha`` below the
+    smallest degree prices every node: -1 prices the sinks (out-degree 0)
+    of a directed graph, and when it has one a node of out-degree d costs
+    d + 1.
     """
     if mode == "unit":
         return dataclasses.replace(graph, costs=np.ones(graph.n, dtype=np.float64))
     if mode != "degree":
         raise InputError(f"unknown cost mode {mode!r}")
+    require_finite(cost_alpha=cost_alpha)
     if graph.n == 0:
         raise InputError("cannot assign degree costs to an empty graph")
     degs = graph.degrees.astype(np.float64)
     shifted = degs - cost_alpha
     if shifted.min() <= 0:
+        low = int(np.count_nonzero(shifted <= 0))
+        sinks = (" A directed graph prices nodes by out-degree; a cost_alpha below"
+                 " the smallest degree (for example --cost-alpha -1) prices its"
+                 " sinks." if graph.directed else "")
         raise InputError(
-            f"degree cost model degenerate: some node has degree <= {cost_alpha}")
+            f"degree cost model degenerate: {low} of {graph.n} nodes have degree"
+            f" <= cost_alpha = {cost_alpha} (smallest degree {int(degs.min())}).{sinks}")
     costs = shifted / shifted.min()
     return dataclasses.replace(graph, costs=costs)
 

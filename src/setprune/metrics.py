@@ -116,6 +116,9 @@ def sweep_budgets(oracle, cost_fn, U, pruner_outputs: dict, budgets, solver,
     ids, costs, singleton values and their order) that their first solve
     builds for the sweep's largest budget; every later solve with the same
     oracle and cost function filters that seed instead of building its own.
+    A size-constrained solve also reads its ids and queries from one lazy
+    pass per set, recorded to the largest budget by the set's first such
+    solve, and asks only its final ``eval``.
     ``oracle_calls_solve`` stays the standalone bill of the two solves, so
     the records are those of per-budget ``evaluate_pruning`` calls; the
     queries actually asked are the difference in ``oracle.query_count``

@@ -173,9 +173,7 @@ class EvalState:
             return oracle.marginal(e, self.members, f_S)
         e = _check_id(e, oracle.n)
         oracle.counter.bump()
-        # rebuilt by insertion, as eval's id check rebuilds its argument, so a
-        # set function that sums floats in iteration order gets eval's bits
-        return oracle._value(set(iter(self.members | {e}))) - f_S
+        return oracle._value(self.members | {e}) - f_S
 
     def gains(self, ids, f_S):
         oracle, members = self.oracle, self.members
@@ -751,7 +749,12 @@ class SimilarityCutOracle(Oracle):
 
 
 class CustomOracle(Oracle):
-    """Wrap an arbitrary set function; normalizes by subtracting f(empty)."""
+    """Wrap an arbitrary set function; normalizes by subtracting f(empty).
+
+    The function gets a frozenset built from the ids in ascending order, so
+    its iteration order depends only on the members: a function that sums
+    floats in iteration order gets the same bits for the same set however
+    the caller built it."""
 
     def __init__(self, n: int, fn, kind: str = "custom"):
         super().__init__(n)
@@ -760,7 +763,7 @@ class CustomOracle(Oracle):
         self._offset = float(fn(frozenset()))
 
     def _value(self, S):
-        return self._fn(frozenset(S)) - self._offset
+        return self._fn(frozenset(sorted(S))) - self._offset
 
 
 def estimate_gamma(oracle: Oracle, U, zero_tol: float = 1e-9) -> float:

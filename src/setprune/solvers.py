@@ -27,10 +27,20 @@ Python ints and its value and cost Python floats whatever the type of
 ``U``. A set function that is NaN on a singleton is refused. Every solver
 that takes a cost function refuses costs that are not positive.
 
+Under unit costs the pass to ``k`` runs the same steps as the pass to any
+larger budget up to its ``k``-th commit and then stops (Minoux, 1978;
+CELF), or stops where the longer pass stops when that commits fewer. So
+the size-constrained solves of a sweep's ground set share one pass: the
+first runs it on the set's seed to the sweep's largest budget and records
+how many queries it had asked at each commit, and each solve at ``k``
+takes the first ``k`` commits and values them with one counted ``eval``.
+A knapsack is not prefix-closed: each of its solves runs its own pass.
+
 ``Solution.oracle_calls`` is the standalone bill whether or not the seed
-was shared: the singletons of the feasible ids, the marginals the loop
-asked and the final ``eval``. The oracle's ``query_count`` counts only
-the queries actually asked, so in a sweep it can be below the bills' sum.
+or the pass was shared: the singletons of the feasible ids, the marginals
+its own loop asks and the final ``eval``. The oracle's ``query_count``
+counts only the queries actually asked, so in a sweep it can be below the
+bills' sum.
 
 ``brute_force_opt`` is the exhaustive verification oracle used to check
 retention guarantees at desk scale.
@@ -81,7 +91,8 @@ def greedy_cardinality(oracle, U, k: int) -> Solution:
     Selects up to ``k`` elements, each round committing the element with the
     largest fresh marginal gain, ties going to the smaller id. Equivalent to
     naive greedy whenever the oracle is submodular. This is the density pass
-    of ``greedy_knapsack`` with every cost 1.0 and budget ``k``.
+    of ``greedy_knapsack`` with every cost 1.0 and budget ``k``; the solves
+    of one sweep set read their picks from one recorded pass.
     """
     try:
         k = operator.index(k)
@@ -92,6 +103,10 @@ def greedy_cardinality(oracle, U, k: int) -> Solution:
     # a k past n changes nothing; the cap keeps it comparable with float64 costs
     k = min(k, oracle.n)
     seed = _seed(oracle, None, U, k)
+    if k and seed is getattr(U, "seed", None):
+        chosen, asked = _recorded_prefix(oracle, U, k)
+        return _solution(oracle, chosen, float(len(chosen)), seed.ids.size,
+                         oracle.query_count - asked)
     start_calls = oracle.query_count
     chosen, _, spent, fit = _density_pass(oracle, seed, k)
     return _solution(oracle, chosen, spent, fit.size, start_calls)
@@ -110,7 +125,7 @@ def greedy_knapsack(oracle, cost_fn, U, kappa: float) -> Solution:
         # the first best singleton, when it beats the density pass and zero
         best = fit[seed.singles[fit].argmax()]
         if seed.singles.item(best) > max(value, 0.0):
-            chosen = {seed.ids.item(best)}
+            chosen = [seed.ids.item(best)]
             spent = seed.costs.item(best)
     return _solution(oracle, chosen, spent, fit.size, start_calls)
 
@@ -135,14 +150,18 @@ class _Seed:
 class _SweepSet(frozenset):
     """A ground set of one sweep: a frozenset that keeps the seed its first
     solve builds, over the ids whose cost fits ``reach``, the sweep's
-    largest budget, so that the sweep's later solves filter it."""
+    largest budget, so that the sweep's later solves filter it. Its first
+    size-constrained solve on that seed also keeps ``commits``, the ids of
+    one unit-cost pass to ``reach`` in commit order, and ``marks``, the
+    queries that pass had asked at each commit followed by its total."""
 
-    __slots__ = ("reach", "seed")
+    __slots__ = ("reach", "seed", "commits", "marks")
 
     def __new__(cls, ids, reach: float):
         self = super().__new__(cls, ids)
         self.reach = reach
         self.seed = None
+        self.commits = None
         return self
 
 
@@ -181,11 +200,26 @@ def _new_seed(oracle, cost_fn, U, reach) -> _Seed:
                  np.argsort(ratios, kind="stable"))
 
 
-def _density_pass(oracle, seed, budget):
+def _recorded_prefix(oracle, U, k):
+    """``(chosen, asked)`` of a unit-cost pass to ``k`` over the seed of the
+    sweep set ``U``, read from its recorded pass: the pass to ``k`` runs
+    the same steps as the pass to ``U.reach`` up to its ``k``-th commit and
+    then stops, or stops where the longer pass stops when that commits
+    fewer. ``asked`` is the queries the pass to ``k`` asks."""
+    if U.commits is None:
+        start = oracle.query_count
+        marks = []
+        commits, _, _, _ = _density_pass(oracle, U.seed, min(U.reach, oracle.n), marks)
+        U.commits = commits
+        U.marks = [m - start for m in marks] + [oracle.query_count - start]
+    return U.commits[:k], U.marks[min(k - 1, len(U.commits))]
+
+
+def _density_pass(oracle, seed, budget, marks=None):
     """Lazy cost-benefit greedy over the entries of ``seed`` whose cost
-    fits ``budget``: ``(chosen, value, spent, fit)``, where ``fit`` holds
-    those entries' positions in the seed, ascending. Nothing is asked when
-    none fits.
+    fits ``budget``: ``(chosen, value, spent, fit)``, where ``chosen`` lists
+    the committed ids in commit order and ``fit`` holds the fitting entries'
+    positions in the seed, ascending. Nothing is asked when none fits.
 
     Each step commits the element with the best fresh gain-to-cost ratio
     that still fits the remaining budget; elements that stop fitting are
@@ -199,12 +233,16 @@ def _density_pass(oracle, seed, budget):
     only a non-monotone objective can give: committing it would lose value,
     and for a submodular one no later candidate gains more. Zero gains are
     still committed.
+
+    When ``marks`` is a list, ``oracle.query_count`` is appended to it at
+    each commit.
     """
     ids, costs, singles, ratios = seed.ids, seed.costs, seed.singles, seed.ratios
     fits = costs <= budget
     fit = np.flatnonzero(fits)
+    chosen = []
     if not fit.size:
-        return set(), 0.0, 0.0, fit
+        return chosen, 0.0, 0.0, fit
     c_min = costs[fit].min().item()
     order = seed.order[fits[seed.order]]
     st = oracle_state(oracle)
@@ -212,7 +250,6 @@ def _density_pass(oracle, seed, budget):
     # id, and an entry is fresh iff its stamp is len(chosen)
     pos = 0  # order[pos] heads the sorted source
     heap = []
-    chosen = set()
     value = 0.0
     spent = 0.0
     while spent + c_min <= budget:
@@ -232,7 +269,9 @@ def _density_pass(oracle, seed, budget):
         if stamp == len(chosen):
             if gain < 0:
                 break
-            chosen.add(v)
+            if marks is not None:
+                marks.append(oracle.query_count)
+            chosen.append(v)
             st.add(v)
             value += gain
             spent += c
@@ -243,10 +282,11 @@ def _density_pass(oracle, seed, budget):
 
 
 def _solution(oracle, chosen, spent, singletons, start_calls) -> Solution:
-    """The solution, valued by one counted ``eval``. Its bill is that of a
-    standalone solve: the ``singletons`` of the feasible ids, which a
-    sweep's seed asked once for all its solves, plus every query asked
-    since ``start_calls``."""
+    """The solution of the ids ``chosen`` in commit order, valued by one
+    counted ``eval``. Its bill is that of a standalone solve: the
+    ``singletons`` of the feasible ids, which a sweep's seed asked once for
+    all its solves, plus every query asked since ``start_calls``."""
+    chosen = set(chosen)  # built by insertion in commit order
     return Solution(
         ids=frozenset(chosen),
         value=oracle.eval(chosen) if chosen else 0.0,

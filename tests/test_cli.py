@@ -125,6 +125,30 @@ def test_non_finite_lam_is_config_error(tmp_path):
                      "--out", str(tmp_path / "s.json")]) == rc, lam
 
 
+def test_non_finite_cost_alpha_is_config_error(tmp_path, capsys):
+    graph = _write_graph(tmp_path)
+    for alpha in ("nan", "inf", "-inf"):
+        assert main(["prune", "--graph", str(graph), "--constraint", "knapsack",
+                     f"--cost-alpha={alpha}", "--kappa-max", "4",
+                     "--out-ids", str(tmp_path / "i"), "--out-report", str(tmp_path / "r")]) == 2
+        assert "cost_alpha must be finite" in capsys.readouterr().err
+
+
+def test_directed_knapsack_with_sinks_needs_a_lower_cost_alpha(tmp_path, capsys):
+    # read as directed, a BA edge list (each edge listed once) has sinks,
+    # which out-degree costs cannot price at the default cost_alpha
+    graph = _write_graph(tmp_path, "barabasi_albert", 300, {"m_attach": 4}, seed=5)
+    args = ["prune", "--graph", str(graph), "--directed", "--constraint", "knapsack",
+            "--objective", "cut", "--kappa-max", "8",
+            "--out-ids", str(tmp_path / "i"), "--out-report", str(tmp_path / "r")]
+    assert main(args) == 2
+    err = capsys.readouterr().err
+    assert re.search(r"\d+ of 300 nodes have degree <= cost_alpha = 0\.05 \(smallest degree 0\)",
+                     err)
+    assert "prices nodes by out-degree" in err and "--cost-alpha -1" in err
+    assert main([*args, "--cost-alpha", "-1"]) == 0
+
+
 def test_non_finite_kernel_is_config_error(tmp_path, capsys):
     # NaN entries were refused as "must be symmetric", naming the wrong fault
     for kernel in (b"1,nan\nnan,1\n", b"1,inf\ninf,1\n", b"1,0.5\nnan,1\n"):

@@ -264,8 +264,26 @@ def test_cost_fn_reads_the_vector_and_bounds_ids(star6):
 
 def test_costs_isolated_node_degenerate():
     g = sp.from_edges(3, [(0, 1)])  # node 2 has degree zero
-    with pytest.raises(InputError):
+    with pytest.raises(InputError, match=r"1 of 3 nodes .* \(smallest degree 0\)\.$"):
         sp.assign_knapsack_costs(g)
+
+
+@pytest.mark.parametrize("alpha", [float("nan"), float("inf"), float("-inf"), 10**400])
+def test_costs_refuse_a_cost_alpha_that_is_not_finite(alpha):
+    # -inf divided inf by inf (a RuntimeWarning) and NaN was reported as a
+    # fault of the costs
+    with pytest.raises(InputError, match="cost_alpha must be finite"):
+        sp.assign_knapsack_costs(sp.generate("path", 4), cost_alpha=alpha)
+
+
+def test_directed_degree_costs_price_sinks_below_the_smallest_degree():
+    g = sp.from_edges(4, [(0, 1), (0, 2), (1, 2), (3, 2)], directed=True)  # 2 is a sink
+    with pytest.raises(InputError) as error:
+        sp.assign_knapsack_costs(g)
+    message = str(error.value)
+    assert "1 of 4 nodes have degree <= cost_alpha = 0.05 (smallest degree 0)" in message
+    assert "prices nodes by out-degree" in message and "--cost-alpha -1" in message
+    assert sp.assign_knapsack_costs(g, cost_alpha=-1).costs.tolist() == [3.0, 2.0, 1.0, 2.0]
 
 
 def test_graph_stores_costs_as_a_float_array():

@@ -370,18 +370,31 @@ def test_sweep_matches_per_budget_reference_solves(constraint):
 
 _SWEEP_N = 40
 # budgets as multiples of the cheapest cost (1.0): zero, below it, exactly
-# it, between costs, and far above the total cost of the ground set
-_SCALES = st.sampled_from([0.0, 0.5, 1.0, 2.0, 3.5, 7.0, 1e3])
+# it, between costs, n itself, just past n and far above the total cost of
+# the ground set; a size constraint truncates them to integers
+_SCALES = st.sampled_from([0.0, 0.5, 1.0, 2.0, 3.5, 7.0, 12.0, float(_SWEEP_N),
+                           _SWEEP_N + 1.5, 1e3])
+_CARDINALITY_KINDS = ("coverage", "influence", "non-monotone")
 
 
 def _sweep_instance(kind, seed):
     """``(oracle, cost_fn, solver)``: cut with degree costs under a knapsack,
-    coverage under a size constraint, a custom (``EvalState``) oracle under
-    a knapsack with callable costs, and cut behind a wrapper that has only
-    ``n``, ``eval``, ``marginal`` and ``query_count``."""
+    coverage, undirected influence and a non-monotone custom function under
+    a size constraint, a custom (``EvalState``) oracle under a knapsack with
+    callable costs, and cut behind a wrapper that has only ``n``, ``eval``,
+    ``marginal`` and ``query_count``. The non-monotone function's gains turn
+    negative after about six picks, so its passes stop there."""
     if kind == "coverage":
         return sp.CoverageOracle(random_graph(_SWEEP_N, 0.1, seed)), unit_cost, \
             sp.cardinality_solver
+    if kind == "influence":
+        pool = sp.LiveEdgeSamplePool(random_graph(_SWEEP_N, 0.08, seed), p=0.5, m=6, seed=seed)
+        return sp.InfluenceOracle(pool), unit_cost, sp.cardinality_solver
+    if kind == "non-monotone":
+        weights = [1.0 + (seed + 3 * v) % 9 / 2 for v in range(_SWEEP_N)]
+        oracle = sp.CustomOracle(
+            _SWEEP_N, lambda S: math.fsum(weights[v] for v in S) - 0.4 * len(S) ** 2)
+        return oracle, unit_cost, sp.cardinality_solver
     if kind == "custom":
         weights = [1.0 + (seed + 7 * v) % 5 for v in range(_SWEEP_N)]
         _, cost_fn = random_costs(_SWEEP_N, 1.0, 6.0, seed)
@@ -397,7 +410,7 @@ def _sweep_instance(kind, seed):
 
 @st.composite
 def sweep_instances(draw):
-    kind = draw(st.sampled_from(["cut", "coverage", "custom", "wrapper"]))
+    kind = draw(st.sampled_from(["cut", "custom", "wrapper", *_CARDINALITY_KINDS]))
     oracle, cost_fn, solver = _sweep_instance(kind, draw(st.integers(0, 200)))
     ids = st.integers(0, _SWEEP_N - 1)
     U = draw(st.one_of(st.just(range(_SWEEP_N)), st.lists(ids, min_size=1, max_size=60)))
@@ -409,11 +422,13 @@ def sweep_instances(draw):
 
 
 @given(sweep_instances())
-@settings(max_examples=150, deadline=None)
+@settings(max_examples=250, deadline=None)
 def test_sweep_reusing_seeds_matches_standalone_solves(instance):
     # every record and every solution of the sweep, query bill included,
     # must be those of per-budget evaluate_pruning calls, whose solves each
-    # build their own seed
+    # build their own seed; a size-constrained sweep asks, per ground set,
+    # no more than its singletons and one pass to the largest budget, plus
+    # one eval per non-empty solution
     oracle, cost_fn, solver, U, outputs, budgets = instance
     calls = {"a": 5}
     got_solutions, want_solutions = [], []
@@ -434,6 +449,12 @@ def test_sweep_reusing_seeds_matches_standalone_solves(instance):
     assert len(got_solutions) == len(want_solutions) == 2 * len(want)
     assert all(_same(g, w) for g, w in zip(got_solutions, want_solutions))
     assert asked <= sum(r.oracle_calls_solve for r in got)
+    if solver is sp.cardinality_solver:
+        passes = 0
+        for G in [U, *outputs.values()]:
+            longest = solver(oracle, cost_fn, set(G), max(budgets))
+            passes += longest.oracle_calls - bool(longest.ids)
+        assert asked <= passes + sum(bool(sol.ids) for sol in got_solutions)
 
 
 @pytest.mark.parametrize("deviation", ["oracle", "cost_fn", "budget"])
@@ -462,6 +483,39 @@ def test_a_solver_that_deviates_from_the_sweep_solves_standalone(deviation):
         return sol
 
     records = sp.sweep_budgets(oracle, cost_fn, range(200), {"p": set(range(0, 200, 3))},
+                               budgets, solver)
+    assert len(records) == 3
+
+
+@pytest.mark.parametrize("deviation", ["oracle", "knapsack", "budget"])
+def test_a_size_constrained_solve_that_deviates_from_the_sweep_solves_standalone(deviation):
+    # the same at budget 8 of a size-constrained sweep, whose solves share
+    # one recorded pass per set: the solver asks another oracle, a knapsack
+    # under unit costs, or a budget past the sweep's largest
+    graph = sp.generate("barabasi_albert", 200, {"m_attach": 3}, seed=4)
+    oracle, other = sp.CoverageOracle(graph), sp.CoverageOracle(graph)
+    budgets = [3, 8, 5]
+
+    def solver(oracle_, cost_fn, U, budget):
+        solve = sp.cardinality_solver
+        if budget == 8:
+            if deviation == "oracle":
+                oracle_ = other
+            elif deviation == "knapsack":
+                solve = sp.knapsack_solver
+            else:
+                budget = 3 * max(budgets)
+        before = oracle_.query_count
+        sol = solve(oracle_, cost_fn, U, budget)
+        asked = oracle_.query_count - before
+        if budget == 5:  # read from the pass that the first solves recorded
+            assert asked == 1 < sol.oracle_calls
+        elif budget != 3:
+            assert asked == sol.oracle_calls
+        assert _same(sol, solve(oracle_, cost_fn, set(U), budget))
+        return sol
+
+    records = sp.sweep_budgets(oracle, unit_cost, range(200), {"p": set(range(0, 200, 3))},
                                budgets, solver)
     assert len(records) == 3
 
