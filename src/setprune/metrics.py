@@ -68,18 +68,22 @@ def evaluate_pruning(oracle, cost_fn, U, U_pruned, solver, budget,
     otherwise.
     """
     _check_range(budget_range)
-    return _evaluate(oracle, cost_fn, set(U), set(U_pruned), solver, budget,
-                     pruner, oracle_calls_prune, budget_range)
+    U, U_pruned = set(U), set(U_pruned)
+    _check_sets(U, U_pruned)
+    full_solution = solver(oracle, cost_fn, U, budget)
+    return _record(U, U_pruned, full_solution, solver(oracle, cost_fn, U_pruned, budget),
+                   budget, pruner, oracle_calls_prune, budget_range)
 
 
-def _evaluate(oracle, cost_fn, U, U_pruned, solver, budget, pruner,
-              oracle_calls_prune, budget_range) -> EvalRecord:
+def _check_sets(U, U_pruned) -> None:
     if not U:
         raise InputError("ground set must be non-empty")
     if not U_pruned <= U:
         raise InputError("pruned set must be a subset of the ground set")
-    full_solution = solver(oracle, cost_fn, U, budget)
-    pruned_solution = solver(oracle, cost_fn, U_pruned, budget)
+
+
+def _record(U, U_pruned, full_solution, pruned_solution, budget, pruner,
+            oracle_calls_prune, budget_range) -> EvalRecord:
     undefined = False
     if full_solution.value == 0:
         p_r = 1.0 if pruned_solution.value == 0 else math.nan
@@ -111,7 +115,9 @@ def sweep_budgets(oracle, cost_fn, U, pruner_outputs: dict, budgets, solver,
     """One EvalRecord per (budget, pruner) pair.
 
     ``pruner_outputs`` maps pruner name to its pruned set; pruning is done
-    once per pruner by the caller. The ground set and each pruned set are
+    once per pruner by the caller. The full ground set is solved once per
+    budget, before the pruned sets, and that solution goes into every
+    pruner's record at the budget. The ground set and each pruned set are
     built once per sweep, as frozensets that keep the solve seed (checked
     ids, costs, singleton values and their order) that their first solve
     builds for the sweep's largest budget; every later solve with the same
@@ -120,9 +126,9 @@ def sweep_budgets(oracle, cost_fn, U, pruner_outputs: dict, budgets, solver,
     pass per set, recorded to the largest budget by the set's first such
     solve, and asks only its final ``eval``.
     ``oracle_calls_solve`` stays the standalone bill of the two solves, so
-    the records are those of per-budget ``evaluate_pruning`` calls; the
-    queries actually asked are the difference in ``oracle.query_count``
-    over the sweep.
+    with a deterministic solver the records are those of per-budget
+    ``evaluate_pruning`` calls; the queries actually asked are the
+    difference in ``oracle.query_count`` over the sweep.
     Budgets iterate in the given order, pruners in name order, so the output
     ordering is deterministic. Budgets outside ``budget_range`` are still
     evaluated but flagged.
@@ -137,11 +143,15 @@ def sweep_budgets(oracle, cost_fn, U, pruner_outputs: dict, budgets, solver,
     ground = _SweepSet(U, reach)
     pruned = {name: _SweepSet(pruner_outputs[name], reach)
               for name in sorted(pruner_outputs)}
+    for U_pruned in pruned.values():
+        _check_sets(ground, U_pruned)
     records = []
     for budget in budgets:
+        full_solution = solver(oracle, cost_fn, ground, budget) if pruned else None
         for name, U_pruned in pruned.items():
-            records.append(_evaluate(oracle, cost_fn, ground, U_pruned, solver, budget,
-                                     name, prune_calls.get(name, 0), budget_range))
+            records.append(_record(ground, U_pruned, full_solution,
+                                   solver(oracle, cost_fn, U_pruned, budget), budget,
+                                   name, prune_calls.get(name, 0), budget_range))
     return records
 
 

@@ -45,7 +45,8 @@ array; the first two count no query:
 - ``gather(vs, f_S)``: the gains themselves, ``_marginals`` of the raw
   ones, the formula every batch uses;
 - ``count(k)``: counts ``k`` queries, so the pruner's screen charges exactly
-  the gains the sequential pass would have asked for.
+  the gains the sequential pass would have asked for, and the pruner asks a
+  block's singletons as one ``gather`` from the empty state and one count.
 
 The undirected influence state also has the two hooks the pruner's walk
 needs, which cut's two-read marginal does not pay for:
@@ -244,14 +245,15 @@ def _checked_ids(ids, n: int, into=list):
 def _checked_array(ids, n: int):
     """``_checked_ids(ids, n)`` as an intp array, range-checked in numpy.
     A 1-D integer array is range-checked as it stands, with no per-element
-    conversion."""
+    conversion; the error for an id that is not an integer names it."""
     if isinstance(ids, np.ndarray) and ids.ndim == 1 and ids.dtype.kind in "iu":
         vs = ids
     else:
+        given = list(ids)
         try:
-            vs = list(map(operator.index, ids))
-        except TypeError as exc:
-            raise InputError(f"element ids must be integers: {exc}") from None
+            vs = list(map(operator.index, given))
+        except TypeError:
+            raise InputError(f"element id {_first_not_index(given)!r} is not an integer") from None
         try:
             vs = np.array(vs, dtype=np.intp)
         except OverflowError:
@@ -259,6 +261,15 @@ def _checked_array(ids, n: int):
     if vs.size and not (vs.min() >= 0 and vs.max() < n):
         raise outside_ground_set(int(vs[(vs < 0) | (vs >= n)][0]), n)
     return vs.astype(np.intp, copy=False)
+
+
+def _first_not_index(vs):
+    """The first of ``vs`` that is not an integer."""
+    for v in vs:
+        try:
+            operator.index(v)
+        except TypeError:
+            return v
 
 
 def _check_id(v, n: int) -> int:

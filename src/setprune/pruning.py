@@ -8,17 +8,18 @@ factor ``n / epsilon`` since that checkpoint. The multi-budget variant runs
 one such pruner per rung of a geometric budget ladder and returns the union
 of their outputs. Both go through one streaming driver: ``quickprune_single``
 is the one-rung case of the driver that ``quickprune`` runs over the ladder.
-The driver reads the stream in blocks: elements over every budget are
-dropped at the block, the rest have their singleton values asked in one
-``gains`` batch, and one rule decides which rungs share a marginal. When
-the oracle's states answer a batch with one numpy gather (cut, undirected
-influence), a screen skips in numpy the elements that can change no rung.
-When the states can also tell which ids' gains an add changes (undirected
-influence), the screen walks the elements that can: one scalar loop
-repeats the element-by-element float operations on a window's gathered
-integer gains and commits the adds in bulk. Skipped and walked elements
-are charged exactly the queries the element-by-element pass asks, so
-outputs, events, every float and query counts are unchanged.
+The driver reads the stream in blocks of ``_BLOCK`` ids, kept as arrays:
+elements over every budget are dropped at the block, the rest have their
+singleton values asked in one counted batch, and one rule decides which
+rungs share a marginal. When the oracle's states answer a batch with one
+numpy gather (cut, undirected influence), a screen skips in numpy the
+elements that can change no rung; only the elements it walks or steps
+become Python tuples. When the states can also tell which ids' gains an add
+changes (undirected influence), the screen walks the elements that can: one
+scalar loop repeats the element-by-element float operations on a window's
+gathered integer gains and commits the adds in bulk. Skipped and walked
+elements are charged exactly the queries the element-by-element pass asks,
+so outputs, events, every float and query counts are unchanged.
 
 Closed-form companions to the pruners live here as well: the pruned-set
 size bound, the worst-case retention ratios, the ladder-size formula, the
@@ -64,10 +65,10 @@ _LADDER_RTOL = 1e-12
 # whole stream, and the ladder is counted before any rung is built.
 MAX_RUNGS = 10_000
 
-# Stream elements `_prune` reads at a time: their costs are taken and
-# their singleton values asked in one batch before the block is fed through
-# the rungs.
-_BLOCK = 256
+# Stream ids `_prune` reads at a time, taking their costs and singleton
+# values in one batch; screened windows double up to a block. On the bench's
+# cut workload 1,024 ran slower, 4,096 no faster.
+_BLOCK = 2048
 
 # Admitted elements in the screen's first window, and the most a walk
 # decides; a window that finds no event doubles the next one.
@@ -220,13 +221,12 @@ def process_element(state: SinglePrunerState, oracle, cost_fn, params: PrunePara
     """Feed one element through the single-budget pruning rules, in order:
     budget guard, add rule, best-singleton update, checkpoint deletion.
 
-    The one-rung case of ``_steps``, at stream position
-    ``state.processed`` (which it advances by one). Costs at most two fresh
-    oracle queries (one when the working set is empty, where the singleton
-    value doubles as the marginal), plus one evaluation of the survivors
-    when a deletion removes elements and rebuilds the oracle state from
-    them. Raises InputError when ``cost_fn(e)`` is not positive (NaN
-    included).
+    The one-rung case of ``_steps``, at stream position ``state.processed``
+    (which it advances by one). Costs at most two fresh oracle queries (one
+    when the working set is empty, where the singleton value doubles as the
+    marginal), plus one evaluation of the survivors when a deletion removes
+    elements and rebuilds the oracle state from them. Raises InputError when
+    ``cost_fn(e)`` is not positive (NaN included).
     """
     if n < 1:
         raise InputError("ground-set size n must be >= 1")
@@ -311,17 +311,17 @@ def _prune(stream, oracle, cost_fn, rungs: list, n: int):
     Each distinct question is asked once per element: f({e}) once when some
     rung's budget admits ``e``, and one marginal per group of admitting
     rungs that ``_shares_gains``. The stream is read in blocks of ``_BLOCK``
-    ids, checked against ``oracle.n`` as one array, with one ``cost_array``
-    read. Elements over the largest budget are dropped there; the rest have
-    their singleton values asked in one batch, ``gains(ids, 0.0)`` on an
-    empty oracle state, and go on to ``_steps`` as ``(pos, e, cost,
-    f_single)``, ``pos`` the stream position. When the oracle's states
-    answer a batch with one gather (cut, undirected influence), a
-    ``_Screen`` decides the elements that change no rung, and, for
-    influence, most of the others, charging them the queries ``_steps``
-    would have asked; outputs, events and query counts are those of the
-    element-by-element pass. Every state's ``processed`` is set to the
-    stream length at the end.
+    ids, checked as one array, so a bad id raises InputError before any
+    element of its block is decided; costs come in one ``cost_array`` read.
+    Elements over the largest budget are dropped there; the rest have their
+    singleton values asked on an empty oracle state in one counted batch.
+    Without a screen that is ``gains(ids, 0.0)``, and ``_steps`` reads
+    ``(pos, e, cost, f_single)`` (``pos`` the stream position) from an
+    iterator. When the states answer with one gather (cut, undirected
+    influence), it is ``gather(ids, 0.0)`` and one ``count``, and a
+    ``_Screen`` takes the block as arrays and charges what it decides the
+    queries ``_steps`` would have asked. Every state's ``processed`` is set
+    to the stream length at the end.
     """
     if n < 1:
         raise InputError("ground-set size n must be >= 1")
@@ -339,15 +339,14 @@ def _prune(stream, oracle, cost_fn, rungs: list, n: int):
         costs = cost_array(cost_fn, block)
         fit = np.flatnonzero(costs <= top)
         ids, costs = block[fit], costs[fit]
-        singles = batch.gains(ids, 0.0)
-        elements = list(zip((fit + pos).tolist(), ids.tolist(), costs.tolist(), singles))
         if screen is None:
-            _steps(per_rung, oracle, n, elements)
+            _steps(per_rung, oracle, n, zip((fit + pos).tolist(), ids.tolist(), costs.tolist(),
+                                            batch.gains(ids, 0.0)))
         else:
-            screen.feed(elements, ids, costs, singles)
+            batch.count(ids.size)
+            screen.feed(fit + pos, ids, costs, batch.gather(ids, 0.0))
         pos += block.size
-    union = set()
-    sizes = {}
+    union, sizes = set(), {}
     for params, state in per_rung:
         state.processed = pos
         out = state.pruned_set()
@@ -366,9 +365,9 @@ def _prune(stream, oracle, cost_fn, rungs: list, n: int):
 
 
 def _steps(per_rung, oracle, n: int, elements) -> None:
-    """Feed each ``(pos, e, cost, f_single)`` of ``elements`` to every rung,
-    in order: each admitting rung runs the query step before any applies
-    it, so the query steps see unmutated states."""
+    """Feed each ``(pos, e, cost, f_single)`` of ``elements``, a list or an
+    iterator, to every rung, in order: each admitting rung runs the query
+    step before any applies it, so the query steps see unmutated states."""
     for pos, e, cost, f_single in elements:
         answers = {}
         admitted = [(params, state, _gain(state, oracle, e, f_single, answers))
@@ -396,19 +395,19 @@ class _Group:
         self.rows, self.states, self.raw = [row], [state], raw
 
 
-def _decide(rungs, state: SinglePrunerState, window, raw, divisor, stop: int):
+def _decide(rungs, state: SinglePrunerState, window, raw, divisor):
     """Repeat ``_gain`` and ``_apply`` for a group of rungs that share
-    ``state``'s working list, over the first ``stop`` of the ``(pos, e,
-    cost, f_single)`` ``window``, whose raw gains against that list are
-    ``raw``. ``rungs`` holds each rung's budget, delta, deletion limit and
-    best singleton as ``[(index, e, f_single)]``, to which the changes are
-    appended. Return the index of the first element that would split the
-    group or fire a deletion test, else ``stop``, and the adds as
-    ``(index, e, value after)``."""
+    ``state``'s working list, over the ``(pos, e, cost, f_single)``
+    ``window``, whose raw gains against that list are ``raw``. ``rungs``
+    holds each rung's budget, delta, deletion limit and best singleton as
+    ``[(index, e, f_single)]``, to which the changes are appended. Return
+    the index of the first element that would split the group or fire a
+    deletion test, else the window's length, and the adds as ``(index, e,
+    value after)``."""
     f, total = state.f_working, state.oracle_state.total
     top = max(kappa for kappa, _, _, _ in rungs)
     adds = []
-    for i, ((_, e, cost, f_single), x) in enumerate(zip(window[:stop], raw)):
+    for i, ((_, e, cost, f_single), x) in enumerate(zip(window, raw)):
         if cost > top:
             continue
         gain = _marginals(total, x, divisor, f)
@@ -427,7 +426,7 @@ def _decide(rungs, state: SinglePrunerState, window, raw, divisor, stop: int):
             total += x
             f += gain
             adds.append((i, e, f))
-    return stop, adds
+    return len(window), adds
 
 
 class _Screen:
@@ -459,6 +458,7 @@ class _Screen:
     commits each group's adds in bulk. A cut marginal is two array reads, so
     walking cut costs more than ``_steps`` does: cut states have no
     ``first_overlap``, and ``_steps`` decides their events and stretches.
+    Only the elements walked or stepped become tuples; the rest stay arrays.
     """
 
     def __init__(self, per_rung, oracle, n: int, batch):
@@ -476,22 +476,20 @@ class _Screen:
         self.walks = hasattr(batch, "first_overlap")
         self.rungs = [(params.kappa, params.delta, n / params.epsilon) for params, _ in per_rung]
 
-    def feed(self, elements, ids, costs, singles) -> None:
-        """Run the ``(pos, e, cost, f_single)`` ``elements`` of one block
-        past ``_steps``, through the walk, or through ``_steps``; ``ids``
-        and ``costs`` are their ids (checked) and costs as arrays,
-        ``singles`` their singleton values."""
-        singles = np.array(singles, dtype=np.float64)
+    def feed(self, pos, ids, costs, singles) -> None:
+        """Run one block's admitted elements, given as arrays of stream
+        positions, checked ids, costs and singleton values, past ``_steps``,
+        through the walk, or through ``_steps``."""
+        self.block = pos, ids, costs, singles
         j = 0
         while j < len(ids):
             if self.aside:
                 stop = min(j + self.aside, len(ids))
                 if self.walks:
                     end = min(j + _LOOK, stop)
-                    stop = self._walk(elements, ids, costs, *self._groups(ids[j:end]), j, j, end)
+                    stop = self._walk(*self._groups(ids[j:end]), j, j, end)
                 else:
-                    self.stepped[ids[j:stop]] = True
-                    _steps(self.per_rung, self.oracle, self.n, elements[j:stop])
+                    self._step(j, stop)
                 self.aside -= stop - j
                 j = stop
                 continue
@@ -508,11 +506,19 @@ class _Screen:
                 self.backoff = _LOOK
             self.look = _LOOK
             if self.walks:
-                j = self._walk(elements, ids, costs, groups, blocked, j, k, min(k + _LOOK, end))
+                j = self._walk(groups, blocked, j, k, min(k + _LOOK, end))
             else:
-                self.stepped[ids[k]] = True
-                _steps(self.per_rung, self.oracle, self.n, elements[k:k + 1])
-                j = k + 1
+                j = self._step(k, k + 1)
+
+    def _elements(self, a: int, b: int) -> list:
+        """The block's admitted elements ``a..b-1`` as ``(pos, e, cost, f_single)``."""
+        return list(zip(*(column[a:b].tolist() for column in self.block)))
+
+    def _step(self, a: int, b: int) -> int:
+        """Hand the block's admitted elements ``a..b-1`` to ``_steps``; return ``b``."""
+        self.stepped[self.block[1][a:b]] = True
+        _steps(self.per_rung, self.oracle, self.n, self._elements(a, b))
+        return b
 
     def _groups(self, vs):
         """The groups of rungs that ``_shares_gains``, each with the raw
@@ -554,10 +560,10 @@ class _Screen:
                                  for group in groups))
         return k
 
-    def _walk(self, elements, ids, costs, groups, blocked, j: int, k: int, end: int) -> int:
-        """Decide ``elements[k:end]`` of the window that starts at ``j``, in
-        order, by ``_decide`` over each group's raw gains; return the index
-        of the first element not decided.
+    def _walk(self, groups, blocked, j: int, k: int, end: int) -> int:
+        """Decide the block's admitted elements ``k..end-1`` of the window
+        that starts at ``j``, in order, by ``_decide`` over each group's raw
+        gains; return the index of the first element not decided.
 
         The walk ends before the first element that overlaps an earlier one
         of ``k..end-1``: the next window reads its gains afresh. It stops at
@@ -568,32 +574,30 @@ class _Screen:
         group with an admitting rung. With two groups over one working list
         (values that differ in type or in their last bits, which adds could
         make equal), nothing is walked."""
-        vs = ids[k:end]
+        vs = self.block[1][k:end]
         halt = self.stepped[vs]
         if blocked > -math.inf:
-            halt |= costs[k:end] <= blocked
+            halt |= self.block[2][k:end] <= blocked
         stop = int(halt.argmax()) if halt.any() else len(vs)
         if any(a.states[0].working == b.states[0].working
                for a, b in itertools.combinations(groups, 2)):
             stop = 0
         limit = self.batch.first_overlap(vs) if stop else len(vs)
-        window, divisor = elements[k:end], self.batch.divisor
+        stop = min(stop, limit)
+        window, divisor = self._elements(k, k + stop), self.batch.divisor
         decided = []
         for group in groups:
             rungs = [(*self.rungs[r][:2], self.rungs[r][2] * state.f_checkpoint,
                       [(-1, state.best_single, state.f_best_single)])
                      for r, state in zip(group.rows, group.states)]
-            walked = min(stop, limit)
-            raw = group.raw[k - j:k - j + walked].tolist()
-            group_stop, adds = _decide(rungs, group.states[0], window, raw, divisor, walked)
-            stop = min(stop, group_stop)
+            raw = group.raw[k - j:k - j + stop].tolist()
+            stop, adds = _decide(rungs, group.states[0], window[:stop], raw, divisor)
             decided.append((group, rungs, adds))
-        walked = min(stop, limit)
         charged = 0
         for group, rungs, adds in decided:
             top = max(kappa for kappa, _, _, _ in rungs)
-            charged += sum(1 for _, _, cost, _ in window[:walked] if cost <= top)
-            adds = [add for add in adds if add[0] < walked]
+            charged += sum(1 for _, _, cost, _ in window[:stop] if cost <= top)
+            adds = [add for add in adds if add[0] < stop]
             if adds:
                 added = [e for _, e, _ in adds]
                 vector = np.array(added, dtype=np.intp)
@@ -603,14 +607,10 @@ class _Screen:
                     state.f_working = adds[-1][2]
                     state.oracle_state.extend(vector)
             for state, (_, _, _, best) in zip(group.states, rungs):
-                _, state.best_single, state.f_best_single = [b for b in best if b[0] < walked][-1]
+                _, state.best_single, state.f_best_single = [b for b in best if b[0] < stop][-1]
         self.batch.count(charged)
-        self.stepped[vs[:walked]] = True
-        if stop >= limit:
-            return k + limit
-        self.stepped[vs[stop]] = True
-        _steps(self.per_rung, self.oracle, self.n, window[stop:stop + 1])
-        return k + stop + 1
+        self.stepped[vs[:stop]] = True
+        return k + limit if stop == limit else self._step(k + stop, k + stop + 1)
 
 
 def quickprune_single(stream, oracle, cost_fn, params: PruneParams, n: int,

@@ -100,6 +100,48 @@ def test_sweep_shapes_and_order():
     assert records[0].p_r == single.p_r and records[0].combined == single.combined
 
 
+def test_a_sweep_solves_the_full_set_once_per_budget():
+    # two pruners under a 16-budget knapsack: the records, standalone
+    # oracle_calls_solve included, are those of per-budget evaluate_pruning
+    # calls, and the full set's solve at a budget serves both pruners
+    graph = sp.assign_knapsack_costs(
+        sp.generate("barabasi_albert", 400, {"m_attach": 3}, seed=7), mode="degree")
+    cost_fn = graph.cost_fn()
+    budgets = [float(b) for b in range(10, 41, 2)]
+    pruned, report = sp.quickprune(range(400), sp.CutOracle(graph), cost_fn,
+                                   sp.LadderParams(10.0, 40.0, 0.5, 0.1, 0.1), 400)
+    outputs = {"quickprune": pruned, "every third": set(range(0, 400, 3))}
+    calls = {"quickprune": report.oracle_calls}
+    want = [sp.evaluate_pruning(sp.CutOracle(graph), cost_fn, range(400), outputs[name],
+                                sp.knapsack_solver, budget, pruner=name,
+                                oracle_calls_prune=calls.get(name, 0))
+            for budget in budgets for name in sorted(outputs)]
+    oracle = sp.CutOracle(graph)
+    got = sp.sweep_budgets(oracle, cost_fn, range(400), outputs, budgets,
+                           sp.knapsack_solver, prune_calls=calls)
+    assert [repr(r) for r in got] == [repr(r) for r in want]
+
+    # the same sweep solving the full set again for the second pruner, as
+    # each (budget, pruner) pair used to: it asks the repeats' queries more
+    repeats, full_solves = [], []
+
+    def solve_full_twice(oracle_, cost_fn_, U, budget):
+        solution = sp.knapsack_solver(oracle_, cost_fn_, U, budget)
+        if len(U) == 400:
+            full_solves.append(solution)
+            before = oracle_.query_count
+            sp.knapsack_solver(oracle_, cost_fn_, U, budget)
+            repeats.append(oracle_.query_count - before)
+        return solution
+
+    twice = sp.CutOracle(graph)
+    again = sp.sweep_budgets(twice, cost_fn, range(400), outputs, budgets,
+                             solve_full_twice, prune_calls=calls)
+    assert [repr(r) for r in again] == [repr(r) for r in got]
+    assert len(full_solves) == len(budgets) and min(repeats) > 0
+    assert oracle.query_count == twice.query_count - sum(repeats)
+
+
 def test_sweep_flags_out_of_range_budgets():
     orc, cost_fn = _coverage_setup(6)
     records = sp.sweep_budgets(orc, cost_fn, range(12), {"x": {0}}, [1, 4, 9],

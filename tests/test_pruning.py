@@ -474,6 +474,9 @@ def _sharing_instance(kind, seed, n):
     graph = random_graph(n, 0.3, seed)
     if kind == "coverage":
         return lambda: sp.CoverageOracle(graph)
+    if kind == "influence":  # undirected: the screen walks its windows
+        pool = sp.LiveEdgeSamplePool(graph, p=0.1, m=5, seed=seed)
+        return lambda: sp.InfluenceOracle(pool)
     return lambda: sp.CutOracle(graph)  # incremental state; its values are ints
 
 
@@ -591,7 +594,7 @@ def test_rungs_with_one_working_set_ask_one_marginal():
 # ---------------------------------------------------------------------------
 # the stream read in blocks
 
-@pytest.mark.parametrize("kind", ["modular", "custom", "coverage", "cut"])
+@pytest.mark.parametrize("kind", ["modular", "custom", "coverage", "cut", "influence"])
 @pytest.mark.parametrize("blocks, extra", [(1, -1), (1, 0), (1, 1), (2, 3)])
 def test_blocks_change_no_output_and_no_count(kind, blocks, extra, monkeypatch):
     length = blocks * pruning._BLOCK + extra
@@ -632,8 +635,8 @@ def test_blocks_change_no_output_and_no_count(kind, blocks, extra, monkeypatch):
 
 class _BatchSpy(PlainOracle):
     """Hands out the inner oracle's states, wrapped to record each batch
-    they are asked for; a cut state's ``gather`` passes through, so the
-    screen runs."""
+    they are asked for: a ``gains`` batch, or a ``gather`` (the screened
+    path's singleton batch, counted in one ``count``)."""
 
     def __init__(self, inner):
         super().__init__(inner)
@@ -652,8 +655,75 @@ class _SpyState:
         self.batches.append(list(ids))
         return self.inner.gains(ids, f_S)
 
+    def gather(self, vs, f_S):
+        self.batches.append(vs.tolist())
+        return self.inner.gather(vs, f_S)
+
     def __getattr__(self, name):
         return getattr(self.inner, name)
+
+
+def _ba_stream(kind):
+    """(stream, oracle maker, cost function, rungs) over a seeded
+    Barabasi-Albert graph whose shuffled stream spans three blocks and a
+    ragged tail, with a repeat on each side of every block boundary."""
+    n = 3 * pruning._BLOCK + 317
+    graph = sp.assign_knapsack_costs(
+        sp.generate("barabasi_albert", n, {"m_attach": 4}, seed=19), mode="degree")
+    stream = list(range(n))
+    random.Random(19).shuffle(stream)
+    for b in range(pruning._BLOCK, n, pruning._BLOCK):
+        stream[b] = stream[b - 1]
+    if kind == "influence":
+        pool = sp.LiveEdgeSamplePool(graph, p=0.02, m=5, seed=19)
+        return stream, lambda: sp.InfluenceOracle(pool), unit_cost, \
+            [sp.PruneParams(tau, 0.1, 0.1) for tau in sp.budget_ladder(20.0, 80.0, 0.5)]
+    make = {"cut": sp.CutOracle, "coverage": sp.CoverageOracle, "custom": _custom_cut}[kind]
+    return stream, lambda: make(graph), graph.cost_fn(), \
+        [sp.PruneParams(tau, 0.1, 0.1) for tau in sp.budget_ladder(10.0, 40.0, 0.5)]
+
+
+@pytest.mark.parametrize("kind", ["cut", "influence", "custom"])
+def test_block_sizes_change_nothing_at_scale(kind):
+    # the stream read in blocks of the default size, of 256 and one id at a
+    # time gives the element-by-element pass bit for bit, query count included
+    stream, make, cost_fn, rungs = _ba_stream(kind)
+    n = len(stream)
+    runs = []
+    for prune, block in [(ref_prune, pruning._BLOCK), (pruning._prune, pruning._BLOCK),
+                         (pruning._prune, 256), (pruning._prune, 1)]:
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(pruning, "_BLOCK", block)
+            pruned, report, states = prune(iter(stream), make(), cost_fn, rungs, n)
+        runs.append((_outputs(pruned, report.per_budget_sizes, report.events),
+                     report.deletions, report.oracle_calls, _rung_states(states)))
+    assert runs[0][0][0] and runs[0][0][2]  # something kept, some events
+    assert runs[1:] == runs[:1] * 3
+
+
+@pytest.mark.parametrize("kind", ["cut", "coverage"])
+@pytest.mark.parametrize("where", [300, 2 * pruning._BLOCK + 5])
+@pytest.mark.parametrize("bad, message", [
+    (10**6, "element id 1000000 outside ground set"),
+    (2.5, "element id 2.5 is not an integer"),
+    (2**70, f"element id {2**70} outside ground set"),
+], ids=["outside", "float", "past-int64"])
+def test_a_bad_id_is_refused_before_its_block_is_decided(kind, where, bad, message):
+    # past position 256 of the first block, or in a later block, on the
+    # screened path (cut) and the plain one (coverage): the error names the
+    # id, and no element of its block is decided, so the pass has asked the
+    # queries of the blocks before it and no more
+    stream, make, cost_fn, rungs = _ba_stream(kind)
+    n = len(stream)
+    stream[where] = bad
+    start = where - where % pruning._BLOCK
+    oracle = make()
+    with pytest.raises(InputError, match=message):
+        pruning._prune(iter(stream), oracle, cost_fn, rungs, n)
+    before = make()
+    pruning._prune(stream[:start], before, cost_fn, rungs, n)
+    assert oracle.query_count == before.query_count
+    assert (oracle.query_count > 0) == (start > 0)
 
 
 def test_each_block_asks_one_batch_for_the_elements_that_fit_the_top_rung():
@@ -784,7 +854,7 @@ def _rung_states(states):
        st.lists(st.integers(0, 10**6), max_size=40),
        st.sampled_from([(1.0, 2.0, 0.5), (1.0, 8.0, 0.5), (0.8, 5.0, 0.3), (3.0, 3.0, 0.5)]),
        st.sampled_from([0.1, 0.5, 3.0, "near n"]), st.sampled_from([0.05, 0.3, 1.0]),
-       st.sampled_from([1, 3, 16, 256]), st.sampled_from([1, 2, 16]))
+       st.sampled_from([1, 3, 16, 256, 2048]), st.sampled_from([1, 2, 16]))
 @settings(max_examples=300, deadline=None)
 def test_screen_matches_the_element_by_element_pass(kind, seed, n, repeats, ladder_range,
                                                     eps, delta, block, look):

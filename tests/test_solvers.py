@@ -329,6 +329,19 @@ def _recording(solver, solutions):
     return run
 
 
+def _in_sweep_order(solutions, pruners):
+    """The solutions of per-budget ``evaluate_pruning`` calls, a full and a
+    pruned one per pruner at each budget, in a sweep's order: the full set
+    once per budget, then each pruned set. Each full solve dropped must be
+    the same as the one kept."""
+    out = []
+    for i in range(0, len(solutions), 2 * pruners):
+        full, *repeats = solutions[i:i + 2 * pruners:2]
+        assert all(_same(repeat, full) for repeat in repeats)
+        out += [full, *solutions[i + 1:i + 2 * pruners:2]]
+    return out
+
+
 @pytest.mark.parametrize("constraint", ["knapsack", "cardinality"])
 def test_sweep_matches_per_budget_reference_solves(constraint):
     # the sweep builds its sets once; every solve must still be the
@@ -362,7 +375,8 @@ def test_sweep_matches_per_budget_reference_solves(constraint):
                                 oracle_calls_prune=calls.get(name, 0))
             for budget in budgets for name in sorted(outputs)]
     assert [repr(r) for r in got] == [repr(r) for r in want]
-    assert len(got_solutions) == 2 * len(want)
+    want_solutions = _in_sweep_order(want_solutions, len(outputs))
+    assert len(got_solutions) == len(want_solutions) == len(want) + len(budgets)
     assert all(_same(g, w) for g, w in zip(got_solutions, want_solutions))
 
 # ---------------------------------------------------------------------------
@@ -446,7 +460,8 @@ def test_sweep_reusing_seeds_matches_standalone_solves(instance):
                            _recording(solver, got_solutions), prune_calls=calls)
     asked = oracle.query_count - before
     assert [repr(r) for r in got] == [repr(r) for r in want]
-    assert len(got_solutions) == len(want_solutions) == 2 * len(want)
+    want_solutions = _in_sweep_order(want_solutions, len(outputs))
+    assert len(got_solutions) == len(want_solutions) == len(want) + len(budgets)
     assert all(_same(g, w) for g, w in zip(got_solutions, want_solutions))
     assert asked <= sum(r.oracle_calls_solve for r in got)
     if solver is sp.cardinality_solver:
