@@ -179,10 +179,9 @@ def _csr(n: int, src: np.ndarray, dst: np.ndarray, directed: bool, orig_ids=None
     if n > _MAX_KEY_N:
         raise InputError(f"node count {n} is too large")
     keep = src != dst
-    src, dst = src[keep], dst[keep]
-    if not directed:
-        src, dst = np.concatenate([src, dst]), np.concatenate([dst, src])
-    indptr, indices = _grouped(n, src, dst)
+    if not keep.all():
+        src, dst = src[keep], dst[keep]
+    indptr, indices = _grouped(n, src, dst, both_ways=not directed)
     # valid by construction: ascending rows of heads in [0, n), no self
     # loops, and, undirected, every arc listed with its reverse
     indptr, indices = _read_only(indptr), _read_only(indices)
@@ -202,22 +201,31 @@ def _arc_key(n: int):
     return np.uint32 if n <= 1 << 16 else np.int64
 
 
-def _grouped(n: int, src: np.ndarray, dst: np.ndarray):
-    """``(indptr, heads)``: the arcs src[i] -> dst[i] (integer ids in [0, n))
-    grouped into CSR rows of ascending int64 heads, an arc listed twice kept
-    once."""
+def _grouped(n: int, src: np.ndarray, dst: np.ndarray, both_ways: bool = False):
+    """``(indptr, heads)``: the arcs src[i] -> dst[i] (integer ids in [0, n)),
+    and dst[i] -> src[i] too when ``both_ways``, grouped into CSR rows of
+    ascending int64 heads, an arc listed twice kept once. The keys go into
+    one array, and row ``u`` starts at the first key of at least ``u * n``."""
     key = _arc_key(n)
-    keys = src.astype(key)
-    keys *= key(n)
-    keys += dst.astype(key, copy=False)
+    pairs = [(src, dst), (dst, src)] if both_ways else [(src, dst)]
+    keys = np.empty(len(pairs) * src.size, dtype=key)
+    for part, (tail, head) in zip(np.split(keys, len(pairs)), pairs):
+        np.multiply(tail, n, out=part, casting="unsafe")
+        np.add(part, head, out=part, casting="unsafe")
     keys.sort()
     fresh = np.empty(keys.size, dtype=bool)
     fresh[:1] = True
     np.not_equal(keys[1:], keys[:-1], out=fresh[1:])
-    src, heads = np.divmod(keys[fresh], key(n))
-    indptr = np.zeros(n + 1, dtype=np.int64)
-    np.cumsum(np.bincount(src, minlength=n), out=indptr[1:])
-    return indptr, heads.astype(np.int64, copy=False)
+    if not fresh.all():
+        keys = keys[fresh]
+    indptr = np.empty(n + 1, dtype=np.int64)
+    indptr[:n] = np.searchsorted(keys, np.arange(n, dtype=key) * key(n))  # below 2^32
+    indptr[n] = keys.size
+    heads = np.empty(keys.size, dtype=np.int64)
+    np.floor_divide(keys, max(n, 1), out=heads)  # the tails, then v = key - u * n
+    heads *= n
+    np.subtract(keys, heads, out=heads)
+    return indptr, heads
 
 
 def _from_ids(ids: np.ndarray, directed: bool) -> Graph:

@@ -48,14 +48,18 @@ array; the first two count no query:
   the gains the sequential pass would have asked for, and the pruner asks a
   block's singletons as one ``gather`` from the empty state and one count.
 
-The undirected influence state also has the two hooks the pruner's walk
-needs, which cut's two-read marginal does not pay for:
+Both also have the two hooks the pruner's walk needs:
 
-- ``first_overlap(vs)``: the index of the first id of ``vs`` that shares a
-  sample component with an earlier one (a repeated id does), else
-  ``len(vs)``: adding an id changes the gains of exactly those that do;
+- ``links(vs)``: for distinct ids outside the set, how adding one of them
+  lowers the integer gains of the later ones, as ``(held, amount)``:
+  ``held[i]`` lists the links that position ``i`` holds, and the first add
+  at a position that holds link ``l`` lowers the raw gain of every later
+  position that holds it by ``amount[l]``, once. A cut link is an arc
+  between two of the ids, worth 2 undirected and 1 directed (the hits it
+  adds); an influence link is a sample component that two or more of the
+  ids share and the set does not cover, worth its size;
 - ``extend(vs)``: adds the ids in one step, the same as adding them one by
-  one when no one of them overlaps an earlier one.
+  one (a repeated id, or ids that share arcs or components, included).
 
 Similarity cut, custom and directed influence oracles, and any oracle-like
 wrapper without ``state()``, get an ``EvalState`` that answers through
@@ -225,6 +229,15 @@ class _VectorState:
     def count(self, k: int):
         self._oracle.counter.bump(k)
 
+    def links(self, vs):
+        # which ids share what does not depend on the set: a walk asks each
+        # of its groups for the links of its ids, or of a prefix of them, so
+        # the oracle keeps the last ids' links and each state prices them
+        last = self._oracle._links
+        if last is None or last[0].size < vs.size or not np.array_equal(last[0][:vs.size], vs):
+            last = self._oracle._links = (vs.copy(), *self._shared(vs))
+        return last[1][:vs.size], self._worth(last[2])
+
 
 def _checked_ids(ids, n: int, into=list):
     """``ids`` as ints, collected ``into`` a list (or a set), or InputError
@@ -338,6 +351,15 @@ def _heads(csr, vs):
     return indices[pos]
 
 
+def _held(at, link, size: int) -> list:
+    """The links each of ``size`` positions holds, one list per position,
+    from the memberships ``(at[i], link[i])``."""
+    held = [[] for _ in range(size)]
+    for p, l in zip(at.tolist(), link.tolist()):
+        held[p].append(l)
+    return held
+
+
 class CoverageOracle(Oracle):
     """Number of nodes in S or adjacent to S (closed-neighborhood cover)."""
 
@@ -430,6 +452,7 @@ class CutOracle(Oracle):
         self._in = _deduplicated(graph, transpose=True) if graph.directed else self._out
         self._indeg = np.diff(self._in[0])
         self._in_rows = _Rows(self._in)
+        self._links = None  # the last links a state asked, see _VectorState.links
 
     def state(self):
         return _CutState(self)
@@ -491,6 +514,48 @@ class _CutState(_VectorState):
         else:
             hits[_row(oracle._out, e)] += 1
             hits[_row(oracle._in, e)] += 1
+
+    def extend(self, vs):
+        # one by one, each arc between two of the ids takes a hit off the
+        # gain of the later one: count the heads of their out-rows that the
+        # members gain when they join
+        oracle, member, hits = self._oracle, self._member, self._hits
+        vs = _distinct(vs[~member[vs]])
+        heads = _heads(oracle._out, vs)
+        inner = -np.count_nonzero(member[heads])
+        gain = self.raw(vs).sum()
+        member[vs] = True
+        inner += np.count_nonzero(member[heads])
+        self.total += int(gain - inner)
+        if oracle._in is oracle._out:
+            np.add.at(hits, heads, 2)
+        else:
+            np.add.at(hits, heads, 1)
+            np.add.at(hits, _heads(oracle._in, vs), 1)
+
+    def _shared(self, vs):
+        # each arc from one id of vs to another, its head found by a binary
+        # search among the sorted ids, is a link worth the hit it adds;
+        # undirected, one of its two arcs is, worth both hits
+        out = self._oracle._out
+        heads = _heads(out, vs)
+        a = np.repeat(np.arange(vs.size), out[0][vs + 1] - out[0][vs])  # each head's row
+        order = np.argsort(vs)
+        at = np.searchsorted(vs, heads, sorter=order)
+        np.minimum(at, vs.size - 1, out=at)
+        b = order[at]
+        inside = vs[b] == heads
+        undirected = self._oracle._in is out
+        if undirected:
+            inside &= a < b
+        a, b = a[inside], b[inside]
+        link = np.arange(a.size)
+        return (_held(np.concatenate([a, b]), np.concatenate([link, link]), vs.size),
+                [2 if undirected else 1] * a.size)
+
+    @staticmethod
+    def _worth(arcs):
+        return arcs
 
 
 class LiveEdgeSamplePool:
@@ -593,7 +658,10 @@ def _distinct(a):
     """Distinct values of a non-negative integer array. ``np.unique`` would
     import ``numpy.ma`` on first use, about 1 MB of resident memory."""
     r = np.sort(a, axis=None)
-    return r[np.diff(r, prepend=-1) != 0]
+    fresh = np.empty(r.size, dtype=bool)
+    fresh[:1] = True
+    np.not_equal(r[1:], r[:-1], out=fresh[1:])
+    return r[fresh]
 
 
 class InfluenceOracle(Oracle):
@@ -604,6 +672,7 @@ class InfluenceOracle(Oracle):
     def __init__(self, pool: LiveEdgeSamplePool):
         super().__init__(pool.n)
         self.pool = pool
+        self._links = None  # the last links a state asked, see _VectorState.links
 
     def state(self):
         return EvalState(self) if self.pool.directed else _InfluenceState(self)
@@ -654,20 +723,34 @@ class _InfluenceState(_VectorState):
         sizes[self._covered[roots]] = 0
         return sizes.sum(axis=0)
 
-    def first_overlap(self, vs):
-        roots = self._oracle.pool.roots[:, vs].T.ravel()  # id by id; samples never share a root
-        order = np.argsort(roots, kind="stable")          # so equal roots stay in id order
-        later = roots[order[1:]] == roots[order[:-1]]
-        if not later.any():
-            return len(vs)
-        return int(order[1:][later].min()) // self._oracle.pool.m
+    def _shared(self, vs):
+        # the components of two or more nodes (distinct ids share no other)
+        # that two or more ids hold, each a link
+        pool = self._oracle.pool
+        roots = pool.roots[:, vs].T.ravel()  # id by id; samples never share a root
+        at = np.flatnonzero(pool.sizes[roots] > 1)
+        shared = roots[at]
+        order = np.argsort(shared)
+        shared, at = shared[order], at[order] // pool.m
+        first = np.empty(shared.size + 1, dtype=bool)
+        first[0] = first[-1] = True
+        np.not_equal(shared[1:], shared[:-1], out=first[1:-1])
+        keep = ~(first[:-1] & first[1:])  # not alone in its run
+        shared, at, first = shared[keep], at[keep], first[:-1][keep]
+        return _held(at, np.cumsum(first) - 1, vs.size), shared[first]
+
+    def _worth(self, roots):
+        # a component the set covers is in no gain already
+        return np.where(self._covered[roots], 0, self._oracle.pool.sizes[roots]).tolist()
 
     def add(self, e):
-        self.extend(_check_id(e, self._oracle.n))
+        fresh = self._fresh(self._oracle.pool.roots[:, _check_id(e, self._oracle.n)])
+        self.total += int(self._oracle.pool.sizes[fresh].sum())
+        self._covered[fresh] = True
 
     def extend(self, vs):
-        # a component two of the ids share would be counted twice
-        fresh = self._fresh(self._oracle.pool.roots[:, vs])
+        # a component two of the ids share counts once
+        fresh = _distinct(self._fresh(self._oracle.pool.roots[:, vs]))
         self.total += int(self._oracle.pool.sizes[fresh].sum())
         self._covered[fresh] = True
 

@@ -8,16 +8,17 @@ factor ``n / epsilon`` since that checkpoint. The multi-budget variant runs
 one such pruner per rung of a geometric budget ladder and returns the union
 of their outputs. Both go through one streaming driver: ``quickprune_single``
 is the one-rung case of the driver that ``quickprune`` runs over the ladder.
-The driver reads the stream in blocks of ``_BLOCK`` ids, kept as arrays:
-elements over every budget are dropped at the block, the rest have their
-singleton values asked in one counted batch, and one rule decides which
-rungs share a marginal. When the oracle's states answer a batch with one
-numpy gather (cut, undirected influence), a screen skips in numpy the
-elements that can change no rung; only the elements it walks or steps
-become Python tuples. When the states can also tell which ids' gains an add
-changes (undirected influence), the screen walks the elements that can: one
-scalar loop repeats the element-by-element float operations on a window's
-gathered integer gains and commits the adds in bulk. Skipped and walked
+That pass reads the stream in blocks of ``_BLOCK`` ids, kept as arrays (a
+``range`` inside the ground set is sliced, not read id by id): elements
+over every budget are dropped at the block, the rest have their singleton
+values asked in one counted batch, and one rule decides which rungs share a
+marginal. When the oracle's states answer a batch with one numpy gather
+(cut, undirected influence), a screen skips in numpy the elements that can
+change no rung, and walks the stretches where the others are dense: one
+scalar loop repeats the element-by-element float operations on the
+stretch's gathered integer gains, patches the gains that each add lowers
+from the states' ``links``, and commits the adds in bulk. Only single
+elements, where a walk must stop, become Python tuples. Skipped and walked
 elements are charged exactly the queries the element-by-element pass asks,
 so outputs, events, every float and query counts are unchanged.
 
@@ -28,6 +29,8 @@ big-item cost check, and the geometric-growth step count they rest on.
 
 from __future__ import annotations
 
+import bisect
+import functools
 import itertools
 import math
 import sys
@@ -70,8 +73,8 @@ MAX_RUNGS = 10_000
 # cut workload 1,024 ran slower, 4,096 no faster.
 _BLOCK = 2048
 
-# Admitted elements in the screen's first window, and the most a walk
-# decides; a window that finds no event doubles the next one.
+# Admitted elements in the screen's first window, and in the first stretch it
+# sets aside; a window that finds no event doubles the next one.
 _LOOK = 16
 
 
@@ -311,17 +314,17 @@ def _prune(stream, oracle, cost_fn, rungs: list, n: int):
     Each distinct question is asked once per element: f({e}) once when some
     rung's budget admits ``e``, and one marginal per group of admitting
     rungs that ``_shares_gains``. The stream is read in blocks of ``_BLOCK``
-    ids, checked as one array, so a bad id raises InputError before any
-    element of its block is decided; costs come in one ``cost_array`` read.
-    Elements over the largest budget are dropped there; the rest have their
-    singleton values asked on an empty oracle state in one counted batch.
-    Without a screen that is ``gains(ids, 0.0)``, and ``_steps`` reads
-    ``(pos, e, cost, f_single)`` (``pos`` the stream position) from an
-    iterator. When the states answer with one gather (cut, undirected
-    influence), it is ``gather(ids, 0.0)`` and one ``count``, and a
-    ``_Screen`` takes the block as arrays and charges what it decides the
-    queries ``_steps`` would have asked. Every state's ``processed`` is set
-    to the stream length at the end.
+    ids, checked as one array (``_blocks``), so a bad id raises InputError
+    before any element of its block is decided; costs come in one
+    ``cost_array`` read. Elements over the largest budget are dropped
+    there; the rest have their singleton values asked on an empty oracle
+    state in one counted batch. Without a screen that is ``gains(ids,
+    0.0)``, and ``_steps`` reads ``(pos, e, cost, f_single)`` (``pos`` the
+    stream position) from an iterator. When the states answer with one
+    gather (cut, undirected influence), it is ``gather(ids, 0.0)`` and one
+    ``count``, and a ``_Screen`` takes the block as arrays and charges what
+    it decides the queries ``_steps`` would have asked. Every state's
+    ``processed`` is set to the stream length at the end.
     """
     if n < 1:
         raise InputError("ground-set size n must be >= 1")
@@ -334,8 +337,7 @@ def _prune(stream, oracle, cost_fn, rungs: list, n: int):
     batch = oracle_state(oracle)  # stays empty: it answers the singleton batches
     screen = _Screen(per_rung, oracle, n, batch) if hasattr(batch, "gather") else None
     pos = 0
-    stream = iter(stream)
-    while (block := _checked_array(itertools.islice(stream, _BLOCK), oracle.n)).size:
+    for block in _blocks(stream, oracle.n):
         costs = cost_array(cost_fn, block)
         fit = np.flatnonzero(costs <= top)
         ids, costs = block[fit], costs[fit]
@@ -362,6 +364,22 @@ def _prune(stream, oracle, cost_fn, rungs: list, n: int):
         events=[ev for _, state in per_rung for ev in state.events],
     )
     return union, report, [state for _, state in per_rung]
+
+
+def _blocks(stream, n: int):
+    """The stream's ids in checked arrays of ``_BLOCK``. A ``range`` whose
+    ids all lie in ``[0, n)`` is sliced into ``arange`` blocks; any other
+    stream is read through ``_checked_array``, so its first bad id raises
+    InputError before any element of its block is decided."""
+    if isinstance(stream, range) and (not stream or 0 <= min(stream[0], stream[-1])
+                                      and max(stream[0], stream[-1]) < n):
+        for start in range(0, len(stream), _BLOCK):
+            part = stream[start:start + _BLOCK]
+            yield np.arange(part.start, part.stop, part.step, dtype=np.intp)
+        return
+    stream = iter(stream)
+    while (block := _checked_array(itertools.islice(stream, _BLOCK), n)).size:
+        yield block
 
 
 def _steps(per_rung, oracle, n: int, elements) -> None:
@@ -395,44 +413,64 @@ class _Group:
         self.rows, self.states, self.raw = [row], [state], raw
 
 
-def _decide(rungs, state: SinglePrunerState, window, raw, divisor):
-    """Repeat ``_gain`` and ``_apply`` for a group of rungs that share
-    ``state``'s working list, over the ``(pos, e, cost, f_single)``
-    ``window``, whose raw gains against that list are ``raw``. ``rungs``
-    holds each rung's budget, delta, deletion limit and best singleton as
-    ``[(index, e, f_single)]``, to which the changes are appended. Return
-    the index of the first element that would split the group or fire a
-    deletion test, else the window's length, and the adds as ``(index, e,
-    value after)``."""
+def _decide(rung, state: SinglePrunerState, window, raw, divisor, links):
+    """Repeat ``_gain`` and ``_apply`` for one rung, whose budget, delta,
+    deletion limit and best singleton value are ``rung``, over the first
+    ``len(raw)`` elements of the ``window``, lists of ids, costs and
+    singleton values, whose raw gains against ``state``'s working list are
+    ``raw``. After the first add, ``links()`` gives the window's links (its
+    state's ``links`` of the window's ids), and each add patches the later
+    raw gains with them. Return the index of the first element that would
+    fire the deletion test, else ``len(raw)``; the indices of the adds; the
+    working value after each; and each new best singleton as ``(index, e,
+    f_single)``."""
+    kappa, delta, limit, f_best = rung
+    taken = None  # which links an add has taken, once there is an add
     f, total = state.f_working, state.oracle_state.total
-    top = max(kappa for kappa, _, _, _ in rungs)
-    adds = []
-    for i, ((_, e, cost, f_single), x) in enumerate(zip(window, raw)):
-        if cost > top:
+    adds, values, bests = [], [], []
+    for i, (e, cost, f_single, x) in enumerate(zip(*window, raw)):
+        if cost > kappa:
             continue
-        gain = _marginals(total, x, divisor, f)
-        added = 0
-        for kappa, delta, limit, best in rungs:
-            if cost <= kappa:
-                if gain >= delta * cost * f / kappa:
-                    if f + gain > limit:
-                        return i, adds
-                    added += 1
-                if f_single > best[-1][2]:
-                    best.append((i, e, f_single))
-        if added:
-            if added < len(rungs):
-                return i, adds
+        if taken is not None:
+            for link in held[i]:
+                if taken[link]:
+                    x -= amount[link]
+        gain = (total + x) - f if divisor is None else (total + x) / divisor - f  # _marginals
+        if f_single > f_best:
+            f_best = f_single
+            bests.append((i, e, f_single))
+        if gain >= delta * cost * f / kappa:
+            if f + gain > limit:
+                return i, adds, values, bests
+            if taken is None:
+                held, amount = links()
+                taken = [False] * len(amount)
+            for link in held[i]:
+                taken[link] = True
             total += x
             f += gain
-            adds.append((i, e, f))
-    return len(window), adds
+            adds.append(i)
+            values.append(f)
+    return len(raw), adds, values, bests
+
+
+def _agreed(runs) -> int:
+    """The index of the first element where ``_decide`` stopped for some
+    rung of a group, or where its rungs' adds differ: the group splits."""
+    stop = min(run[0] for run in runs)
+    if len(runs) == 1:
+        return stop
+    adds = [run[1] for run in runs]
+    for picks in zip(*adds):
+        if min(picks) != max(picks):
+            return min(stop, min(picks))
+    k = min(map(len, adds))  # the others add after the last add of the fewest
+    return min([stop] + [a[k] for a in adds if len(a) > k])
 
 
 class _Screen:
     """Finds, block by block, the elements that can change some rung and
-    skips the others in numpy; walks the rest in a scalar loop when the
-    oracle's states have ``first_overlap``, else hands them to ``_steps``.
+    skips the others in numpy; walks the stretches where they are dense.
 
     An admitted element is an *event* for a rung when it passes the rung's
     add test, beats its best singleton, is already in a working set, meets
@@ -447,18 +485,18 @@ class _Screen:
     The elements before it are charged in one step the queries ``_steps``
     asks for them: one marginal per group of rungs that ``_shares_gains``,
     when some rung of the group admits the element. A window that finds no
-    event doubles the next one, up to a block. A window that skips fewer
-    than ``_LOOK // 2`` elements before its event did not pay for itself,
-    so the screen steps aside for a stretch of elements that it does not
-    screen, twice as long each time this happens before a window pays again.
+    event doubles the next one, up to a block. A window that skips at least
+    ``_LOOK // 2`` elements before its event paid for itself, and ``_steps``
+    decides the event. One that skips fewer did not: the screen sets aside
+    a stretch from the event, twice as long each time this happens before a
+    window pays again, and ``_walk`` decides it.
 
-    ``_walk`` decides the event and the elements after it, and the
-    stretches, ``_LOOK`` elements at a time, by repeating the float
-    operations of ``_gain`` and ``_apply`` on the window's raw gains, and
-    commits each group's adds in bulk. A cut marginal is two array reads, so
-    walking cut costs more than ``_steps`` does: cut states have no
-    ``first_overlap``, and ``_steps`` decides their events and stretches.
-    Only the elements walked or stepped become tuples; the rest stay arrays.
+    A walk repeats the float operations of ``_gain`` and ``_apply`` on the
+    stretch's raw gains, one group at a time, patching them after each add
+    with the group's ``links``, and commits each group's adds in bulk
+    (``extend``). It runs to the end of the stretch unless it must stop, and
+    ``_steps`` decides the element where it stops. Only the elements
+    stepped become tuples; the rest stay arrays or lists.
     """
 
     def __init__(self, per_rung, oracle, n: int, batch):
@@ -471,27 +509,22 @@ class _Screen:
         # every id walked or fed to _steps so far, a superset of every working set
         self.stepped = np.zeros(oracle.n, dtype=bool)
         self.look = _LOOK   # admitted elements the next window reads
-        self.aside = 0      # admitted elements left to walk, or to feed to _steps, unscreened
+        self.aside = 0      # admitted elements left to walk unscreened
         self.backoff = _LOOK  # the stretch the next window that does not pay sets aside
-        self.walks = hasattr(batch, "first_overlap")
         self.rungs = [(params.kappa, params.delta, n / params.epsilon) for params, _ in per_rung]
 
     def feed(self, pos, ids, costs, singles) -> None:
         """Run one block's admitted elements, given as arrays of stream
-        positions, checked ids, costs and singleton values, past ``_steps``,
-        through the walk, or through ``_steps``."""
+        positions, checked ids, costs and singleton values, past ``_steps``
+        or through the walk."""
         self.block = pos, ids, costs, singles
         j = 0
         while j < len(ids):
             if self.aside:
                 stop = min(j + self.aside, len(ids))
-                if self.walks:
-                    end = min(j + _LOOK, stop)
-                    stop = self._walk(*self._groups(ids[j:end]), j, j, end)
-                else:
-                    self._step(j, stop)
-                self.aside -= stop - j
-                j = stop
+                end = self._walk(*self._groups(ids[j:stop]), j, stop)
+                self.aside -= end - j
+                j = end
                 continue
             end = min(j + self.look, len(ids))
             groups, blocked = self._groups(ids[j:end])
@@ -500,14 +533,12 @@ class _Screen:
                 self.look = min(2 * self.look, _BLOCK)
                 j = end
                 continue
-            if k - j < _LOOK // 2:
+            self.look = _LOOK
+            if k - j < _LOOK // 2:  # dense events: walk a stretch from this one
                 self.aside, self.backoff = self.backoff, 2 * self.backoff
+                j = k
             else:
                 self.backoff = _LOOK
-            self.look = _LOOK
-            if self.walks:
-                j = self._walk(groups, blocked, j, k, min(k + _LOOK, end))
-            else:
                 j = self._step(k, k + 1)
 
     def _elements(self, a: int, b: int) -> list:
@@ -560,57 +591,69 @@ class _Screen:
                                  for group in groups))
         return k
 
-    def _walk(self, groups, blocked, j: int, k: int, end: int) -> int:
-        """Decide the block's admitted elements ``k..end-1`` of the window
-        that starts at ``j``, in order, by ``_decide`` over each group's raw
-        gains; return the index of the first element not decided.
+    def _walk(self, groups, blocked, j: int, end: int) -> int:
+        """Decide the block's admitted elements ``j..end-1``, in order, by
+        ``_decide`` over each group's raw gains and links; return the index
+        of the first element not decided.
 
-        The walk ends before the first element that overlaps an earlier one
-        of ``k..end-1``: the next window reads its gains afresh. It stops at
-        the first element that was decided before, fits the ``blocked``
-        budget, or would split a group or fire a deletion test, and
-        ``_steps`` decides that one, after each group's adds are committed
-        in one step. Each decided element is charged one query per
-        group with an admitting rung. With two groups over one working list
-        (values that differ in type or in their last bits, which adds could
-        make equal), nothing is walked."""
-        vs = self.block[1][k:end]
+        The walk stops at the first element that was decided before, repeats
+        an id of ``j..end-1``, fits the ``blocked`` budget, or would split a
+        group or fire a deletion test, and ``_steps`` decides that one, after
+        each group's adds are committed in one step. Each decided element is
+        charged one query per group with an admitting rung. With two groups
+        over one working list (values that differ in type or in their last
+        bits, which adds could make equal), nothing is walked."""
+        vs = self.block[1][j:end]
         halt = self.stepped[vs]
         if blocked > -math.inf:
-            halt |= self.block[2][k:end] <= blocked
+            halt |= self.block[2][j:end] <= blocked
         stop = int(halt.argmax()) if halt.any() else len(vs)
         if any(a.states[0].working == b.states[0].working
                for a, b in itertools.combinations(groups, 2)):
             stop = 0
-        limit = self.batch.first_overlap(vs) if stop else len(vs)
-        stop = min(stop, limit)
-        window, divisor = self._elements(k, k + stop), self.batch.divisor
+        window = [column[j:j + stop].tolist() for column in self.block[1:]]  # ids, costs, singles
+        stop = _first_repeat(window[0])
         decided = []
         for group in groups:
-            rungs = [(*self.rungs[r][:2], self.rungs[r][2] * state.f_checkpoint,
-                      [(-1, state.best_single, state.f_best_single)])
-                     for r, state in zip(group.rows, group.states)]
-            raw = group.raw[k - j:k - j + stop].tolist()
-            stop, adds = _decide(rungs, group.states[0], window[:stop], raw, divisor)
-            decided.append((group, rungs, adds))
-        charged = 0
-        for group, rungs, adds in decided:
-            top = max(kappa for kappa, _, _, _ in rungs)
-            charged += sum(1 for _, _, cost, _ in window[:stop] if cost <= top)
-            adds = [add for add in adds if add[0] < stop]
-            if adds:
-                added = [e for _, e, _ in adds]
-                vector = np.array(added, dtype=np.intp)
-                for state in group.states:
+            if not stop:
+                break
+            raw = group.raw[:stop].tolist()
+            links = functools.partial(group.states[0].oracle_state.links, vs[:stop])
+            runs = [_decide((*self.rungs[r][:2], self.rungs[r][2] * state.f_checkpoint,
+                             state.f_best_single), state, window, raw, self.batch.divisor, links)
+                    for r, state in zip(group.rows, group.states)]
+            stop = min(stop, _agreed(runs))
+            decided.append((group, runs))
+        tops = [[max(self.rungs[r][0] for r in group.rows)] for group, _ in decided]
+        charged = int(np.count_nonzero(self.block[2][j:j + stop] <= np.array(tops)))
+        for group, runs in decided:
+            _, adds, values, _ = runs[0]  # the same for every rung up to the stop
+            kept = bisect.bisect_left(adds, stop)
+            added = [window[0][i] for i in adds[:kept]]
+            vector = np.array(added, dtype=np.intp)
+            for state, (_, _, _, bests) in zip(group.states, runs):
+                if added:
                     state.working += added
                     state.working_set.update(added)
-                    state.f_working = adds[-1][2]
+                    state.f_working = values[kept - 1]
                     state.oracle_state.extend(vector)
-            for state, (_, _, _, best) in zip(group.states, rungs):
-                _, state.best_single, state.f_best_single = [b for b in best if b[0] < stop][-1]
+                best = [b for b in bests if b[0] < stop]
+                if best:
+                    _, state.best_single, state.f_best_single = best[-1]
         self.batch.count(charged)
         self.stepped[vs[:stop]] = True
-        return k + limit if stop == limit else self._step(k + stop, k + stop + 1)
+        return end if j + stop == end else self._step(j + stop, j + stop + 1)
+
+
+def _first_repeat(ids: list) -> int:
+    """The index of the first of ``ids`` equal to an earlier one, else ``len(ids)``."""
+    if len(set(ids)) == len(ids):
+        return len(ids)
+    seen = set()
+    for i, e in enumerate(ids):
+        if e in seen:
+            return i
+        seen.add(e)
 
 
 def quickprune_single(stream, oracle, cost_fn, params: PruneParams, n: int,

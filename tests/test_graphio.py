@@ -530,3 +530,29 @@ def test_grouped_keys_match_int64_keys_at_the_32_bit_edge(n):
     _assert_same_arrays(got, _grouped_int64(n, src, dst))
     # transposed, as the directed cut oracle groups its in-rows
     _assert_same_arrays(graphio._grouped(n, dst, src), _grouped_int64(n, dst, src))
+
+
+def _csr_by_unique(n, src, dst, directed):
+    """The CSR of ``_csr`` built the plain way: self loops dropped, both
+    directions of an undirected pair concatenated, ``np.unique`` keys."""
+    keep = src != dst
+    src, dst = src[keep].astype(np.int64), dst[keep].astype(np.int64)
+    if not directed:
+        src, dst = np.concatenate([src, dst]), np.concatenate([dst, src])
+    tails, heads = np.divmod(np.unique(src * n + dst), n)
+    indptr = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(np.bincount(tails, minlength=n), out=indptr[1:])
+    return indptr, heads
+
+
+@pytest.mark.parametrize("n", [1, 7, 2**16, 2**16 + 1])
+@pytest.mark.parametrize("directed", [False, True])
+def test_csr_matches_a_csr_built_by_np_unique(n, directed):
+    # duplicate arcs, reversed pairs, self loops and the largest ids; the
+    # arc keys are 32-bit up to n = 2^16 and 64-bit past it
+    rng = np.random.default_rng(n)
+    src, dst = rng.integers(0, n, 2000), rng.integers(0, n, 2000)
+    src = np.concatenate([src, src[:50], dst[:50], src[:20], [n - 1, n - 1, 0]])
+    dst = np.concatenate([dst, dst[:50], src[:50], src[:20], [n - 1, 0, n - 1]])
+    graph = graphio._csr(n, src, dst, directed)
+    _assert_same_arrays((graph.indptr, graph.indices), _csr_by_unique(n, src, dst, directed))

@@ -403,31 +403,67 @@ def test_gather_is_its_raw_gains_and_matches_fresh_evals(kind, seed, S, vs, offs
     _same(((values if state.divisor is None else values / state.divisor) - f_S).tolist(), expect)
 
 
-def _shares_a_component(pool, u, v):
-    return bool((pool.roots[:, u] == pool.roots[:, v]).any())
-
-
-@given(st.sampled_from(["influence", "influence-dup"]), st.integers(min_value=0, max_value=500),
-       st.frozensets(ids), st.lists(ids, max_size=N))
-@settings(max_examples=200, deadline=None)
-def test_influence_overlap_and_bulk_add_against_one_by_one(kind, seed, S, vs):
-    oracle = build_oracle(kind, seed)
-    pool = oracle.pool
-    vs = np.array(vs, dtype=np.intp)
-    expect = next((j for j in range(len(vs))
-                   if any(_shares_a_component(pool, vs[i], vs[j]) for i in range(j))), len(vs))
-    assert oracle.state().first_overlap(vs) == expect
-    # a bulk add of the ids up to the first overlap equals adding them one by one
-    bulk, single = oracle.state(), oracle.state()
+def _state_with(oracle, S):
+    state = oracle.state()
     for v in S:
-        bulk.add(v)
+        state.add(v)
+    return state
+
+
+def _walk_links(oracle, S, walk, take):
+    """Walk the distinct ids ``walk`` outside ``S`` over a state holding
+    ``S``, adding those that ``take`` picks, in order: before each id, the
+    raw gain patched by the links of ``walk`` is a fresh raw gather."""
+    state = _state_with(oracle, S)
+    vs = np.array(walk, dtype=np.intp)
+    held, amount = state.links(vs)
+    assert len(held) == len(walk) and all(type(a) is int for a in amount)
+    raw = state.raw(vs).tolist()
+    fresh = _state_with(oracle, S)
+    taken = [False] * len(amount)
+    for i, v in enumerate(walk):
+        patched = raw[i] - sum(amount[link] for link in held[i] if taken[link])
+        assert patched == fresh.raw(np.array([v], dtype=np.intp)).item()
+        if take[i]:
+            fresh.add(v)
+            for link in held[i]:
+                taken[link] = True
+
+
+def _same_state(a, b):
+    for name in ("_member", "_hits", "_covered"):
+        if hasattr(a, name):
+            assert np.array_equal(getattr(a, name), getattr(b, name))
+    assert a.total == b.total and type(a.total) is type(b.total) is int
+
+
+@given(st.sampled_from(GATHER_KINDS), st.integers(min_value=0, max_value=500),
+       st.frozensets(ids), st.lists(ids, max_size=N),
+       st.lists(st.booleans(), min_size=N, max_size=N))
+@settings(max_examples=200, deadline=None)
+def test_links_patch_walked_gains_and_bulk_adds_match_one_by_one(kind, seed, S, vs, take):
+    oracle = build_oracle(kind, seed)
+    # the pruner's walk stops at the first id it decided before: one in S or
+    # a repeat of an earlier one
+    walk = []
+    for v in vs:
+        if v in S or v in walk:
+            break
+        walk.append(v)
+    _walk_links(oracle, S, walk, take)
+    # the same oracle again, as a walk's next group over another set: a
+    # prefix of the ids, and S grown by an id outside the walk
+    rest = sorted(set(range(N)) - S - set(walk))
+    _walk_links(oracle, S | set(rest[:1]), walk[:len(walk) // 2], take[::-1])
+
+    # a bulk add of any ids, repeats and members of S included, is the same
+    # as adding them one by one
+    chosen = np.array([v for v, t in zip(vs, take) if t], dtype=np.intp)
+    bulk, single = _state_with(oracle, S), _state_with(oracle, S)
+    bulk.extend(chosen)
+    for v in chosen.tolist():
         single.add(v)
-    fresh = [v for v in vs[:expect].tolist() if v not in S]
-    bulk.extend(np.array(fresh, dtype=np.intp))
-    for v in fresh:
-        single.add(v)
-    assert np.array_equal(bulk._covered, single._covered)
-    assert bulk.total == single.total and type(bulk.total) is type(single.total) is int
-    f_S = oracle.eval(S | set(fresh)) if S | set(fresh) else 0.0
-    assert bulk.gains(range(N), f_S) == [oracle.eval(S | set(fresh) | {v}) - f_S
-                                         for v in range(N)]
+    _same_state(bulk, single)
+    grown = S | set(chosen.tolist())
+    f_S = oracle.eval(grown) if grown else 0.0
+    assert bulk.gains(range(N), f_S) == [oracle.eval(grown | {v}) - f_S for v in range(N)]

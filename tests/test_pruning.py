@@ -707,23 +707,44 @@ def test_block_sizes_change_nothing_at_scale(kind):
     (10**6, "element id 1000000 outside ground set"),
     (2.5, "element id 2.5 is not an integer"),
     (2**70, f"element id {2**70} outside ground set"),
-], ids=["outside", "float", "past-int64"])
+    ("range", None),
+], ids=["outside", "float", "past-int64", "range"])
 def test_a_bad_id_is_refused_before_its_block_is_decided(kind, where, bad, message):
     # past position 256 of the first block, or in a later block, on the
     # screened path (cut) and the plain one (coverage): the error names the
     # id, and no element of its block is decided, so the pass has asked the
-    # queries of the blocks before it and no more
+    # queries of the blocks before it and no more. A range stream whose
+    # first id past [0, n) sits there is refused the same way.
     stream, make, cost_fn, rungs = _ba_stream(kind)
     n = len(stream)
-    stream[where] = bad
+    if bad == "range":
+        stream = given = range(n - where, 2 * n - where)
+        message = f"element id {n} outside ground set"
+    else:
+        stream[where] = bad
+        given = iter(stream)
     start = where - where % pruning._BLOCK
     oracle = make()
     with pytest.raises(InputError, match=message):
-        pruning._prune(iter(stream), oracle, cost_fn, rungs, n)
+        pruning._prune(given, oracle, cost_fn, rungs, n)
     before = make()
     pruning._prune(stream[:start], before, cost_fn, rungs, n)
     assert oracle.query_count == before.query_count
     assert (oracle.query_count > 0) == (start > 0)
+
+
+def test_a_range_stream_is_read_in_arange_blocks():
+    # a range inside [0, n) gives the same run as the same ids in a list,
+    # and a stepped or reversed range too
+    stream, make, cost_fn, rungs = _ba_stream("cut")
+    n = len(stream)
+    for ids in (range(n), range(n - 1, -1, -1), range(3, n, 7)):
+        runs = []
+        for given in (ids, list(ids)):
+            pruned, report, states = pruning._prune(given, make(), cost_fn, rungs, n)
+            runs.append((_outputs(pruned, report.per_budget_sizes, report.events),
+                         report.oracle_calls, _rung_states(states)))
+        assert runs[0] == runs[1]
 
 
 def test_each_block_asks_one_batch_for_the_elements_that_fit_the_top_rung():
@@ -782,9 +803,14 @@ class _SignedState:
     def gather(self, vs, f_S):
         return (self.total + self.raw(vs)) - f_S
 
-    def first_overlap(self, vs):
-        # conservative: an add can move the penalty of every later id
-        return min(len(vs), 1)
+    def links(self, vs):
+        # walks start from a non-empty set: then only the first hub added
+        # changes other gains, taking the penalty bonus off every later hub
+        o = self.oracle
+        assert self.members
+        if o.hub[sorted(self.members)].any():
+            return [[] for _ in range(len(vs))], []
+        return [[0] if hub else [] for hub in o.hub[vs].tolist()], [o.penalty]
 
     def count(self, k):
         self.oracle.counter.bump(k)
@@ -829,10 +855,15 @@ def _screen_instance(kind, seed, n):
     else:
         graph = random_graph(n, rng.choice([0.05, 0.15, 0.4]), seed)
     if kind == "influence-sparse":
-        # few live edges over a sparse graph: most pairs share no component,
-        # so walks decide many elements in a row
+        # few live edges over a sparse graph: most pairs share no component
         graph = random_graph(n, 0.08, seed)
         return sp.InfluenceOracle(sp.LiveEdgeSamplePool(graph, p=0.05, m=3, seed=seed))
+    if kind == "influence-dense":
+        # many live edges: walks patch gains after nearly every add
+        return sp.InfluenceOracle(sp.LiveEdgeSamplePool(graph, p=0.2, m=5, seed=seed))
+    if kind == "cut-dense":
+        # most pairs share an edge: walks patch gains after every add
+        return sp.CutOracle(random_graph(n, 0.7, seed))
     if kind.startswith("cut"):
         return sp.CutOracle(graph)
     if kind == "coverage":
@@ -840,8 +871,9 @@ def _screen_instance(kind, seed, n):
     return sp.InfluenceOracle(sp.LiveEdgeSamplePool(graph, p=0.3, m=5, seed=seed))
 
 
-SCREEN_KINDS = ("cut", "cut-directed", "coverage", "influence", "influence-sparse",
-                "influence-directed", "modular", "custom", "negative", "signed")
+SCREEN_KINDS = ("cut", "cut-directed", "cut-dense", "coverage", "influence", "influence-sparse",
+                "influence-dense", "influence-directed", "modular", "custom", "negative",
+                "signed")
 
 
 def _rung_states(states):
@@ -855,7 +887,7 @@ def _rung_states(states):
        st.sampled_from([(1.0, 2.0, 0.5), (1.0, 8.0, 0.5), (0.8, 5.0, 0.3), (3.0, 3.0, 0.5)]),
        st.sampled_from([0.1, 0.5, 3.0, "near n"]), st.sampled_from([0.05, 0.3, 1.0]),
        st.sampled_from([1, 3, 16, 256, 2048]), st.sampled_from([1, 2, 16]))
-@settings(max_examples=300, deadline=None)
+@settings(max_examples=400, deadline=None)
 def test_screen_matches_the_element_by_element_pass(kind, seed, n, repeats, ladder_range,
                                                     eps, delta, block, look):
     rng = random.Random(seed)
@@ -938,29 +970,62 @@ def test_screen_engages_on_cut_and_steps_aside_for_custom():
     assert plain == admitted
 
 
+def _walks_and_steps(prune):
+    """(the number of ``_walk`` calls, the number of elements of each
+    ``_steps`` call) of ``prune()``, and what it returned."""
+    walks, steps = [], []
+    real_walk, real_steps = pruning._Screen._walk, pruning._steps
+
+    def walk(self, *args):
+        walks.append(1)
+        return real_walk(self, *args)
+
+    def recorded(per_rung, oracle, n, elements):
+        elements = list(elements)
+        steps.append(len(elements))
+        real_steps(per_rung, oracle, n, elements)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(pruning._Screen, "_walk", walk)
+        mp.setattr(pruning, "_steps", recorded)
+        out = prune()
+    return len(walks), steps, out
+
+
 def test_walks_keep_an_event_dense_influence_stream_out_of_steps():
-    # a query-count guard, not a timing: most elements of a 1,000-node BA
-    # graph with a sparse live-edge pool are events, and walks decide them
+    # a count guard, not a timing: most elements of a 1,000-node BA graph
+    # with a sparse live-edge pool are events, and a few whole-stretch walks
+    # decide them
     n = 1000
     graph = sp.generate("barabasi_albert", n, {"m_attach": 8}, seed=7)
     pool = sp.LiveEdgeSamplePool(graph, p=0.01, m=25, seed=7)
     ladder = sp.LadderParams(20.0, 80.0, 0.5, 0.1, 0.1)
-    stepped = []
-    real_steps = pruning._steps
-
-    def recorded(per_rung, oracle, n, elements):
-        elements = list(elements)
-        stepped.extend(elements)
-        real_steps(per_rung, oracle, n, elements)
-
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(pruning, "_steps", recorded)
-        pruned, report = sp.quickprune(range(n), sp.InfluenceOracle(pool), unit_cost, ladder, n)
-    assert len(stepped) < n / 5
+    walks, steps, (pruned, report) = _walks_and_steps(
+        lambda: sp.quickprune(range(n), sp.InfluenceOracle(pool), unit_cost, ladder, n))
+    assert sum(steps) < n / 50
+    assert walks <= 20
     rungs = [sp.PruneParams(tau, ladder.delta, ladder.epsilon)
              for tau in sp.budget_ladder(ladder.kappa_min, ladder.kappa_max, ladder.eta)]
     ref, ref_report, _ = ref_prune(range(n), sp.InfluenceOracle(pool), unit_cost, rungs, n)
     assert report.oracle_calls == ref_report.oracle_calls
+    assert _outputs(pruned, report.per_budget_sizes, report.events) == _outputs(
+        ref, ref_report.per_budget_sizes, ref_report.events)
+
+
+def test_cut_walks_the_stretches_it_sets_aside():
+    # a count guard, not a timing: the screen sets stretches of a cut
+    # stream aside, walks them, and hands ``_steps`` single elements only
+    graph = sp.assign_knapsack_costs(
+        sp.generate("barabasi_albert", 3000, {"m_attach": 4}, seed=11), mode="degree")
+    rungs = [sp.PruneParams(tau, 0.1, 0.1) for tau in sp.budget_ladder(10.0, 40.0, 0.5)]
+    walks, steps, (pruned, report, states) = _walks_and_steps(
+        lambda: pruning._prune(range(graph.n), sp.CutOracle(graph), graph.cost_fn(), rungs,
+                               graph.n))
+    assert walks and steps and set(steps) == {1}
+    ref, ref_report, ref_states = ref_prune(range(graph.n), sp.CutOracle(graph),
+                                            graph.cost_fn(), rungs, graph.n)
+    assert report.oracle_calls == ref_report.oracle_calls
+    assert _rung_states(states) == _rung_states(ref_states)
     assert _outputs(pruned, report.per_budget_sizes, report.events) == _outputs(
         ref, ref_report.per_budget_sizes, ref_report.events)
 
