@@ -32,6 +32,10 @@ class BaselineConfig:
     def __post_init__(self):
         if self.r < 1 or self.c < 1:
             raise InputError("r and c must be >= 1")
+        try:
+            float(self.r)  # the probe count r * ln(n) is a float
+        except OverflowError:
+            raise InputError("r is past the float range") from None
 
 
 def top_k_prune(graph, cost_fn, k: int) -> set:

@@ -468,6 +468,8 @@ def generate(kind: str, n: int, params: dict | None = None, seed: int = 0) -> Gr
     """
     if n < 1:
         raise InputError("n must be >= 1")
+    if n > _MAX_KEY_N:  # _csr's limit, checked before any edge is made
+        raise InputError(f"node count {n} is too large")
     try:
         seed = operator.index(seed)
     except TypeError:

@@ -69,6 +69,8 @@ wrapper without ``state()``, get an ``EvalState`` that answers through
 from __future__ import annotations
 
 import operator
+import os
+import sys
 import threading
 import warnings
 
@@ -588,6 +590,12 @@ class LiveEdgeSamplePool:
             raise InputError("seed must be non-negative")
         if m * graph.n > np.iinfo(np.intp).max:
             raise InputError(f"sample count m is too large to index {graph.n} nodes per sample")
+        # the least the pool takes: an id, a size and an edge mark per node
+        # and sample (8 + 8 + 1 bytes) undirected, an empty dict per sample directed
+        need = m * (sys.getsizeof({}) if graph.directed else 17 * graph.n)
+        if need > _physical_memory():
+            raise InputError(f"sample count m = {m} needs at least {need} bytes of memory, "
+                             f"more than this host has")
         self.n, self.directed = graph.n, graph.directed
         self.p, self.m, self.seed = float(p), m, seed
         edges = graph.edge_array()
@@ -627,6 +635,15 @@ class LiveEdgeSamplePool:
                         stack.append(w)
             total += len(visited)
         return total / self.m
+
+
+def _physical_memory() -> int:
+    """The host's physical memory in bytes, or the largest intp when the
+    host does not tell."""
+    try:
+        return os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+    except (AttributeError, ValueError, OSError):
+        return np.iinfo(np.intp).max
 
 
 def _components(labels, edges):

@@ -13,14 +13,14 @@ That pass reads the stream in blocks of ``_BLOCK`` ids, kept as arrays (a
 over every budget are dropped at the block, the rest have their singleton
 values asked in one counted batch, and one rule decides which rungs share a
 marginal. When the oracle's states answer a batch with one numpy gather
-(cut, undirected influence), a screen skips in numpy the elements that can
-change no rung, and walks the stretches where the others are dense: one
-scalar loop repeats the element-by-element float operations on the
-stretch's gathered integer gains, patches the gains that each add lowers
-from the states' ``links``, and commits the adds in bulk. Only single
-elements, where a walk must stop, become Python tuples. Skipped and walked
-elements are charged exactly the queries the element-by-element pass asks,
-so outputs, events, every float and query counts are unchanged.
+(cut, undirected influence), a screen decides the block in stretches: numpy
+marks the elements that may change some rung, and one scalar loop walks
+only those, repeating the element-by-element float operations on their
+gathered integer gains, patching the gains that each add lowers from the
+states' ``links``, and committing the adds in bulk. Only single elements,
+where a walk must stop, become Python tuples. Every element is charged
+exactly the queries the element-by-element pass asks, so outputs, events,
+every float and query counts are unchanged.
 
 Closed-form companions to the pruners live here as well: the pruned-set
 size bound, the worst-case retention ratios, the ladder-size formula, the
@@ -69,12 +69,12 @@ _LADDER_RTOL = 1e-12
 MAX_RUNGS = 10_000
 
 # Stream ids `_prune` reads at a time, taking their costs and singleton
-# values in one batch; screened windows double up to a block. On the bench's
-# cut workload 1,024 ran slower, 4,096 no faster.
+# values in one batch; the screen's stretches double up to a block. On the
+# bench's cut workload 1,024 ran slower, 4,096 no faster.
 _BLOCK = 2048
 
-# Admitted elements in the screen's first window, and in the first stretch it
-# sets aside; a window that finds no event doubles the next one.
+# Admitted elements in the screen's first stretch; a stretch walked to its
+# end doubles the next one.
 _LOOK = 16
 
 
@@ -404,13 +404,14 @@ def _shares_gains(a: SinglePrunerState, b: SinglePrunerState) -> bool:
 
 
 class _Group:
-    """Rungs that ``_shares_gains`` in one window: their rows in the ladder,
-    their states, and the window's raw gains against their common set."""
+    """Rungs that ``_shares_gains`` in one stretch: their rows in the
+    ladder, their states, the largest of their budgets, and the stretch's
+    raw gains against their common set."""
 
-    __slots__ = ("rows", "states", "raw")
+    __slots__ = ("rows", "states", "top", "raw")
 
-    def __init__(self, row: int, state: SinglePrunerState, raw):
-        self.rows, self.states, self.raw = [row], [state], raw
+    def __init__(self, row: int, state: SinglePrunerState, kappa: float, raw):
+        self.rows, self.states, self.top, self.raw = [row], [state], kappa, raw
 
 
 def _decide(rung, state: SinglePrunerState, window, raw, divisor, links):
@@ -469,34 +470,33 @@ def _agreed(runs) -> int:
 
 
 class _Screen:
-    """Finds, block by block, the elements that can change some rung and
-    skips the others in numpy; walks the stretches where they are dense.
+    """Decides a block's admitted elements stretch by stretch: numpy marks
+    the elements that may change some rung, ``_decide`` walks only those,
+    and every element is charged the queries ``_steps`` would ask for it.
 
-    An admitted element is an *event* for a rung when it passes the rung's
-    add test, beats its best singleton, is already in a working set, meets
-    an empty working list, or meets a rung whose deletion test already holds
-    (possible with negative values). Membership is over-approximated, which
-    is safe, by a bool mask of every id decided so far, read in one gather
-    per window. Each window reads the raw gains of its admitted elements,
-    one ``raw`` gather per group of rungs that ``_shares_gains``. Between
-    two events no rung changes, so one numpy pass compares each rung's gains
-    (``_marginals`` of the raw ones), add thresholds (the scalar test's
-    operations, in its order) and best singleton, and finds the first event.
-    The elements before it are charged in one step the queries ``_steps``
-    asks for them: one marginal per group of rungs that ``_shares_gains``,
-    when some rung of the group admits the element. A window that finds no
-    event doubles the next one, up to a block. A window that skips at least
-    ``_LOOK // 2`` elements before its event paid for itself, and ``_steps``
-    decides the event. One that skips fewer did not: the screen sets aside
-    a stretch from the event, twice as long each time this happens before a
-    window pays again, and ``_walk`` decides it.
+    A stretch holds up to ``span`` admitted elements. ``span`` starts at
+    ``_LOOK`` and doubles, up to a block, each time a stretch is walked to
+    its end. Each group of rungs that ``_shares_gains`` reads the stretch's
+    raw gains in one ``raw`` gather, and an element is a *candidate* when
+    the group's loosest rung (largest budget, smallest delta) admits it and
+    it passes that rung's add test or beats the group's smallest best
+    singleton. While a group's value is not negative, an add raises it, and
+    so every threshold, and links only lower later gains; so no element
+    that is not a candidate at the stretch's start can enter a working set
+    or beat a best singleton in it. When the value is negative, every
+    admitted element is a candidate.
 
-    A walk repeats the float operations of ``_gain`` and ``_apply`` on the
-    stretch's raw gains, one group at a time, patching them after each add
-    with the group's ``links``, and commits each group's adds in bulk
-    (``extend``). It runs to the end of the stretch unless it must stop, and
-    ``_steps`` decides the element where it stops. Only the elements
-    stepped become tuples; the rest stay arrays or lists.
+    The walk runs ``_decide`` for each rung over the union of the groups'
+    candidates, patching gains from one ``links`` of their ids, and commits
+    each group's adds in bulk (``extend``). It halts at an element decided
+    before (a bool mask of those ids over-approximates the working sets),
+    at a repeated id, at an element that fits the budget of a rung with an
+    empty working list or a deletion test that already holds, and at a
+    candidate when two groups share one working list (an add could make
+    their values equal). It also stops where an add would fire a deletion
+    test or rungs of a group would add differently; ``_steps`` decides the
+    element where the walk stops, and the next stretch starts after it.
+    Only that element becomes a tuple; the rest stay arrays or lists.
     """
 
     def __init__(self, per_rung, oracle, n: int, batch):
@@ -504,57 +504,24 @@ class _Screen:
         self.oracle = oracle
         self.n = n
         self.batch = batch
-        self.kappa = np.array([[params.kappa] for params, _ in per_rung])
-        self.delta = np.array([[params.delta] for params, _ in per_rung])
         # every id walked or fed to _steps so far, a superset of every working set
         self.stepped = np.zeros(oracle.n, dtype=bool)
-        self.look = _LOOK   # admitted elements the next window reads
-        self.aside = 0      # admitted elements left to walk unscreened
-        self.backoff = _LOOK  # the stretch the next window that does not pay sets aside
+        self.span = _LOOK  # admitted elements the next stretch reads
         self.rungs = [(params.kappa, params.delta, n / params.epsilon) for params, _ in per_rung]
 
     def feed(self, pos, ids, costs, singles) -> None:
-        """Run one block's admitted elements, given as arrays of stream
-        positions, checked ids, costs and singleton values, past ``_steps``
-        or through the walk."""
+        """Decide one block's admitted elements, given as arrays of stream
+        positions, checked ids, costs and singleton values."""
         self.block = pos, ids, costs, singles
         j = 0
         while j < len(ids):
-            if self.aside:
-                stop = min(j + self.aside, len(ids))
-                end = self._walk(*self._groups(ids[j:stop]), j, stop)
-                self.aside -= end - j
-                j = end
-                continue
-            end = min(j + self.look, len(ids))
-            groups, blocked = self._groups(ids[j:end])
-            k = j + self._first_event(groups, blocked, ids[j:end], costs[j:end], singles[j:end])
-            if k == end:
-                self.look = min(2 * self.look, _BLOCK)
-                j = end
-                continue
-            self.look = _LOOK
-            if k - j < _LOOK // 2:  # dense events: walk a stretch from this one
-                self.aside, self.backoff = self.backoff, 2 * self.backoff
-                j = k
-            else:
-                self.backoff = _LOOK
-                j = self._step(k, k + 1)
-
-    def _elements(self, a: int, b: int) -> list:
-        """The block's admitted elements ``a..b-1`` as ``(pos, e, cost, f_single)``."""
-        return list(zip(*(column[a:b].tolist() for column in self.block)))
-
-    def _step(self, a: int, b: int) -> int:
-        """Hand the block's admitted elements ``a..b-1`` to ``_steps``; return ``b``."""
-        self.stepped[self.block[1][a:b]] = True
-        _steps(self.per_rung, self.oracle, self.n, self._elements(a, b))
-        return b
+            j = self._walk(j, min(j + self.span, len(ids)))
 
     def _groups(self, vs):
         """The groups of rungs that ``_shares_gains``, each with the raw
-        gains of the ids ``vs``, and the largest budget of a rung for which
-        every admitted element is an event (-inf when there is none)."""
+        gains of the ids ``vs``, and the largest budget of a rung with an
+        empty working list or a deletion test that already holds, for which
+        every admitted element must be stepped (-inf when there is none)."""
         groups, blocked = [], -math.inf
         for r, (params, state) in enumerate(self.per_rung):
             if not state.working or state.f_working > self.rungs[r][2] * state.f_checkpoint:
@@ -564,71 +531,64 @@ class _Screen:
                 if _shares_gains(group.states[0], state):
                     group.rows.append(r)
                     group.states.append(state)
+                    group.top = max(group.top, params.kappa)
                     break
             else:
-                groups.append(_Group(r, state, state.oracle_state.raw(vs)))
+                groups.append(_Group(r, state, params.kappa, state.oracle_state.raw(vs)))
         return groups, blocked
 
-    def _first_event(self, groups, blocked, ids, costs, singles) -> int:
-        """The index of the first event in a window of admitted elements,
-        or its length; counts the queries of the elements before it."""
-        admitted = costs <= self.kappa
-        gain = np.zeros(admitted.shape)
-        f_working = np.array([[state.f_working] for _, state in self.per_rung], dtype=float)
-        f_best = np.array([[state.f_best_single] for _, state in self.per_rung])
-        divisor = self.batch.divisor
+    def _candidates(self, group: _Group, costs, singles):
+        """The stretch's candidates for ``group``, as a bool mask."""
+        state = group.states[0]
+        f, divisor = state.f_working, self.batch.divisor
+        admitted = costs <= group.top
+        if f < 0:
+            return admitted
+        gains = _marginals(state.oracle_state.total, group.raw, divisor, f)
+        threshold = min(self.rungs[r][1] for r in group.rows) * costs * f / group.top
+        if divisor is not None:
+            # Each add leaves f within about two ulps of total / divisor, so
+            # a later gain can exceed its value here by a few ulps of the
+            # largest value the stretch can reach, at most f plus its
+            # positive gains; lowering the threshold by 2^-40 of that keeps
+            # every such element a candidate. Integer gains are exact.
+            threshold -= 2.0 ** -40 * (f + gains[gains > 0].sum())
+        best = min(state.f_best_single for state in group.states)
+        return admitted & ((gains >= threshold) | (singles > best))
+
+    def _walk(self, j: int, end: int) -> int:
+        """Decide the block's admitted elements from ``j``, the stretch
+        ``j..end-1``, by ``_decide`` over each group's candidates; return
+        the index of the first element not decided."""
+        ids, costs, singles = (column[j:end] for column in self.block[1:])
+        groups, blocked = self._groups(ids)
+        walk = np.zeros(len(ids), dtype=bool)
         for group in groups:
-            state = group.states[0]
-            gains = _marginals(state.oracle_state.total, group.raw, divisor, state.f_working)
-            for r in group.rows:
-                gain[r] = gains
-        threshold = self.delta * costs * f_working / self.kappa
-        hit = (admitted & ((singles > f_best) | (gain >= threshold))).any(axis=0)
-        hit |= (costs <= blocked) | self.stepped[ids]
-        k = int(hit.argmax()) if hit.any() else len(ids)
-        if k:
-            self.batch.count(sum(int(np.count_nonzero(admitted[group.rows, :k].any(axis=0)))
-                                 for group in groups))
-        return k
-
-    def _walk(self, groups, blocked, j: int, end: int) -> int:
-        """Decide the block's admitted elements ``j..end-1``, in order, by
-        ``_decide`` over each group's raw gains and links; return the index
-        of the first element not decided.
-
-        The walk stops at the first element that was decided before, repeats
-        an id of ``j..end-1``, fits the ``blocked`` budget, or would split a
-        group or fire a deletion test, and ``_steps`` decides that one, after
-        each group's adds are committed in one step. Each decided element is
-        charged one query per group with an admitting rung. With two groups
-        over one working list (values that differ in type or in their last
-        bits, which adds could make equal), nothing is walked."""
-        vs = self.block[1][j:end]
-        halt = self.stepped[vs]
-        if blocked > -math.inf:
-            halt |= self.block[2][j:end] <= blocked
-        stop = int(halt.argmax()) if halt.any() else len(vs)
+            walk |= self._candidates(group, costs, singles)
+        halt = self.stepped[ids] | (costs <= blocked)
         if any(a.states[0].working == b.states[0].working
                for a, b in itertools.combinations(groups, 2)):
-            stop = 0
-        window = [column[j:j + stop].tolist() for column in self.block[1:]]  # ids, costs, singles
-        stop = _first_repeat(window[0])
+            halt |= walk
+        stop = int(halt.argmax()) if halt.any() else len(ids)
+        at = np.flatnonzero(walk[:stop])
+        window = [column[at].tolist() for column in (ids, costs, singles)]
+        k = _first_repeat(window[0])
         decided = []
         for group in groups:
-            if not stop:
+            if not k:
                 break
-            raw = group.raw[:stop].tolist()
-            links = functools.partial(group.states[0].oracle_state.links, vs[:stop])
+            raw = group.raw[at[:k]].tolist()
+            links = functools.partial(group.states[0].oracle_state.links, ids[at[:k]])
             runs = [_decide((*self.rungs[r][:2], self.rungs[r][2] * state.f_checkpoint,
                              state.f_best_single), state, window, raw, self.batch.divisor, links)
                     for r, state in zip(group.rows, group.states)]
-            stop = min(stop, _agreed(runs))
+            k = min(k, _agreed(runs))
             decided.append((group, runs))
-        tops = [[max(self.rungs[r][0] for r in group.rows)] for group, _ in decided]
-        charged = int(np.count_nonzero(self.block[2][j:j + stop] <= np.array(tops)))
+        if k < len(at):
+            stop = int(at[k])
         for group, runs in decided:
-            _, adds, values, _ = runs[0]  # the same for every rung up to the stop
-            kept = bisect.bisect_left(adds, stop)
+            _, adds, values, _ = runs[0]  # the same for every rung up to k
+            kept = bisect.bisect_left(adds, k)
             added = [window[0][i] for i in adds[:kept]]
             vector = np.array(added, dtype=np.intp)
             for state, (_, _, _, bests) in zip(group.states, runs):
@@ -637,12 +597,18 @@ class _Screen:
                     state.working_set.update(added)
                     state.f_working = values[kept - 1]
                     state.oracle_state.extend(vector)
-                best = [b for b in bests if b[0] < stop]
+                best = [b for b in bests if b[0] < k]
                 if best:
                     _, state.best_single, state.f_best_single = best[-1]
-        self.batch.count(charged)
-        self.stepped[vs[:stop]] = True
-        return end if j + stop == end else self._step(j + stop, j + stop + 1)
+        self.batch.count(sum(int(np.count_nonzero(costs[:stop] <= group.top)) for group in groups))
+        self.stepped[ids[at[:k]]] = True
+        if stop == len(ids):
+            self.span = min(2 * self.span, _BLOCK)
+            return end
+        self.stepped[ids[stop]] = True
+        _steps(self.per_rung, self.oracle, self.n,
+               [tuple(column[j + stop].item() for column in self.block)])
+        return j + stop + 1
 
 
 def _first_repeat(ids: list) -> int:

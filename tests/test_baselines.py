@@ -96,6 +96,12 @@ def test_baseline_config_validation():
     sp.BaselineConfig()
     with pytest.raises(InputError):
         sp.BaselineConfig(r=0)
+    # r * ln(n) once raised OverflowError inside ss_prune; the last r is
+    # past str()'s digit limit, so the message must not print it
+    for r in (10**400, 10**5000):
+        with pytest.raises(InputError, match="r is past the float range"):
+            sp.BaselineConfig(r=r)
+    sp.BaselineConfig(c=10**400)  # c divides an int length: any size works
 
 
 def test_ss_returns_everything_below_merge_threshold():

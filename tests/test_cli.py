@@ -82,14 +82,25 @@ def test_gen_negative_seed_is_config_error(tmp_path):
     assert not (tmp_path / "g.txt").exists()
 
 
+def test_gen_huge_node_count_is_config_error(tmp_path, capsys):
+    # path and star once filled memory before the node count was checked
+    for kind in ("path", "star"):
+        rc = main(["gen", "--kind", kind, "--n", str(10**30), "--out", str(tmp_path / "g.txt")])
+        assert rc == 2
+        assert "is too large" in capsys.readouterr().err
+    assert not (tmp_path / "g.txt").exists()
+
+
 @pytest.mark.parametrize("directed", [[], ["--directed"]], ids=["undirected", "directed"])
 def test_prune_huge_sample_count_is_config_error(tmp_path, directed):
-    # once exit 4 undirected, and killed (137) directed, building one dict per sample
-    graph = _write_graph(tmp_path, n=4)
-    rc = main(["prune", "--graph", str(graph), "--objective", "influence", "--kappa-max", "4",
-               "--samples", str(10**20), *directed,
-               "--out-ids", str(tmp_path / "i"), "--out-report", str(tmp_path / "r")])
-    assert rc == 2
+    # once exit 4 undirected, and killed (137) directed, building one dict per
+    # sample; 10**11 samples on a 50-node path exited 4 with MemoryError
+    graph = _write_graph(tmp_path, n=50)
+    for samples in (10**20, 10**11):
+        rc = main(["prune", "--graph", str(graph), "--objective", "influence",
+                   "--kappa-max", "4", "--samples", str(samples), *directed,
+                   "--out-ids", str(tmp_path / "i"), "--out-report", str(tmp_path / "r")])
+        assert rc == 2
 
 
 _KERNEL = b"1,0.5,0.2\n0.5,1,0.1\n0.2,0.1,1\n"
@@ -220,6 +231,15 @@ def test_prune_with_baselines(tmp_path):
         assert ids <= set(range(40))
         if pruner != "ss":
             assert len(ids) == 10
+
+
+def test_ss_r_past_the_float_range_is_config_error(tmp_path, capsys):
+    # r * ln(n) once raised OverflowError and exited 4
+    graph = _write_graph(tmp_path)
+    rc = main(["prune", "--graph", str(graph), "--pruner", "ss", "--r", str(10**400),
+               "--out-ids", str(tmp_path / "i"), "--out-report", str(tmp_path / "r")])
+    assert rc == 2
+    assert "past the float range" in capsys.readouterr().err
 
 
 def test_prune_report_keys_are_shared_by_every_pruner(tmp_path):

@@ -414,6 +414,12 @@ def test_generate_validation():
         for seed in (-1, 1.5, "3"):
             with pytest.raises(InputError, match="seed"):
                 sp.generate(kind, 10, params, seed=seed)
+    # checked before any edge: path and star filled a list until memory ran
+    # out, barabasi_albert looped, and erdos_renyi raised a bare ValueError
+    for kind, params in (("erdos_renyi", {"p": 0.5}), ("barabasi_albert", {"m_attach": 2}),
+                         ("path", {}), ("star", {})):
+        with pytest.raises(InputError, match=f"node count {10**30} is too large"):
+            sp.generate(kind, 10**30, params)
 
 
 def test_graph_metadata(star6):

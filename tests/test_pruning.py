@@ -1,3 +1,4 @@
+import functools
 import json
 import math
 import random
@@ -916,7 +917,7 @@ def test_screen_fires_a_deletion_test_that_already_holds(monkeypatch):
     # the second deletion leaves {1} worth 2 - 10 = -8, so the deletion test
     # holds until the next admitted element fires it, although that element
     # neither enters (gain -3 < threshold -0.2) nor beats the best singleton
-    monkeypatch.setattr(pruning, "_LOOK", 1)  # a window of one: screen every element
+    monkeypatch.setattr(pruning, "_LOOK", 1)  # a first stretch of one element
     rungs = [sp.PruneParams(4.0, 0.1, 3.5)]
     runs = []
     for prune in (pruning._prune, ref_prune):
@@ -928,18 +929,94 @@ def test_screen_fires_a_deletion_test_that_already_holds(monkeypatch):
     assert [e.removed for e in report.events] == [(), (0,), (1,)]
 
 
+def test_screen_walks_every_admitted_element_while_a_value_is_negative():
+    # the last deletion leaves {1} worth 2 - 10 = -8; from there each add
+    # lowers the value, and with it the threshold (delta * cost / kappa is
+    # 1), so an element below the threshold at a stretch's start can be
+    # added later in the stretch
+    rungs = [sp.PruneParams(4.0, 1.0, 6.0)]
+    stream = [0, 5, 3, 4, 2, 1, 6, 2, 4, 3]
+    runs = []
+    for prune in (pruning._prune, ref_prune):
+        oracle = _SignedOracle([-7, 2, -13, 11, -14, 11, -15],
+                               [True, False, True, False, False, False, True], 10)
+        pruned, report, states = prune(stream, oracle, lambda e: 4.0, rungs, 7)
+        runs.append((_outputs(pruned, report.per_budget_sizes, report.events),
+                     report.oracle_calls, _rung_states(states)))
+    assert runs[0] == runs[1]
+    assert report.events[-1].value_after == -8
+    assert states[0].working == [1, 6, 2, 4, 3] and states[0].f_working == -29
+
+
+WALKED_KINDS = ("cut", "cut-directed", "cut-dense", "influence", "influence-sparse",
+                "influence-dense", "signed")
+
+
+@given(st.sampled_from(WALKED_KINDS), st.integers(0, 10**6), st.integers(8, 40),
+       st.sampled_from([(1.0, 8.0, 0.5), (0.8, 5.0, 0.3), (3.0, 3.0, 0.5)]),
+       st.sampled_from([0.1, 3.0, "near n"]),
+       st.sampled_from([0.05, 0.25, 0.5, math.nextafter(0.5, 0.0), math.nextafter(0.5, 1.0),
+                        1.0, 3.0]),
+       st.sampled_from([1, 2, 16]))
+@settings(max_examples=300, deadline=None)
+def test_candidates_hold_every_element_a_whole_stretch_walk_changes(kind, seed, n, ladder_range,
+                                                                    eps, delta, look):
+    # before each stretch is walked, ``_decide`` runs for every rung of every
+    # group over the whole stretch (up to an element decided before or a
+    # repeated id): each element it adds, that beats a best singleton, or
+    # where an add would fire the deletion test, is one of the group's
+    # candidates. Powers of two, unit costs and deltas an ulp off 0.5 give
+    # ties between gains and thresholds.
+    rng = random.Random(seed)
+    stream = list(range(n))
+    rng.shuffle(stream)
+    stream += [rng.randrange(n) for _ in range(n // 2)]
+    costs = [rng.choice([0.5, 1.0, 1.0, 2.0, 3.0]) for _ in range(n)]
+    eps = n - 0.5 if eps == "near n" else eps
+    rungs = [sp.PruneParams(tau, delta, eps) for tau in sp.budget_ladder(*ladder_range)]
+    real_walk = pruning._Screen._walk
+
+    def walk(self, j, end):
+        ids, costs, singles = (column[j:end] for column in self.block[1:])
+        groups, _ = self._groups(ids)
+        seen = self.stepped[ids]
+        stop = int(seen.argmax()) if seen.any() else len(ids)
+        window = [column[:stop].tolist() for column in (ids, costs, singles)]
+        stop = pruning._first_repeat(window[0])
+        for group in groups:
+            candidate = self._candidates(group, costs, singles)
+            for r, state in zip(group.rows, group.states):
+                kappa, rung_delta, limit = self.rungs[r]
+                links = functools.partial(state.oracle_state.links, ids[:stop])
+                end_at, adds, _, bests = pruning._decide(
+                    (kappa, rung_delta, limit * state.f_checkpoint, state.f_best_single), state,
+                    window, group.raw[:stop].tolist(), self.batch.divisor, links)
+                changed = set(adds) | {b[0] for b in bests} | {end_at} - {stop}
+                assert all(candidate[i] for i in changed), (kind, r, sorted(changed))
+        return real_walk(self, j, end)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(pruning, "_LOOK", look)
+        mp.setattr(pruning._Screen, "_walk", walk)
+        pruning._prune(stream, _screen_instance(kind, seed, n), costs.__getitem__, rungs, n)
+
+
 def _ba_ladder(make_oracle):
-    """(the costs, `_gain` calls, the elements `_steps` received) of one
-    ladder prune over [10, 40] of a seeded 3,000-node BA graph with degree
-    costs."""
+    """(the costs, `_gain` calls, the elements `_steps` received, the
+    elements `_decide` walked, once per rung) of one ladder prune over
+    [10, 40] of a seeded 3,000-node BA graph with degree costs."""
     graph = sp.assign_knapsack_costs(
         sp.generate("barabasi_albert", 3000, {"m_attach": 4}, seed=11), mode="degree")
-    calls, stepped = [], []
-    real_gain, real_steps = pruning._gain, pruning._steps
+    calls, stepped, walked = [], [], []
+    real_gain, real_steps, real_decide = pruning._gain, pruning._steps, pruning._decide
 
     def counted(*args):
         calls.append(1)
         return real_gain(*args)
+
+    def decide(rung, state, window, raw, divisor, links):
+        walked.append(len(raw))
+        return real_decide(rung, state, window, raw, divisor, links)
 
     def recorded(per_rung, oracle, n, elements):
         elements = list(elements)
@@ -949,9 +1026,10 @@ def _ba_ladder(make_oracle):
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(pruning, "_gain", counted)
         mp.setattr(pruning, "_steps", recorded)
+        mp.setattr(pruning, "_decide", decide)
         sp.quickprune(range(graph.n), make_oracle(graph), graph.cost_fn(),
                       sp.LadderParams(10.0, 40.0, 0.5, 0.1, 0.1), graph.n)
-    return graph.costs, len(calls), stepped
+    return graph.costs, len(calls), stepped, sum(walked)
 
 
 def _custom_cut(graph):
@@ -961,12 +1039,14 @@ def _custom_cut(graph):
 def test_screen_engages_on_cut_and_steps_aside_for_custom():
     # a query-count guard, not a timing: the cut prune decides only its few
     # events element by element, a custom oracle every admitted pair
-    costs, screened, _ = _ba_ladder(sp.CutOracle)
+    costs, screened, _, walked = _ba_ladder(sp.CutOracle)
     admitted = sum(int(np.count_nonzero(costs <= tau))
                    for tau in sp.budget_ladder(10.0, 40.0, 0.5))
     assert screened < admitted / 20
+    # numpy leaves the walks the few candidates, not whole stretches
+    assert 0 < walked < admitted / 20
     # the same values through a custom oracle, whose EvalState has no gather
-    _, plain, _ = _ba_ladder(_custom_cut)
+    _, plain, _, _ = _ba_ladder(_custom_cut)
     assert plain == admitted
 
 
@@ -1012,9 +1092,9 @@ def test_walks_keep_an_event_dense_influence_stream_out_of_steps():
         ref, ref_report.per_budget_sizes, ref_report.events)
 
 
-def test_cut_walks_the_stretches_it_sets_aside():
-    # a count guard, not a timing: the screen sets stretches of a cut
-    # stream aside, walks them, and hands ``_steps`` single elements only
+def test_cut_walks_every_stretch_and_steps_single_elements():
+    # a count guard, not a timing: every stretch of a cut stream is walked
+    # over its candidates, and ``_steps`` gets single elements only
     graph = sp.assign_knapsack_costs(
         sp.generate("barabasi_albert", 3000, {"m_attach": 4}, seed=11), mode="degree")
     rungs = [sp.PruneParams(tau, 0.1, 0.1) for tau in sp.budget_ladder(10.0, 40.0, 0.5)]
@@ -1034,7 +1114,7 @@ def test_cut_walks_the_stretches_it_sets_aside():
 def test_steps_never_sees_an_element_over_every_budget(make_oracle):
     # a count, not a timing: elements over the top rung are dropped at the
     # block, on the screened path and on the plain one
-    costs, _, stepped = _ba_ladder(make_oracle)
+    costs, _, stepped, _ = _ba_ladder(make_oracle)
     assert np.count_nonzero(costs > 40.0) > 0 and stepped
     assert all(element[-2] <= 40.0 for element in stepped)  # the cost
     if make_oracle is _custom_cut:  # no screen: every fitting element, in order
