@@ -54,9 +54,10 @@ def _data_path(path):
     return candidate
 
 
-def _merge_config(args, keys):
-    """Resolve each key as: flag value if given, else config file (checked
-    by ``_config_value``), else default."""
+def _merge_config(args):
+    """Resolve each of the command's flags as: its value if given, else the
+    config file's (checked by ``_config_value``), else the default. Config
+    keys the command has no flag for are ignored."""
     cfg = {}
     if getattr(args, "config", None):
         with open(args.config, "rt") as fh:
@@ -70,12 +71,12 @@ def _merge_config(args, keys):
             raise InputError("config file must hold a JSON object")
         cfg = loaded
     resolved = {}
-    for key in keys:
-        flag = getattr(args, key, None)
-        if flag is not None:
-            resolved[key] = flag
+    for key, flag in args.flags.items():
+        value = getattr(args, key)
+        if value is not None:
+            resolved[key] = value
         elif key in cfg:
-            resolved[key] = _config_value(getattr(args, "flags", {}).get(key), key, cfg[key])
+            resolved[key] = _config_value(flag, key, cfg[key])
         else:
             resolved[key] = DEFAULTS.get(key)
     return resolved
@@ -86,8 +87,6 @@ def _config_value(flag, key, value):
     InputError: ``type=float`` takes any JSON number but a bool, ``type=int``
     an integer, ``--directed`` (``store_const``) a bool, an untyped flag a
     string, and an ``nargs`` flag a list of these."""
-    if flag is None:  # a key this command reads but has no flag for
-        return value
     kind = flag.type or (type(flag.const) if flag.const is not None else str)
     allowed = (int, float) if kind is float else (kind,)
     many = flag.nargs == "+"
@@ -139,7 +138,7 @@ def _require(opts, *keys):
 
 
 def cmd_gen(args):
-    opts = _merge_config(args, ["kind", "n", "p", "m_attach", "seed", "out"])
+    opts = _merge_config(args)
     _require(opts, "kind", "n", "out")
     params = {}
     if opts["kind"] == "erdos_renyi":
@@ -156,11 +155,7 @@ def cmd_gen(args):
 
 
 def cmd_prune(args):
-    keys = ["graph", "kernel", "queries", "objective", "constraint", "pruner",
-            "kappa", "kappa_min", "kappa_max", "delta", "epsilon", "eta",
-            "p", "samples", "lam", "r", "c", "target_size", "seed",
-            "cost_alpha", "directed", "out_ids", "out_report"]
-    opts = _merge_config(args, keys)
+    opts = _merge_config(args)
     _require(opts, "out_ids", "out_report")
     oracle, cost_fn, ground, graph = _build_instance(opts)
     n = len(ground)
@@ -218,9 +213,7 @@ def cmd_prune(args):
 
 
 def cmd_solve(args):
-    keys = ["graph", "kernel", "queries", "objective", "constraint", "budget",
-            "p", "samples", "lam", "seed", "cost_alpha", "directed", "ids", "out"]
-    opts = _merge_config(args, keys)
+    opts = _merge_config(args)
     _require(opts, "budget", "out")
     oracle, cost_fn, ground, _ = _build_instance(opts)
     if opts["ids"]:
@@ -235,13 +228,9 @@ def cmd_solve(args):
 
 
 def _run_eval(args, budgets_key):
-    keys = ["graph", "kernel", "queries", "objective", "constraint",
-            "budget", "budgets", "kappa_min", "kappa_max",
-            "p", "samples", "lam", "seed", "cost_alpha", "directed",
-            "ids", "out", "out_jsonl", "pruner"]
-    opts = _merge_config(args, keys)
+    opts = _merge_config(args)
     _require(opts, "ids", "out")
-    budgets = opts["budgets"] if budgets_key == "budgets" else None
+    budgets = opts.get("budgets")
     if budgets_key == "budget":
         _require(opts, "budget")
         budgets = [opts["budget"]]
@@ -281,7 +270,7 @@ def cmd_sweep(args):
 
 
 def cmd_bounds(args):
-    opts = _merge_config(args, ["n", "kappa", "delta", "epsilon", "gamma", "c_min"])
+    opts = _merge_config(args)
     _require(opts, "n", "kappa")
     gamma = opts["gamma"] if opts["gamma"] is not None else 1.0
     c_min = opts["c_min"] if opts["c_min"] is not None else 1.0
@@ -390,7 +379,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_bounds.set_defaults(func=cmd_bounds)
 
     for command in sub.choices.values():
-        command.set_defaults(flags={flag.dest: flag for flag in command._actions})
+        command.set_defaults(flags={flag.dest: flag for flag in command._actions
+                                    if flag.dest not in ("help", "config")})
     return parser
 
 

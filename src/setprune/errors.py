@@ -1,6 +1,8 @@
-"""Exception types shared across the package, and the finiteness and cost checks."""
+"""Exception types shared across the package, the finiteness and cost checks, and
+the host's physical memory for the checks that refuse inputs past it."""
 
 import math
+import os
 
 import numpy as np
 
@@ -28,6 +30,15 @@ def require_finite(**values):
             finite = False
         if not finite:
             raise InputError(f"{name} must be finite, got {value!r}")
+
+
+def _physical_memory() -> int:
+    """The host's physical memory in bytes, or the largest intp when the
+    host does not tell."""
+    try:
+        return os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+    except (AttributeError, ValueError, OSError):
+        return np.iinfo(np.intp).max
 
 
 def outside_ground_set(v, n: int) -> InputError:

@@ -16,7 +16,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import InputError, ParseError, outside_ground_set, require_finite
+from .errors import (InputError, ParseError, _physical_memory, outside_ground_set,
+                     require_finite)
 
 DEFAULT_COST_ALPHA = 1.0 / 20.0
 
@@ -477,14 +478,15 @@ def generate(kind: str, n: int, params: dict | None = None, seed: int = 0) -> Gr
     if seed < 0:
         raise InputError("seed must be non-negative")
     params = params or {}
-    if kind == "star":
-        return from_edges(n, ((0, i) for i in range(1, n)))
-    if kind == "path":
-        return from_edges(n, ((i, i + 1) for i in range(n - 1)))
+    if kind in ("star", "path"):
+        _refuse_past_memory(n, n - 1)
+        ends = np.arange(1, n, dtype=np.int64)
+        return _csr(n, np.zeros_like(ends) if kind == "star" else ends - 1, ends, False)
     if kind == "erdos_renyi":
         p = params.get("p")
         if p is None or not 0.0 <= p <= 1.0:
             raise InputError("erdos_renyi requires p in [0, 1]")
+        _refuse_past_memory(n, 0)  # its edge count is drawn
         rng = np.random.default_rng(seed)
         edges = []
         for i in range(n - 1):
@@ -496,6 +498,7 @@ def generate(kind: str, n: int, params: dict | None = None, seed: int = 0) -> Gr
         m = params.get("m_attach")
         if m is None or m < 1 or m >= n:
             raise InputError("barabasi_albert requires 1 <= m_attach < n")
+        _refuse_past_memory(n, m * (n - m))
         rng = np.random.default_rng(seed)
         edges = []
         repeated = []
@@ -510,3 +513,13 @@ def generate(kind: str, n: int, params: dict | None = None, seed: int = 0) -> Gr
             targets = sorted(chosen)
         return from_edges(n, edges)
     raise InputError(f"unknown generator kind {kind!r}")
+
+
+def _refuse_past_memory(n: int, edges: int):
+    """InputError when a graph of ``n`` nodes and ``edges`` generated edges
+    needs more than physical memory: at least 8 bytes per node (a row
+    start) and 16 per edge (its two arcs)."""
+    need = 8 * n + 16 * edges
+    if need > _physical_memory():
+        raise InputError(f"a graph of {n} nodes and {edges} edges needs at least {need} "
+                         f"bytes of memory, more than this host has")

@@ -69,14 +69,13 @@ wrapper without ``state()``, get an ``EvalState`` that answers through
 from __future__ import annotations
 
 import operator
-import os
-import sys
 import threading
 import warnings
 
 import numpy as np
 
-from .errors import InputError, ParseError, outside_ground_set, require_finite
+from .errors import (InputError, ParseError, _physical_memory, outside_ground_set,
+                     require_finite)
 from .graphio import _decoded, _grouped
 
 __all__ = [
@@ -568,12 +567,14 @@ class LiveEdgeSamplePool:
     the set reachable from the seeds over the ``m`` samples gives a
     deterministic Monte Carlo estimate of expected spread.
 
-    Undirected pools keep the samples' connected components: ``roots[i, v]``
-    is the id of node ``v``'s component in sample ``i``, its smallest node
-    plus ``i * n``; ``sizes[c]`` is the size of component ``c`` (zero for
-    ids that name no component); ``reach[v]`` sums ``v``'s component sizes
-    over the samples, so ``reach[v] / m`` is the spread of ``{v}``. Directed
-    pools keep each sample's out-adjacency instead.
+    The samples are stacked into one graph of ``m * n`` nodes: node ``v`` of
+    sample ``i`` is node ``i * n + v``. Undirected pools keep its connected
+    components: ``roots[i, v]`` is the id of node ``v``'s component in
+    sample ``i``, its smallest node plus ``i * n``; ``sizes[c]`` is the size
+    of component ``c`` (zero for ids that name no component); ``reach[v]``
+    sums ``v``'s component sizes over the samples, so ``reach[v] / m`` is
+    the spread of ``{v}``. Directed pools keep its live arcs instead, as CSR
+    rows ``arcs = (indptr, heads)`` over the stacked nodes.
     """
 
     def __init__(self, graph, p: float, m: int = 100, seed: int = 0):
@@ -590,9 +591,10 @@ class LiveEdgeSamplePool:
             raise InputError("seed must be non-negative")
         if m * graph.n > np.iinfo(np.intp).max:
             raise InputError(f"sample count m is too large to index {graph.n} nodes per sample")
-        # the least the pool takes: an id, a size and an edge mark per node
-        # and sample (8 + 8 + 1 bytes) undirected, an empty dict per sample directed
-        need = m * (sys.getsizeof({}) if graph.directed else 17 * graph.n)
+        # the least the pool takes per stacked node (8 + 8 + 1 bytes): a row
+        # start, a bincount and a visited mark directed, an id, a size and an
+        # edge mark undirected
+        need = 17 * m * graph.n
         if need > _physical_memory():
             raise InputError(f"sample count m = {m} needs at least {need} bytes of memory, "
                              f"more than this host has")
@@ -601,49 +603,42 @@ class LiveEdgeSamplePool:
         edges = graph.edge_array()
         rng = np.random.default_rng(seed)
         # one draw per sample, never an m x E matrix
-        draws = (edges[np.flatnonzero(rng.random(len(edges)) < p)] for _ in range(m))
+        live = np.concatenate([edges[np.flatnonzero(rng.random(len(edges)) < p)] + i * self.n
+                               for i in range(m)])
+        size = m * self.n
         if self.directed:
-            self._adjacency = [{} for _ in range(m)]  # out-adjacency per sample
-            for adj, live in zip(self._adjacency, draws):
-                for u, v in live.tolist():
-                    adj.setdefault(u, []).append(v)
+            tails = live[:, 0]
+            indptr = np.zeros(size + 1, dtype=np.int64)
+            np.cumsum(np.bincount(tails, minlength=size), out=indptr[1:])
+            self.arcs = indptr, live[np.argsort(tails, kind="stable"), 1]
             return
-        labels = np.arange(m * self.n, dtype=np.int64)
-        _components(labels, np.concatenate([live + i * self.n for i, live in enumerate(draws)]))
+        labels = np.arange(size, dtype=np.int64)
+        _components(labels, live)
         self.roots = labels.reshape(m, self.n)
-        self.sizes = np.bincount(labels, minlength=labels.size)
+        self.sizes = np.bincount(labels, minlength=size)
         self.reach = sum(self.sizes[row] for row in self.roots)  # no m x n temporary
 
     def mean_reach(self, S) -> float:
         """Average number of nodes reachable from S, distinct ids in
-        ``[0, n)``, across the samples."""
+        ``[0, n)``, across the samples. Directed, one breadth-first search
+        over the stacked samples from the ``m`` copies of S, level by level."""
         vs = list(S)
         if not self.directed:
             roots = self.roots[:, vs]
             if len(vs) > 1:  # one node's roots differ across samples already
                 roots = _distinct(roots)
             return int(self.sizes[roots].sum()) / self.m
-        total = 0
-        for adj in self._adjacency:
-            visited = set(vs)
-            stack = list(vs)
-            while stack:
-                u = stack.pop()
-                for w in adj.get(u, ()):
-                    if w not in visited:
-                        visited.add(w)
-                        stack.append(w)
-            total += len(visited)
+        # an empty list would broadcast as floats
+        frontier = (np.arange(self.m)[:, None] * self.n + np.array(vs, dtype=np.intp)).ravel()
+        visited = np.zeros(self.m * self.n, dtype=bool)
+        visited[frontier] = True
+        total = frontier.size
+        while frontier.size:
+            heads = _heads(self.arcs, frontier)
+            frontier = _distinct(heads[~visited[heads]])
+            visited[frontier] = True
+            total += frontier.size
         return total / self.m
-
-
-def _physical_memory() -> int:
-    """The host's physical memory in bytes, or the largest intp when the
-    host does not tell."""
-    try:
-        return os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
-    except (AttributeError, ValueError, OSError):
-        return np.iinfo(np.intp).max
 
 
 def _components(labels, edges):

@@ -91,6 +91,15 @@ def test_gen_huge_node_count_is_config_error(tmp_path, capsys):
     assert not (tmp_path / "g.txt").exists()
 
 
+def test_gen_graph_past_physical_memory_is_config_error(tmp_path, monkeypatch, capsys):
+    # 2 * 10**9 nodes pass the key limit, but a path needs 48 GB
+    monkeypatch.setattr(sp.graphio, "_physical_memory", lambda: 8 * 2**30)
+    rc = main(["gen", "--kind", "path", "--n", "2000000000", "--out", str(tmp_path / "g.txt")])
+    assert rc == 2
+    assert "more than this host has" in capsys.readouterr().err
+    assert not (tmp_path / "g.txt").exists()
+
+
 @pytest.mark.parametrize("directed", [[], ["--directed"]], ids=["undirected", "directed"])
 def test_prune_huge_sample_count_is_config_error(tmp_path, directed):
     # once exit 4 undirected, and killed (137) directed, building one dict per

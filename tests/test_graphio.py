@@ -422,6 +422,31 @@ def test_generate_validation():
             sp.generate(kind, 10**30, params)
 
 
+@pytest.mark.parametrize("kind, params, edges", [
+    ("path", {}, 19), ("star", {}, 19), ("erdos_renyi", {"p": 0.5}, 0),
+    ("barabasi_albert", {"m_attach": 3}, 3 * 17)])
+def test_generate_refuses_a_graph_past_physical_memory(monkeypatch, kind, params, edges):
+    # path and star once built a Python tuple per edge, so a node count below
+    # the key limit could still exhaust memory; erdos_renyi's edges are drawn,
+    # so only its nodes count
+    need = 8 * 20 + 16 * edges
+    monkeypatch.setattr(graphio, "_physical_memory", lambda: need - 1)
+    with pytest.raises(InputError, match=f"needs at least {need} bytes"):
+        sp.generate(kind, 20, params)
+    monkeypatch.setattr(graphio, "_physical_memory", lambda: need)
+    assert sp.generate(kind, 20, params).n == 20
+
+
+def test_path_and_star_are_made_in_numpy():
+    for n in (1, 2, 9):
+        for kind, edges in (("path", [(i, i + 1) for i in range(n - 1)]),
+                            ("star", [(0, i) for i in range(1, n)])):
+            g, ref = sp.generate(kind, n), sp.from_edges(n, edges)
+            assert g.n == ref.n and not g.directed
+            assert np.array_equal(g.indptr, ref.indptr) and np.array_equal(g.indices, ref.indices)
+            assert g.indptr.dtype == g.indices.dtype == np.int64
+
+
 def test_graph_metadata(star6):
     meta = sp.graphio.graph_metadata(sp.assign_knapsack_costs(star6))
     assert meta["n"] == 6 and meta["m"] == 5

@@ -10,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import setprune as sp
+from setprune import objectives
 from setprune.errors import InputError
 from setprune.objectives import _NUMPY_SET
 
@@ -376,11 +377,57 @@ def test_pool_accepts_numpy_integers_and_floats():
     assert np.array_equal(a.roots, b.roots)
 
 
+@pytest.mark.parametrize("directed", [False, True])
+def test_pool_memory_floor_is_17_bytes_per_node_and_sample(monkeypatch, directed):
+    graph = sp.from_edges(5, [(0, 1), (1, 2), (3, 4)], directed=directed)
+    need = 17 * 6 * 5
+    monkeypatch.setattr(objectives, "_physical_memory", lambda: need - 1)
+    with pytest.raises(InputError, match=f"needs at least {need} bytes"):
+        sp.LiveEdgeSamplePool(graph, p=0.5, m=6)
+    monkeypatch.setattr(objectives, "_physical_memory", lambda: need)
+    assert sp.LiveEdgeSamplePool(graph, p=0.5, m=6).m == 6
+
+
+@st.composite
+def _directed_graphs(draw):
+    """Directed graphs of up to 12 nodes: random arcs, a chain or a cycle,
+    or raw CSR rows in a drawn order with some arcs listed twice."""
+    n = draw(st.integers(0, 12))
+    shape = draw(st.sampled_from(["arcs", "chain", "cycle", "raw"]))
+    if shape == "chain":
+        return sp.from_edges(n, [(i, i + 1) for i in range(n - 1)], directed=True)
+    if shape == "cycle":
+        return sp.from_edges(n, [(i, (i + 1) % n) for i in range(n) if n > 1], directed=True)
+    node = st.integers(0, max(n - 1, 0))
+    arcs = [(u, v) for u, v in draw(st.lists(st.tuples(node, node), max_size=40)) if u != v]
+    if shape == "arcs":
+        return sp.from_edges(n, arcs, directed=True)
+    arcs += draw(st.lists(st.sampled_from(arcs), max_size=10)) if arcs else []
+    rows = [draw(st.permutations([v for u, v in arcs if u == w])) for w in range(n)]
+    indptr = np.cumsum([0] + [len(row) for row in rows])
+    return sp.Graph(n, indptr, np.array([v for row in rows for v in row], dtype=np.int64),
+                    directed=True)
+
+
+@given(_directed_graphs(), st.sampled_from([0.0, 0.3, 0.7, 1.0]), st.integers(1, 9),
+       st.integers(0, 2**32), st.data())
+@settings(max_examples=150, deadline=None)
+def test_directed_pool_evals_match_the_reference(graph, p, m, seed, data):
+    pool = sp.LiveEdgeSamplePool(graph, p=p, m=m, seed=seed)
+    orc = sp.InfluenceOracle(pool)
+    got = orc.eval(set())
+    assert got == 0.0 and type(got) is float
+    for _ in range(5):
+        S = data.draw(st.sets(st.integers(0, max(graph.n - 1, 0)), max_size=graph.n))
+        got, expect = orc.eval(S), ref_influence(graph, pool, S)
+        assert got == expect and type(got) is type(expect)
+
+
 def test_pools_keep_only_the_state_their_direction_reads():
     g = random_graph(6, 0.5, 1)
     undirected = sp.LiveEdgeSamplePool(g, p=0.5, m=3)
     directed = sp.LiveEdgeSamplePool(sp.from_edges(3, [(0, 1), (1, 2)], directed=True), p=0.5, m=3)
-    assert not hasattr(undirected, "_adjacency")
+    assert not hasattr(undirected, "arcs")
     assert not any(hasattr(directed, name) for name in ("roots", "sizes", "reach"))
 
 
