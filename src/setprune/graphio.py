@@ -486,14 +486,18 @@ def generate(kind: str, n: int, params: dict | None = None, seed: int = 0) -> Gr
         p = params.get("p")
         if p is None or not 0.0 <= p <= 1.0:
             raise InputError("erdos_renyi requires p in [0, 1]")
-        _refuse_past_memory(n, 0)  # its edge count is drawn
+        _refuse_past_memory(n, int(p * n * (n - 1) / 2))  # its expected edge count
         rng = np.random.default_rng(seed)
-        edges = []
-        for i in range(n - 1):
-            draws = rng.random(n - i - 1)
-            for off in np.nonzero(draws < p)[0]:
-                edges.append((i, i + 1 + int(off)))
-        return from_edges(n, edges)
+        # row i draws its edges to the nodes after it; rows are joined 1,024
+        # at a time, so no Python object is kept per row or per edge
+        tails, heads = [np.empty(0, dtype=np.int64)], [np.empty(0, dtype=np.int64)]
+        for start in range(0, n - 1, 1024):
+            rows = [i + 1 + np.flatnonzero(rng.random(n - i - 1) < p)
+                    for i in range(start, min(start + 1024, n - 1))]
+            tails.append(np.repeat(np.arange(start, start + len(rows), dtype=np.int64),
+                                   [row.size for row in rows]))
+            heads.append(np.concatenate(rows))
+        return _csr(n, np.concatenate(tails), np.concatenate(heads), False)
     if kind == "barabasi_albert":
         m = params.get("m_attach")
         if m is None or m < 1 or m >= n:

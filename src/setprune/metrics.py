@@ -59,7 +59,8 @@ def _check_range(budget_range) -> None:
 def evaluate_pruning(oracle, cost_fn, U, U_pruned, solver, budget,
                      pruner: str = "", oracle_calls_prune: int = 0,
                      budget_range=None) -> EvalRecord:
-    """Run the solver on the full and pruned ground sets at one budget.
+    """Run the solver on the full and pruned ground sets at one budget: the
+    one record of a ``sweep_budgets`` over that budget and that pruner.
 
     ``solver(oracle, cost_fn, ids, budget)`` must return a Solution; the
     record's ``oracle_calls_solve`` is the sum of the two solutions'
@@ -67,19 +68,8 @@ def evaluate_pruning(oracle, cost_fn, U, U_pruned, solver, budget,
     the pruned-set solution is also zero and NaN (with the undefined flag)
     otherwise.
     """
-    _check_range(budget_range)
-    U, U_pruned = set(U), set(U_pruned)
-    _check_sets(U, U_pruned)
-    full_solution = solver(oracle, cost_fn, U, budget)
-    return _record(U, U_pruned, full_solution, solver(oracle, cost_fn, U_pruned, budget),
-                   budget, pruner, oracle_calls_prune, budget_range)
-
-
-def _check_sets(U, U_pruned) -> None:
-    if not U:
-        raise InputError("ground set must be non-empty")
-    if not U_pruned <= U:
-        raise InputError("pruned set must be a subset of the ground set")
+    return sweep_budgets(oracle, cost_fn, U, {pruner: U_pruned}, [budget], solver,
+                         {pruner: oracle_calls_prune}, budget_range)[0]
 
 
 def _record(U, U_pruned, full_solution, pruned_solution, budget, pruner,
@@ -144,7 +134,10 @@ def sweep_budgets(oracle, cost_fn, U, pruner_outputs: dict, budgets, solver,
     pruned = {name: _SweepSet(pruner_outputs[name], reach)
               for name in sorted(pruner_outputs)}
     for U_pruned in pruned.values():
-        _check_sets(ground, U_pruned)
+        if not ground:
+            raise InputError("ground set must be non-empty")
+        if not U_pruned <= ground:
+            raise InputError("pruned set must be a subset of the ground set")
     records = []
     for budget in budgets:
         full_solution = solver(oracle, cost_fn, ground, budget) if pruned else None

@@ -32,14 +32,17 @@ state only grows: a caller that drops elements (the pruner, at a
 checkpoint deletion) makes a fresh state and adds the survivors again.
 
 Cut (either direction), coverage and undirected influence keep incremental
-statistics, so a marginal does not rescan ``S``: the cut state keeps
-per-node hit counts and answers in O(1), the coverage state keeps a mask
-of the covered nodes and answers in O(deg e); both read the CSR arrays and
-keep no rows. The cut and undirected influence states keep them in numpy
-arrays, and their gains are integers in a fixed unit: the set's value is
-its integer ``total``, divided by ``divisor`` when that is not None (the
-sample count, for influence). Their hooks take ids already checked, as an
-array; the first two count no query:
+statistics in numpy arrays, so a marginal does not rescan ``S``. Their gains
+are integers in a fixed unit: the set's value is its integer ``total``,
+divided by ``divisor`` when that is not None. The cut state keeps per-node
+hit counts and answers in O(1). The cover state serves both weighted
+coverages: an id holds *keys* of integer weight, and a set is worth the
+weight of the keys its ids hold. A coverage id holds the nodes of N[e],
+each worth 1; an influence id holds its component in each sample, worth
+its size, over ``divisor``, the sample count. The oracle lays out the keys
+(``_rows``, ``_reach``, ``_cover``) and the state masks the covered ones.
+The hooks take ids already checked, as an array; the first two count no
+query:
 
 - ``raw(vs)``: the integer gains of ``vs``, one numpy gather;
 - ``gather(vs, f_S)``: the gains themselves, ``_marginals`` of the raw
@@ -56,10 +59,11 @@ Both also have the two hooks the pruner's walk needs:
   at a position that holds link ``l`` lowers the raw gain of every later
   position that holds it by ``amount[l]``, once. A cut link is an arc
   between two of the ids, worth 2 undirected and 1 directed (the hits it
-  adds); an influence link is a sample component that two or more of the
-  ids share and the set does not cover, worth its size;
+  adds); a cover link is a key that two or more of the ids hold and the set
+  does not cover, worth its weight. Which ids share what is the oracle's
+  ``_shared``;
 - ``extend(vs)``: adds the ids in one step, the same as adding them one by
-  one (a repeated id, or ids that share arcs or components, included).
+  one (a repeated id, or ids that share arcs or keys, included).
 
 Similarity cut, custom and directed influence oracles, and any oracle-like
 wrapper without ``state()``, get an ``EvalState`` that answers through
@@ -236,7 +240,7 @@ class _VectorState:
         # the oracle keeps the last ids' links and each state prices them
         last = self._oracle._links
         if last is None or last[0].size < vs.size or not np.array_equal(last[0][:vs.size], vs):
-            last = self._oracle._links = (vs.copy(), *self._shared(vs))
+            last = self._oracle._links = (vs.copy(), *self._oracle._shared(vs))
         return last[1][:vs.size], self._worth(last[2])
 
 
@@ -325,19 +329,16 @@ def _row(csr, v):
 
 class _Rows(dict):
     """Row ``v`` of a CSR as a tuple of ints, made the first time ``v`` is
-    read: ``rows[v]``. A closed row holds ``v`` too."""
+    read: ``rows[v]``."""
 
-    __slots__ = ("_csr", "_closed")
+    __slots__ = ("_csr",)
 
-    def __init__(self, csr, closed=False):
+    def __init__(self, csr):
         super().__init__()
-        self._csr, self._closed = csr, closed
+        self._csr = csr
 
     def __missing__(self, v):
-        row = _row(self._csr, v).tolist()
-        if self._closed:
-            row.append(v)
-        row = self[v] = tuple(row)
+        row = self[v] = tuple(_row(self._csr, v).tolist())
         return row
 
 
@@ -361,6 +362,20 @@ def _held(at, link, size: int) -> list:
     return held
 
 
+def _linked(keys, at, size: int):
+    """The keys that two or more of ``size`` ids hold, each a link, from the
+    memberships ``(at[i], keys[i])`` (no id holds a key twice): the links
+    each id holds, as ``_held`` lists them, and each link's key."""
+    order = np.argsort(keys)
+    keys, at = keys[order], at[order]
+    first = np.empty(keys.size + 1, dtype=bool)
+    first[0] = first[-1] = True
+    np.not_equal(keys[1:], keys[:-1], out=first[1:-1])
+    keep = ~(first[:-1] & first[1:])  # not alone in its run
+    keys, at, first = keys[keep], at[keep], first[:-1][keep]
+    return _held(at, np.cumsum(first) - 1, size), keys[first]
+
+
 class CoverageOracle(Oracle):
     """Number of nodes in S or adjacent to S (closed-neighborhood cover)."""
 
@@ -369,15 +384,17 @@ class CoverageOracle(Oracle):
     def __init__(self, graph):
         super().__init__(graph.n)
         self._out = _deduplicated(graph)
-        self._nbhd = _Rows(self._out, closed=True)
+        self._nbhd = _Rows(self._out)
+        # each node weighs 1: a zero-stride array, no per-node allocation
+        self._weight, self._divisor = np.broadcast_to(np.int64(1), graph.n), None
+        self._links = None  # the last links a state asked, see _VectorState.links
 
     def state(self):
-        return _CoverageState(self)
+        return _CoverState(self)
 
     def _value(self, S):
         if len(S) > _NUMPY_SET:
-            vs = np.fromiter(S, dtype=np.intp, count=len(S))
-            ids = np.concatenate([vs, _heads(self._out, vs)])
+            ids = self._rows(np.fromiter(S, dtype=np.intp, count=len(S)))[0]
             # count the distinct ids in O(len(ids)), not O(n): each distinct
             # id keeps exactly one of the positions that wrote it
             order = np.arange(ids.size)
@@ -385,58 +402,89 @@ class CoverageOracle(Oracle):
             slot[ids] = order
             return int(np.count_nonzero(slot[ids] == order))
         nbhd = self._nbhd
-        covered = set()
+        covered = set(S)
         for v in S:
             covered.update(nbhd[v])
         return len(covered)
 
+    def _reach(self, vs):
+        indptr = self._out[0]
+        return indptr[vs + 1] - indptr[vs] + 1  # |N[v]|
 
-class _CoverageState:
-    """Coverage: a boolean mask of the nodes S covers, and their number.
-    Adding ``e`` covers N[e] minus what is covered already; both that and a
-    marginal read e's CSR row against the mask, in O(deg e)."""
+    def _rows(self, vs):
+        """N[v] of each of the ids ``vs``, one after another, each starting
+        with ``v``, and the position where each starts."""
+        sizes = self._reach(vs)
+        starts = np.cumsum(sizes) - sizes
+        keys = np.repeat(vs, sizes)
+        rest = np.ones(keys.size, dtype=bool)
+        rest[starts] = False
+        keys[rest] = _heads(self._out, vs)
+        return keys, starts
 
-    __slots__ = ("_oracle", "_covered", "_value")
+    def _cover(self, e, covered, commit: bool) -> int:
+        """The weight of e's keys that ``covered`` lacks; covers them when
+        ``commit``."""
+        row = _row(self._out, e)
+        fresh = row[~covered[row]]
+        gain = fresh.size + (not covered.item(e))
+        if commit:
+            covered[fresh] = True
+            covered[e] = True
+        return gain
 
-    def __init__(self, oracle: CoverageOracle):
+    def _shared(self, vs):
+        # every node that two or more of the ids' neighbourhoods hold
+        keys = self._rows(vs)[0]
+        return _linked(keys, np.repeat(np.arange(vs.size), self._reach(vs)), vs.size)
+
+
+class _CoverState(_VectorState):
+    """Weighted coverage: a boolean mask of the oracle's keys that S holds
+    and the exact integer ``total`` of their weights. A gain is
+    ``_marginals`` of the weight of e's keys outside the mask, the value a
+    fresh ``eval(S | {e}) - f_S`` computes, so no threshold can flip."""
+
+    __slots__ = ("_oracle", "_covered", "total")
+
+    def __init__(self, oracle):
         self._oracle = oracle
-        self._covered = np.zeros(oracle.n, dtype=bool)
-        self._value = 0
+        self._covered = np.zeros(oracle._weight.size, dtype=bool)
+        self.total = 0
 
-    def _fresh(self, e):
-        """The nodes of N(e) not covered yet, and whether e itself is."""
-        row = _row(self._oracle._out, e)
-        return row[~self._covered[row]], self._covered.item(e)
+    @property
+    def divisor(self):
+        return self._oracle._divisor
 
     def marginal(self, e, f_S):
-        fresh, hit = self._fresh(_check_id(e, self._oracle.n))
-        self._oracle.counter.bump()
-        return (self._value + (fresh.size + (not hit))) - f_S
-
-    def gains(self, ids, f_S):
         oracle = self._oracle
-        vs = _checked_array(ids, oracle.n)
-        oracle.counter.bump(len(vs))
-        indptr = oracle._out[0]
-        starts = indptr[vs]
-        sizes = indptr[vs + 1] - starts
-        gain = sizes + 1  # |N[v]|: nothing covered yet
-        if self._value:
-            # minus the covered part of each N[v], summed over the gathered rows
-            covered = self._covered
-            hits = np.zeros(sizes.sum() + 1, dtype=np.int64)
-            np.cumsum(covered[_heads(oracle._out, vs)], out=hits[1:])
-            ends = np.cumsum(sizes)
-            gain -= hits[ends] - hits[ends - sizes]
-            gain -= covered[vs]
-        return ((self._value + gain) - f_S).tolist()
+        gain = oracle._cover(_check_id(e, oracle.n), self._covered, False)
+        oracle.counter.bump()
+        return _marginals(self.total, gain, oracle._divisor, f_S)
+
+    def raw(self, vs):
+        oracle = self._oracle
+        if not self.total:  # every key weighs at least 1, so T > 0 once S is not empty
+            return oracle._reach(vs)
+        keys, starts = oracle._rows(vs)
+        weight = oracle._weight[keys]
+        weight[self._covered[keys]] = 0
+        return np.add.reduceat(weight, starts)
+
+    def _worth(self, keys):
+        # a key the set covers is in no gain already
+        return np.where(self._covered[keys], 0, self._oracle._weight[keys]).tolist()
 
     def add(self, e):
-        e = _check_id(e, self._oracle.n)
-        fresh, hit = self._fresh(e)
+        oracle = self._oracle
+        self.total += oracle._cover(_check_id(e, oracle.n), self._covered, True)
+
+    def extend(self, vs):
+        # a key two of the ids hold counts once
+        keys = self._oracle._rows(vs)[0]
+        fresh = _distinct(keys[~self._covered[keys]])
+        self.total += int(self._oracle._weight[fresh].sum())
         self._covered[fresh] = True
-        self._covered[e] = True
-        self._value += fresh.size + (not hit)
 
 
 class CutOracle(Oracle):
@@ -474,6 +522,26 @@ class CutOracle(Oracle):
             row = rows[v]
             total += len(row) - len(S.intersection(row))
         return total
+
+    def _shared(self, vs):
+        # each arc from one id of vs to another, its head found by a binary
+        # search among the sorted ids, is a link worth the hit it adds;
+        # undirected, one of its two arcs is, worth both hits
+        out = self._out
+        heads = _heads(out, vs)
+        a = np.repeat(np.arange(vs.size), out[0][vs + 1] - out[0][vs])  # each head's row
+        order = np.argsort(vs)
+        at = np.searchsorted(vs, heads, sorter=order)
+        np.minimum(at, vs.size - 1, out=at)
+        b = order[at]
+        inside = vs[b] == heads
+        undirected = self._in is out
+        if undirected:
+            inside &= a < b
+        a, b = a[inside], b[inside]
+        link = np.arange(a.size)
+        return (_held(np.concatenate([a, b]), np.concatenate([link, link]), vs.size),
+                [2 if undirected else 1] * a.size)
 
 
 class _CutState(_VectorState):
@@ -533,26 +601,6 @@ class _CutState(_VectorState):
         else:
             np.add.at(hits, heads, 1)
             np.add.at(hits, _heads(oracle._in, vs), 1)
-
-    def _shared(self, vs):
-        # each arc from one id of vs to another, its head found by a binary
-        # search among the sorted ids, is a link worth the hit it adds;
-        # undirected, one of its two arcs is, worth both hits
-        out = self._oracle._out
-        heads = _heads(out, vs)
-        a = np.repeat(np.arange(vs.size), out[0][vs + 1] - out[0][vs])  # each head's row
-        order = np.argsort(vs)
-        at = np.searchsorted(vs, heads, sorter=order)
-        np.minimum(at, vs.size - 1, out=at)
-        b = order[at]
-        inside = vs[b] == heads
-        undirected = self._oracle._in is out
-        if undirected:
-            inside &= a < b
-        a, b = a[inside], b[inside]
-        link = np.arange(a.size)
-        return (_held(np.concatenate([a, b]), np.concatenate([link, link]), vs.size),
-                [2 if undirected else 1] * a.size)
 
     @staticmethod
     def _worth(arcs):
@@ -684,87 +732,36 @@ class InfluenceOracle(Oracle):
     def __init__(self, pool: LiveEdgeSamplePool):
         super().__init__(pool.n)
         self.pool = pool
+        if not pool.directed:
+            self._weight, self._divisor = pool.sizes, pool.m
         self._links = None  # the last links a state asked, see _VectorState.links
 
     def state(self):
-        return EvalState(self) if self.pool.directed else _InfluenceState(self)
+        return EvalState(self) if self.pool.directed else _CoverState(self)
 
     def _value(self, S):
         return self.pool.mean_reach(S)
 
+    def _reach(self, vs):
+        return self.pool.reach[vs]
 
-class _InfluenceState(_VectorState):
-    """Undirected spread: which sample components S touches, as an
-    ``m * n`` boolean mask, and the exact integer reach ``total``.
+    def _rows(self, vs):
+        # id by id, the roots of one id m apart; samples never share a root
+        m = self.pool.m
+        return self.pool.roots.T[vs].ravel(), np.arange(0, vs.size * m, m)
 
-    A gain is ``(total + raw) / m - f_S``, the same float a fresh
-    ``eval(S | {e}) - f_S`` computes, so no threshold comparison can flip.
-    ``raw`` gathers ``roots[:, ids]`` once; from the empty set each raw gain
-    is the id's ``reach``. Adding ``a`` changes the gain only of the ids
-    that share a sample component with it.
-    """
-
-    __slots__ = ("_oracle", "_covered", "total")
-
-    def __init__(self, oracle: InfluenceOracle):
-        self._oracle = oracle
-        self._covered = np.zeros(oracle.pool.sizes.size, dtype=bool)
-        self.total = 0
-
-    @property
-    def divisor(self):
-        return self._oracle.pool.m
-
-    def _fresh(self, roots):
-        """The ``roots`` (of one id, or of several) that S does not cover."""
-        return roots[~self._covered[roots]]
-
-    def marginal(self, e, f_S):
-        # raw() of one id, read from its column without raw()'s gather
-        fresh = self._fresh(self._oracle.pool.roots[:, _check_id(e, self._oracle.n)])
-        gain = int(self._oracle.pool.sizes[fresh].sum())
-        self._oracle.counter.bump()
-        return (self.total + gain) / self._oracle.pool.m - f_S
-
-    def raw(self, vs):
-        pool = self._oracle.pool
-        if not self.total:  # every component holds a node, so T > 0 once S is not empty
-            return pool.reach[vs]
-        roots = pool.roots[:, vs]
-        sizes = pool.sizes[roots]
-        sizes[self._covered[roots]] = 0
-        return sizes.sum(axis=0)
+    def _cover(self, e, covered, commit: bool) -> int:
+        roots = self.pool.roots[:, e]
+        fresh = roots[~covered[roots]]
+        if commit:
+            covered[fresh] = True
+        return int(self.pool.sizes[fresh].sum())
 
     def _shared(self, vs):
-        # the components of two or more nodes (distinct ids share no other)
-        # that two or more ids hold, each a link
-        pool = self._oracle.pool
-        roots = pool.roots[:, vs].T.ravel()  # id by id; samples never share a root
-        at = np.flatnonzero(pool.sizes[roots] > 1)
-        shared = roots[at]
-        order = np.argsort(shared)
-        shared, at = shared[order], at[order] // pool.m
-        first = np.empty(shared.size + 1, dtype=bool)
-        first[0] = first[-1] = True
-        np.not_equal(shared[1:], shared[:-1], out=first[1:-1])
-        keep = ~(first[:-1] & first[1:])  # not alone in its run
-        shared, at, first = shared[keep], at[keep], first[:-1][keep]
-        return _held(at, np.cumsum(first) - 1, vs.size), shared[first]
-
-    def _worth(self, roots):
-        # a component the set covers is in no gain already
-        return np.where(self._covered[roots], 0, self._oracle.pool.sizes[roots]).tolist()
-
-    def add(self, e):
-        fresh = self._fresh(self._oracle.pool.roots[:, _check_id(e, self._oracle.n)])
-        self.total += int(self._oracle.pool.sizes[fresh].sum())
-        self._covered[fresh] = True
-
-    def extend(self, vs):
-        # a component two of the ids share counts once
-        fresh = _distinct(self._fresh(self._oracle.pool.roots[:, vs]))
-        self.total += int(self._oracle.pool.sizes[fresh].sum())
-        self._covered[fresh] = True
+        # only a component of two or more nodes can have two distinct ids
+        keys = self._rows(vs)[0]
+        at = np.flatnonzero(self.pool.sizes[keys] > 1)
+        return _linked(keys[at], at // self.pool.m, vs.size)
 
 
 class SimilarityKernel:

@@ -13,14 +13,14 @@ That pass reads the stream in blocks of ``_BLOCK`` ids, kept as arrays (a
 over every budget are dropped at the block, the rest have their singleton
 values asked in one counted batch, and one rule decides which rungs share a
 marginal. When the oracle's states answer a batch with one numpy gather
-(cut, undirected influence), a screen decides the block in stretches: numpy
-marks the elements that may change some rung, and one scalar loop walks
-only those, repeating the element-by-element float operations on their
-gathered integer gains, patching the gains that each add lowers from the
-states' ``links``, and committing the adds in bulk. Only single elements,
-where a walk must stop, become Python tuples. Every element is charged
-exactly the queries the element-by-element pass asks, so outputs, events,
-every float and query counts are unchanged.
+(cut, coverage, undirected influence), a screen decides the block in
+stretches: numpy marks the elements that may change some rung, and one
+scalar loop walks only those, repeating the element-by-element float
+operations on their gathered integer gains, patching the gains that each
+add lowers from the states' ``links``, and committing the adds in bulk.
+Only single elements, where a walk must stop, become Python tuples. Every
+element is charged exactly the queries the element-by-element pass asks,
+so outputs, events, every float and query counts are unchanged.
 
 Closed-form companions to the pruners live here as well: the pruned-set
 size bound, the worst-case retention ratios, the ladder-size formula, the
@@ -321,10 +321,10 @@ def _prune(stream, oracle, cost_fn, rungs: list, n: int):
     state in one counted batch. Without a screen that is ``gains(ids,
     0.0)``, and ``_steps`` reads ``(pos, e, cost, f_single)`` (``pos`` the
     stream position) from an iterator. When the states answer with one
-    gather (cut, undirected influence), it is ``gather(ids, 0.0)`` and one
-    ``count``, and a ``_Screen`` takes the block as arrays and charges what
-    it decides the queries ``_steps`` would have asked. Every state's
-    ``processed`` is set to the stream length at the end.
+    gather (cut, coverage, undirected influence), it is ``gather(ids,
+    0.0)`` and one ``count``, and a ``_Screen`` takes the block as arrays
+    and charges what it decides the queries ``_steps`` would have asked.
+    Every state's ``processed`` is set to the stream length at the end.
     """
     if n < 1:
         raise InputError("ground-set size n must be >= 1")

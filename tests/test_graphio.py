@@ -423,18 +423,40 @@ def test_generate_validation():
 
 
 @pytest.mark.parametrize("kind, params, edges", [
-    ("path", {}, 19), ("star", {}, 19), ("erdos_renyi", {"p": 0.5}, 0),
+    ("path", {}, 19), ("star", {}, 19), ("erdos_renyi", {"p": 0.5}, 95),
     ("barabasi_albert", {"m_attach": 3}, 3 * 17)])
 def test_generate_refuses_a_graph_past_physical_memory(monkeypatch, kind, params, edges):
     # path and star once built a Python tuple per edge, so a node count below
     # the key limit could still exhaust memory; erdos_renyi's edges are drawn,
-    # so only its nodes count
+    # so its expected edge count, p n (n - 1) / 2, counts
     need = 8 * 20 + 16 * edges
     monkeypatch.setattr(graphio, "_physical_memory", lambda: need - 1)
     with pytest.raises(InputError, match=f"needs at least {need} bytes"):
         sp.generate(kind, 20, params)
     monkeypatch.setattr(graphio, "_physical_memory", lambda: need)
     assert sp.generate(kind, 20, params).n == 20
+
+
+def _erdos_renyi_by_tuples(n, p, seed):
+    # one Python tuple per drawn edge, the draws in generate's order
+    rng = np.random.default_rng(seed)
+    edges = []
+    for i in range(n - 1):
+        draws = rng.random(n - i - 1)
+        for off in np.nonzero(draws < p)[0]:
+            edges.append((i, i + 1 + int(off)))
+    return sp.from_edges(n, edges)
+
+
+@given(st.integers(1, 40), st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0.0, 1.0)),
+       st.integers(0, 10**6))
+@example(2100, 0.003, 5)  # rows past the first two joins of 1,024
+@settings(max_examples=150, deadline=None)
+def test_erdos_renyi_rows_in_numpy_match_the_edge_by_edge_draw(n, p, seed):
+    g, ref = sp.generate("erdos_renyi", n, {"p": p}, seed=seed), _erdos_renyi_by_tuples(n, p, seed)
+    assert g.n == ref.n and not g.directed
+    assert np.array_equal(g.indptr, ref.indptr) and np.array_equal(g.indices, ref.indices)
+    assert g.indptr.dtype == g.indices.dtype == np.int64
 
 
 def test_path_and_star_are_made_in_numpy():

@@ -53,14 +53,16 @@ def build_oracle(kind, seed):
                                                         p=0.5, m=7, seed=seed))
     if kind == "coverage":
         return sp.CoverageOracle(random_graph(N, 0.3, seed))
+    if kind == "coverage-directed":
+        return sp.CoverageOracle(_directed_graph(N, seed))
     if kind == "simgraphcut":
         return sp.SimilarityCutOracle(random_similarity_kernel(2, N, seed)[0])
     weights = [1.0 + 0.37 * ((seed + 3 * v) % 11) for v in range(N)]
     return sp.CustomOracle(N, lambda S: math.sqrt(math.fsum(weights[v] for v in sorted(S))))
 
 
-# raw CSR graphs that list some arcs twice
-STATE_KINDS = KINDS + ("cut-dup", "cut-directed-dup", "coverage-dup")
+# raw CSR graphs that list some arcs twice, and directed coverage
+STATE_KINDS = KINDS + ("cut-dup", "cut-directed-dup", "coverage-dup", "coverage-directed")
 ids = st.integers(min_value=0, max_value=N - 1)
 ops = st.lists(st.one_of(
     st.tuples(st.just("add"), ids),
@@ -379,7 +381,7 @@ def test_singletons_reject_bad_ids_before_counting(kind):
 # the hooks the pruner's walk reads
 
 GATHER_KINDS = ("cut", "cut-directed", "cut-dup", "cut-directed-dup", "influence",
-                "influence-dup")
+                "influence-dup", "coverage", "coverage-dup", "coverage-directed")
 
 
 @given(st.sampled_from(GATHER_KINDS), st.integers(min_value=0, max_value=500),

@@ -948,8 +948,8 @@ def test_screen_walks_every_admitted_element_while_a_value_is_negative():
     assert states[0].working == [1, 6, 2, 4, 3] and states[0].f_working == -29
 
 
-WALKED_KINDS = ("cut", "cut-directed", "cut-dense", "influence", "influence-sparse",
-                "influence-dense", "signed")
+WALKED_KINDS = ("cut", "cut-directed", "cut-dense", "coverage", "influence",
+                "influence-sparse", "influence-dense", "signed")
 
 
 @given(st.sampled_from(WALKED_KINDS), st.integers(0, 10**6), st.integers(8, 40),
@@ -1037,14 +1037,17 @@ def _custom_cut(graph):
 
 
 def test_screen_engages_on_cut_and_steps_aside_for_custom():
-    # a query-count guard, not a timing: the cut prune decides only its few
-    # events element by element, a custom oracle every admitted pair
+    # a query-count guard, not a timing: the cut and coverage prunes decide
+    # only their few events element by element, a custom oracle every
+    # admitted pair
     costs, screened, _, walked = _ba_ladder(sp.CutOracle)
     admitted = sum(int(np.count_nonzero(costs <= tau))
                    for tau in sp.budget_ladder(10.0, 40.0, 0.5))
     assert screened < admitted / 20
     # numpy leaves the walks the few candidates, not whole stretches
     assert 0 < walked < admitted / 20
+    _, covered, _, _ = _ba_ladder(sp.CoverageOracle)
+    assert covered < admitted / 20
     # the same values through a custom oracle, whose EvalState has no gather
     _, plain, _, _ = _ba_ladder(_custom_cut)
     assert plain == admitted
