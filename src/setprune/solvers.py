@@ -24,8 +24,12 @@ with the same oracle and cost function filters it by cost, which gives
 the order a seed of its own would. The lazy loop then reads only the
 entries it reaches, as Python floats and ints, so a solution's ids are
 Python ints and its value and cost Python floats whatever the type of
-``U``. A set function that is NaN on a singleton is refused. Every solver
-that takes a cost function refuses costs that are not positive.
+``U``. It reads each of them once: the key ``(ratio, j)`` of the sorted
+source's head once per advance, and its gain, cost and id when it is
+taken. A re-evaluated entry goes on the heap as ``(ratio, j, stamp, gain,
+cost, id)``, so a heap pop reads no numpy scalar. A set function that is
+NaN on a singleton is refused. Every solver that takes a cost function
+refuses costs that are not positive.
 
 Under unit costs the pass to ``k`` runs the same steps as the pass to any
 larger budget up to its ``k``-th commit and then stops (Minoux, 1978;
@@ -246,26 +250,30 @@ def _density_pass(oracle, seed, budget, marks=None):
     c_min = costs[fit].min().item()
     order = seed.order[fits[seed.order]]
     st = oracle_state(oracle)
-    # candidates are (ratio, j, stamp, gain) for ids[j]; j rises with the
-    # id, and an entry is fresh iff its stamp is len(chosen)
-    pos = 0  # order[pos] heads the sorted source
+    # a re-evaluated candidate is (ratio, j, stamp, gain, cost, id) for
+    # ids[j]; j rises with the id, and an entry is fresh iff its stamp is
+    # len(chosen)
     heap = []
+    pos = 0  # order[pos] heads the sorted source
+    head = None  # its key (ratio, j), read once per advance
     value = 0.0
     spent = 0.0
     while spent + c_min <= budget:
-        head = order.item(pos) if pos < order.size else None
+        if head is None and pos < order.size:
+            j = order.item(pos)
+            head = ratios.item(j), j
         # the two sources never hold the same j, so (ratio, j) decides
-        if head is not None and not (heap and heap[0] < (ratios.item(head), head)):
-            j, stamp, gain = head, 0, singles.item(head)
+        if head is not None and not (heap and heap[0] < head):
+            j = head[1]
+            stamp, gain, c, v = 0, singles.item(j), costs.item(j), ids.item(j)
             pos += 1
+            head = None
         elif heap:
-            _, j, stamp, gain = heapq.heappop(heap)
+            _, j, stamp, gain, c, v = heapq.heappop(heap)
         else:
             break
-        c = costs.item(j)
         if spent + c > budget:
             continue
-        v = ids.item(j)
         if stamp == len(chosen):
             if gain < 0:
                 break
@@ -277,7 +285,7 @@ def _density_pass(oracle, seed, budget, marks=None):
             spent += c
         else:
             gain = st.marginal(v, value)
-            heapq.heappush(heap, (-gain / c, j, len(chosen), gain))
+            heapq.heappush(heap, (-gain / c, j, len(chosen), gain, c, v))
     return chosen, value, spent, fit
 
 

@@ -379,8 +379,9 @@ def test_pool_accepts_numpy_integers_and_floats():
 
 @pytest.mark.parametrize("directed", [False, True])
 def test_pool_memory_floor_is_17_bytes_per_node_and_sample(monkeypatch, directed):
+    # undirected, the key rows add at least an entry and a row start per node
     graph = sp.from_edges(5, [(0, 1), (1, 2), (3, 4)], directed=directed)
-    need = 17 * 6 * 5
+    need = 17 * 6 * 5 + (0 if directed else 24 * 5)
     monkeypatch.setattr(objectives, "_physical_memory", lambda: need - 1)
     with pytest.raises(InputError, match=f"needs at least {need} bytes"):
         sp.LiveEdgeSamplePool(graph, p=0.5, m=6)
@@ -428,7 +429,7 @@ def test_pools_keep_only_the_state_their_direction_reads():
     undirected = sp.LiveEdgeSamplePool(g, p=0.5, m=3)
     directed = sp.LiveEdgeSamplePool(sp.from_edges(3, [(0, 1), (1, 2)], directed=True), p=0.5, m=3)
     assert not hasattr(undirected, "arcs")
-    assert not any(hasattr(directed, name) for name in ("roots", "sizes", "reach"))
+    assert not any(hasattr(directed, name) for name in ("roots", "sizes", "reach", "key_rows"))
 
 
 def assert_pool_components_match_union_find(graph, pool):
@@ -453,6 +454,19 @@ def assert_pool_components_match_union_find(graph, pool):
     unnamed = np.ones(m * n, dtype=bool)
     unnamed[pool.roots.ravel()] = False
     assert not pool.sizes[unnamed].any()
+    # each id's key row: the samples where it is alone as one entry, the
+    # first one's root worth their count, then its larger components in
+    # sample order, each worth its size
+    starts, entries = pool.key_rows
+    assert starts.tolist() == sorted(starts.tolist()) and starts.size == n + 1
+    assert starts[0] == 0 and entries.shape == (starts[-1], 2)
+    for v in range(n):
+        roots = pool.roots[:, v].tolist()
+        alone = [i for i, r in enumerate(roots) if pool.sizes[r] == 1]
+        row = [(roots[alone[0]], len(alone))] if alone else []
+        row += [(r, pool.sizes[r].item()) for r in roots if pool.sizes[r] > 1]
+        a, b = starts[v], starts[v + 1]
+        assert [tuple(entry) for entry in entries[a:b].tolist()] == row
 
 
 @st.composite

@@ -469,3 +469,57 @@ def test_links_patch_walked_gains_and_bulk_adds_match_one_by_one(kind, seed, S, 
     grown = S | set(chosen.tolist())
     f_S = oracle.eval(grown) if grown else 0.0
     assert bulk.gains(range(N), f_S) == [oracle.eval(grown | {v}) - f_S for v in range(N)]
+
+
+# ---------------------------------------------------------------------------
+# the short key rows that undirected influence's scalar paths read
+
+ROW_POOLS = ("p-zero", "p-one-connected", "one-sample", "isolated-node")
+
+
+def _row_pool(case, seed):
+    if case == "p-zero":
+        return sp.LiveEdgeSamplePool(random_graph(N, 0.5, seed), p=0.0, m=5, seed=seed)
+    if case == "p-one-connected":
+        return sp.LiveEdgeSamplePool(sp.generate("path", N), p=1.0, m=4, seed=seed)
+    if case == "one-sample":
+        return sp.LiveEdgeSamplePool(random_graph(N, 0.4, seed), p=0.5, m=1, seed=seed)
+    # node N - 1 is on no edge, so it is alone in every sample
+    edges = random_graph(N - 1, 0.5, seed).edge_array().tolist()
+    return sp.LiveEdgeSamplePool(sp.from_edges(N, edges), p=0.5, m=6, seed=seed)
+
+
+@pytest.mark.parametrize("case", ROW_POOLS)
+@given(seed=st.integers(min_value=0, max_value=500), adds=st.lists(ids, max_size=N))
+@settings(max_examples=40, deadline=None)
+def test_key_rows_answer_like_all_m_keys(case, seed, adds):
+    pool = _row_pool(case, seed)
+    oracle = sp.InfluenceOracle(pool)
+    starts, entries = pool.key_rows
+    lengths = np.diff(starts).tolist()
+    keys, worths = entries.T.tolist()
+    if case == "p-zero":  # alone everywhere: one entry, sample 0's key, worth m
+        assert lengths == [1] * N and keys == list(range(N)) and worths == [pool.m] * N
+    elif case == "p-one-connected":  # never alone: each sample's one component
+        assert lengths == [pool.m] * N and worths == [N] * (pool.m * N)
+        assert keys == [i * N for i in range(pool.m)] * N
+    elif case == "one-sample":
+        assert lengths == [1] * N
+    else:
+        assert lengths[-1] == 1 and (keys[-1], worths[-1]) == (N - 1, pool.m)
+    # one state built by adds, one by a single extend: the same mask and
+    # total, and every marginal is its raw gain and a fresh evaluation
+    single, bulk = oracle.state(), oracle.state()
+    for v in adds:
+        single.add(v)
+    bulk.extend(np.array(adds, dtype=np.intp))
+    _same_state(single, bulk)
+    S = set(adds)
+    f_S = oracle.eval(S) if S else 0.0
+    for state in (single, bulk):
+        for e in range(N):
+            vs = np.array([e], dtype=np.intp)
+            assert oracle._cover(e, state._covered, False) == state.raw(vs).item()
+            got = state.marginal(e, f_S)
+            _same([got], state.gather(vs, f_S).tolist())
+            _same([got], [oracle.eval(S | {e}) - f_S])

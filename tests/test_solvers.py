@@ -126,7 +126,7 @@ def cardinality_instances(draw):
     elif kind in ("cut", "directed cut"):
         oracle = sp.CutOracle(graph)
     elif kind == "influence":
-        pool = sp.LiveEdgeSamplePool(graph, p=draw(st.sampled_from([0.3, 0.7, 1.0])),
+        pool = sp.LiveEdgeSamplePool(graph, p=draw(st.sampled_from([0.0, 0.3, 0.7, 1.0])),
                                      m=draw(st.integers(1, 4)), seed=draw(st.integers(0, 99)))
         oracle = sp.InfluenceOracle(pool)
     elif kind == "modular":
