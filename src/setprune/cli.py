@@ -16,6 +16,7 @@ import argparse
 import json
 import os
 import sys
+import time
 
 from . import baselines, graphio, metrics, pruning, solvers
 from .errors import InputError, ParseError
@@ -181,6 +182,7 @@ def cmd_prune(args):
         pruned, report = run(sorted(ground), oracle, cost_fn, params, n)
     else:
         calls_before = oracle.query_count
+        start = time.monotonic()
         if pruner == "ss":
             config = baselines.BaselineConfig(r=opts["r"], c=opts["c"],
                                               seed=opts["seed"])
@@ -196,7 +198,8 @@ def cmd_prune(args):
         else:
             raise InputError(f"unknown pruner {pruner!r}")
         report = pruning.PruneReport(frozenset(pruned), oracle.query_count - calls_before,
-                                     deletions=0, per_budget_sizes={}, elapsed=0.0, n=n)
+                                     deletions=0, per_budget_sizes={},
+                                     elapsed=time.monotonic() - start, n=n)
     graphio.write_id_file(pruned, opts["out_ids"])
     report_dict = report.to_json_dict()
     report_dict.update(

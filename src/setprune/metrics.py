@@ -111,10 +111,13 @@ def sweep_budgets(oracle, cost_fn, U, pruner_outputs: dict, budgets, solver,
     built once per sweep, as frozensets that keep the solve seed (checked
     ids, costs, singleton values and their order) that their first solve
     builds for the sweep's largest budget; every later solve with the same
-    oracle and cost function filters that seed instead of building its own.
-    A size-constrained solve also reads its ids and queries from one lazy
-    pass per set, recorded to the largest budget by the set's first such
-    solve, and asks only its final ``eval``.
+    oracle and cost function reads that seed instead of building its own.
+    Those solves also share one lazy pass per set: the first runs it to the
+    largest budget and records where each of the sweep's budgets first
+    departs from it, and each solve takes the pass's commits up to its
+    departure, resuming the pass from there only when it departs at a pop
+    that the longer pass takes and it cannot afford. A size-constrained
+    solve always stops at its departure and asks only its final ``eval``.
     ``oracle_calls_solve`` stays the standalone bill of the two solves, so
     with a deterministic solver the records are those of per-budget
     ``evaluate_pruning`` calls; the queries actually asked are the
@@ -127,11 +130,11 @@ def sweep_budgets(oracle, cost_fn, U, pruner_outputs: dict, budgets, solver,
     prune_calls = prune_calls or {}
     budgets = list(budgets)
     try:
-        reach = float(max(budgets))
+        shared = sorted(b for b in map(float, budgets) if math.isfinite(b))
     except (TypeError, ValueError, OverflowError):  # left to the solver to refuse
-        reach = -math.inf
-    ground = _SweepSet(U, reach)
-    pruned = {name: _SweepSet(pruner_outputs[name], reach)
+        shared = []
+    ground = _SweepSet(U, shared)
+    pruned = {name: _SweepSet(pruner_outputs[name], shared)
               for name in sorted(pruner_outputs)}
     for U_pruned in pruned.values():
         if not ground:

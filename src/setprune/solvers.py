@@ -14,31 +14,37 @@ solution is worth less than the empty set.
 A solve starts from a seed built in numpy: the ids of ``U`` are checked
 once and sorted without repeats into an array, the costs are read in one
 gather (``cost_array``, from the cost vector when the cost function
-carries one) and must be positive (NaN is refused), the state's
-``gains(ids, 0.0)`` batch gives the singleton values of the ids that fit,
-and one stable argsort of the gain-to-cost ratios orders them. A
-standalone solve builds the seed for its own budget. A ground set that
-``metrics.sweep_budgets`` hands in keeps the seed its first solve builds,
-over the ids that fit the sweep's largest budget, and every later solve
-with the same oracle and cost function filters it by cost, which gives
-the order a seed of its own would. The lazy loop then reads only the
-entries it reaches, as Python floats and ints, so a solution's ids are
-Python ints and its value and cost Python floats whatever the type of
-``U``. It reads each of them once: the key ``(ratio, j)`` of the sorted
-source's head once per advance, and its gain, cost and id when it is
-taken. A re-evaluated entry goes on the heap as ``(ratio, j, stamp, gain,
-cost, id)``, so a heap pop reads no numpy scalar. A set function that is
-NaN on a singleton is refused. Every solver that takes a cost function
-refuses costs that are not positive.
+carries one) and must be positive (NaN is refused), one counted batch from
+the empty state gives the singleton values of the ids that fit (a
+``gather`` and a ``count`` where the state has them), and one stable
+argsort of the gain-to-cost ratios orders them. A standalone solve builds
+the seed for its own budget. A ground set that ``metrics.sweep_budgets``
+hands in keeps the seed its first solve builds, over the ids that fit the
+sweep's largest budget, for every later solve with the same oracle and
+cost function: an entry whose cost is above a solve's budget is dropped
+at its pop with no query, so the larger seed gives the steps a seed of
+its own would. The lazy loop reads the sorted source in chunks of Python
+lists and only as far as it gets, so a solution's ids are Python ints and
+its value and cost Python floats whatever the type of ``U``. A candidate
+is ``(ratio, id, stamp, gain, cost)``, in the source and on the heap
+alike, so a heap pop reads no numpy scalar. A set function that is NaN on
+a singleton is refused. Every solver that takes a cost function refuses
+costs that are not positive.
 
-Under unit costs the pass to ``k`` runs the same steps as the pass to any
-larger budget up to its ``k``-th commit and then stops (Minoux, 1978;
-CELF), or stops where the longer pass stops when that commits fewer. So
-the size-constrained solves of a sweep's ground set share one pass: the
-first runs it on the set's seed to the sweep's largest budget and records
-how many queries it had asked at each commit, and each solve at ``k``
-takes the first ``k`` commits and values them with one counted ``eval``.
-A knapsack is not prefix-closed: each of its solves runs its own pass.
+The solves of a sweep's ground set share one pass (Minoux, 1978; CELF).
+The pass to a budget ``b`` runs the same steps as the pass to a larger
+budget ``B`` up to its first departure from it: a loop top where even the
+cheapest entry no longer fits ``b`` (``spent + c_min > b``), where the
+pass to ``b`` stops, or a pop that the pass to ``B`` takes and the pass to
+``b`` skips (``spent + c`` in ``(b, B]``), after which it goes on alone.
+So the first solve on a set's seed runs the pass to the sweep's largest
+budget once and records a fork table: at each sweep budget's first
+departure, the commits, value, cost and queries asked so far and, at a
+pop, the heap and the source position. A solve takes its fork's commits,
+or resumes the pass from its fork on a state rebuilt from them (one
+``extend`` where the state has it) with no query. Under unit costs every
+budget departs at a loop top, after its ``k``-th commit or where the
+longer pass stops, so a size-constrained solve only reads its fork.
 
 ``Solution.oracle_calls`` is the standalone bill whether or not the seed
 or the pass was shared: the singletons of the feasible ids, the marginals
@@ -52,7 +58,10 @@ retention guarantees at desk scale.
 
 from __future__ import annotations
 
+import bisect
 import heapq
+import itertools
+import math
 import operator
 from dataclasses import dataclass
 
@@ -96,7 +105,7 @@ def greedy_cardinality(oracle, U, k: int) -> Solution:
     largest fresh marginal gain, ties going to the smaller id. Equivalent to
     naive greedy whenever the oracle is submodular. This is the density pass
     of ``greedy_knapsack`` with every cost 1.0 and budget ``k``; the solves
-    of one sweep set read their picks from one recorded pass.
+    of one sweep set read their picks from the set's fork table.
     """
     try:
         k = operator.index(k)
@@ -106,14 +115,8 @@ def greedy_cardinality(oracle, U, k: int) -> Solution:
         raise InputError("k must be non-negative")
     # a k past n changes nothing; the cap keeps it comparable with float64 costs
     k = min(k, oracle.n)
-    seed = _seed(oracle, None, U, k)
-    if k and seed is getattr(U, "seed", None):
-        chosen, asked = _recorded_prefix(oracle, U, k)
-        return _solution(oracle, chosen, float(len(chosen)), seed.ids.size,
-                         oracle.query_count - asked)
-    start_calls = oracle.query_count
-    chosen, _, spent, fit = _density_pass(oracle, seed, k)
-    return _solution(oracle, chosen, spent, fit.size, start_calls)
+    seed, chosen, _, spent, asked = _greedy(oracle, None, U, k)
+    return _solution(oracle, chosen, spent, _fitting(seed, k).size + asked)
 
 
 def greedy_knapsack(oracle, cost_fn, U, kappa: float) -> Solution:
@@ -122,25 +125,24 @@ def greedy_knapsack(oracle, cost_fn, U, kappa: float) -> Solution:
     require_finite(kappa=kappa)
     if kappa <= 0:
         raise InputError("kappa must be positive")
-    seed = _seed(oracle, cost_fn, U, kappa)
-    start_calls = oracle.query_count
-    chosen, value, spent, fit = _density_pass(oracle, seed, kappa)
+    seed, chosen, value, spent, asked = _greedy(oracle, cost_fn, U, kappa)
+    fit = _fitting(seed, kappa)
     if fit.size:
         # the first best singleton, when it beats the density pass and zero
         best = fit[seed.singles[fit].argmax()]
         if seed.singles.item(best) > max(value, 0.0):
             chosen = [seed.ids.item(best)]
             spent = seed.costs.item(best)
-    return _solution(oracle, chosen, spent, fit.size, start_calls)
+    return _solution(oracle, chosen, spent, fit.size + asked)
 
 
 @dataclass(frozen=True, eq=False)
 class _Seed:
     """What a solve reads before its lazy loop, for the ids of a ground set
     whose cost fits a budget: the ids ascending, their costs, their
-    singleton values, the ratios ``-f / c`` and the ratios' stable argsort
-    ``order``. Built for one oracle and one cost function (None for unit
-    costs)."""
+    singleton values, the ratios ``-f / c``, the ratios' stable argsort
+    ``order`` and the cheapest cost ``c_min`` (inf when no id fits). Built
+    for one oracle and one cost function (None for unit costs)."""
 
     oracle: object
     cost_fn: object
@@ -149,24 +151,28 @@ class _Seed:
     singles: np.ndarray
     ratios: np.ndarray
     order: np.ndarray
+    c_min: float
 
 
 class _SweepSet(frozenset):
-    """A ground set of one sweep: a frozenset that keeps the seed its first
-    solve builds, over the ids whose cost fits ``reach``, the sweep's
-    largest budget, so that the sweep's later solves filter it. Its first
-    size-constrained solve on that seed also keeps ``commits``, the ids of
-    one unit-cost pass to ``reach`` in commit order, and ``marks``, the
-    queries that pass had asked at each commit followed by its total."""
+    """A ground set of one sweep: a frozenset that keeps the sweep's
+    ``budgets`` ascending, the seed its first solve builds over the ids
+    whose cost fits ``reach``, the largest budget, and ``forks``, the fork
+    table of one pass over that seed to ``reach``, which the first solve on
+    the seed records."""
 
-    __slots__ = ("reach", "seed", "commits", "marks")
+    __slots__ = ("budgets", "seed", "forks")
 
-    def __new__(cls, ids, reach: float):
+    def __new__(cls, ids, budgets):
         self = super().__new__(cls, ids)
-        self.reach = reach
+        self.budgets = budgets
         self.seed = None
-        self.commits = None
+        self.forks = None
         return self
+
+    @property
+    def reach(self) -> float:
+        return self.budgets[-1] if self.budgets else -math.inf
 
 
 def _seed(oracle, cost_fn, U, budget) -> _Seed:
@@ -185,9 +191,10 @@ def _new_seed(oracle, cost_fn, U, reach) -> _Seed:
     """Check the ids of ``U`` and sort them without repeats, read their
     costs in one gather (all 1.0 when ``cost_fn`` is None), keep the ids
     whose cost fits ``reach`` and ask their singleton values in one counted
-    ``gains`` batch; nothing is asked when none fits. InputError for an id
-    that is not an integer in ``[0, oracle.n)``, a cost that is not
-    positive, or a singleton value that is NaN."""
+    batch: a ``gather`` from the empty state and one ``count`` where the
+    state has them, else ``gains``. Nothing is asked when none fits.
+    InputError for an id that is not an integer in ``[0, oracle.n)``, a
+    cost that is not positive, or a singleton value that is NaN."""
     ids = np.sort(_checked_array(U, oracle.n))
     ids = ids[np.diff(ids, prepend=-1) != 0]
     costs = np.ones(ids.size) if cost_fn is None else cost_array(cost_fn, ids)
@@ -195,111 +202,199 @@ def _new_seed(oracle, cost_fn, U, reach) -> _Seed:
     ids, costs = ids[fits], costs[fits]
     singles = np.empty(0)
     if ids.size:
-        singles = np.array(oracle_state(oracle).gains(ids, 0.0), dtype=np.float64)
+        st = oracle_state(oracle)
+        if hasattr(st, "gather"):
+            st.count(ids.size)
+            singles = st.gather(ids, 0.0)
+        else:
+            singles = np.array(st.gains(ids, 0.0), dtype=np.float64)
         if np.isnan(singles).any():
             raise InputError("the set function is NaN on a singleton")
     # the same IEEE operations as -f / c on Python floats
     ratios = -singles / costs
     return _Seed(oracle, cost_fn, ids, costs, singles, ratios,
-                 np.argsort(ratios, kind="stable"))
+                 np.argsort(ratios, kind="stable"),
+                 costs.min().item() if costs.size else math.inf)
 
 
-def _recorded_prefix(oracle, U, k):
-    """``(chosen, asked)`` of a unit-cost pass to ``k`` over the seed of the
-    sweep set ``U``, read from its recorded pass: the pass to ``k`` runs
-    the same steps as the pass to ``U.reach`` up to its ``k``-th commit and
-    then stops, or stops where the longer pass stops when that commits
-    fewer. ``asked`` is the queries the pass to ``k`` asks."""
-    if U.commits is None:
-        start = oracle.query_count
-        marks = []
-        commits, _, _, _ = _density_pass(oracle, U.seed, min(U.reach, oracle.n), marks)
-        U.commits = commits
-        U.marks = [m - start for m in marks] + [oracle.query_count - start]
-    return U.commits[:k], U.marks[min(k - 1, len(U.commits))]
+def _fitting(seed, budget) -> np.ndarray:
+    """The positions in ``seed`` of the entries whose cost fits ``budget``."""
+    return np.flatnonzero(seed.costs <= budget)
 
 
-def _density_pass(oracle, seed, budget, marks=None):
+def _greedy(oracle, cost_fn, U, budget):
+    """``(seed, chosen, value, spent, asked)`` of the density pass over the
+    seed of ``U`` to ``budget``: read from the fork table of a sweep set's
+    seed, which the first solve on it records, else run on its own."""
+    seed = _seed(oracle, cost_fn, U, budget)
+    if seed is not getattr(U, "seed", None):
+        return (seed, *_density_pass(oracle, seed, budget))
+    if U.forks is None:
+        U.forks = _Forks(oracle, seed, U.budgets)
+    return (seed, *U.forks.solve(oracle, seed, budget))
+
+
+class _Forks:
+    """The fork table of one pass over a sweep set's seed to its largest
+    budget: where each of the sweep's budgets first departs from it.
+
+    A departure is a step whose threshold ``x`` exceeds the budget ``b``
+    while no earlier step's did. At a loop top from which the longer pass
+    pops an entry, ``x = spent + c_min`` and the pass to ``b`` stops there;
+    with nothing left to pop both passes stop. At a pop that the longer
+    pass takes, ``x = spent + c`` and the pass to ``b`` skips the entry and
+    goes on alone. Each fork ``(hi, n, value, spent, asked, heap, pos)``
+    keeps the number of commits, the value, the cost and the queries asked
+    at its step and, at a pop, the heap after it and the source position;
+    ``heap`` is None at a loop top and at the end of the pass. A fork
+    serves every budget in ``[lo, hi)``, ``lo`` being the largest threshold
+    before its step. Under unit costs every threshold is an integer, so a
+    size-constrained solve at ``int(b)`` reads the fork of ``b``."""
+
+    __slots__ = ("chosen", "_los", "_forks", "_budgets", "_next")
+
+    def __init__(self, oracle, seed, budgets):
+        self._los, self._forks = [], []
+        self._budgets, self._next = budgets, 0
+        self.chosen = _density_pass(oracle, seed, budgets[-1], forks=self)[0]
+
+    def depart(self, lo, hi, *fork) -> float:
+        """Record the fork of the budgets in ``[lo, hi)``; return the
+        smallest budget that has not yet departed (inf when none is left)."""
+        budgets, k = self._budgets, self._next
+        while k < len(budgets) and budgets[k] < hi:
+            k += 1
+        self._next = k
+        self._los.append(lo)
+        self._forks.append((hi, *fork))
+        return budgets[k] if k < len(budgets) else math.inf
+
+    def solve(self, oracle, seed, budget):
+        """``(chosen, value, spent, asked)`` of the pass to ``budget``: its
+        fork's commits, or the pass resumed from its fork; a budget no fork
+        serves runs its own pass."""
+        i = bisect.bisect_right(self._los, budget) - 1
+        if i < 0 or budget >= self._forks[i][0]:
+            return _density_pass(oracle, seed, budget)
+        _, n, value, spent, asked, heap, pos = self._forks[i]
+        if heap is None:
+            return self.chosen[:n], value, spent, asked
+        chosen, value, spent, more = _density_pass(
+            oracle, seed, budget, (self.chosen[:n], value, spent, heap, pos))
+        return chosen, value, spent, asked + more
+
+
+# the first chunk of sorted-source entries a pass reads; each next one doubles
+_CHUNK = 32
+
+
+def _density_pass(oracle, seed, budget, start=((), 0.0, 0.0, (), 0), forks=None):
     """Lazy cost-benefit greedy over the entries of ``seed`` whose cost
-    fits ``budget``: ``(chosen, value, spent, fit)``, where ``chosen`` lists
-    the committed ids in commit order and ``fit`` holds the fitting entries'
-    positions in the seed, ascending. Nothing is asked when none fits.
+    fits ``budget``: ``(chosen, value, spent, asked)``, where ``chosen``
+    lists the committed ids in commit order and ``asked`` counts the
+    queries the pass asked. Nothing is asked when none fits.
 
     Each step commits the element with the best fresh gain-to-cost ratio
     that still fits the remaining budget; elements that stop fitting are
-    dropped for good since the remaining budget only shrinks. The
+    dropped for good since the remaining budget only shrinks, and an entry
+    whose cost is above ``budget`` is dropped at its pop with no query. The
     candidates come in ``(-gain / cost, id)`` order from two sources: the
-    seed's stable order filtered to ``fit``, which is the order a stable
-    argsort of the fitting entries alone gives, and a heap that holds only
-    re-evaluated entries. The pass stops once even the cheapest element no
-    longer fits: every later candidate would be dropped without a query. It
-    also stops at the first fresh candidate whose gain is negative, which
-    only a non-monotone objective can give: committing it would lose value,
-    and for a submodular one no later candidate gains more. Zero gains are
-    still committed.
+    seed's stable order, read in chunks of Python lists, and a heap that
+    holds only re-evaluated entries. The pass stops once even the cheapest
+    element no longer fits: every later candidate would be dropped without
+    a query. It also stops at the first fresh candidate whose gain is
+    negative, which only a non-monotone objective can give: committing it
+    would lose value, and for a submodular one no later candidate gains
+    more. Zero gains are still committed.
 
-    When ``marks`` is a list, ``oracle.query_count`` is appended to it at
-    each commit.
+    ``start`` is ``(chosen, value, spent, heap, pos)``, a point of a pass
+    to a larger budget where this one departs from it: the pass resumes
+    there on a state rebuilt from ``chosen`` with no query (``extend``
+    where the state has it), and ``asked`` counts only the queries after
+    it. With ``forks``, a ``_Forks``, the pass records its departures.
     """
-    ids, costs, singles, ratios = seed.ids, seed.costs, seed.singles, seed.ratios
-    fits = costs <= budget
-    fit = np.flatnonzero(fits)
-    chosen = []
-    if not fit.size:
-        return chosen, 0.0, 0.0, fit
-    c_min = costs[fit].min().item()
-    order = seed.order[fits[seed.order]]
+    chosen, value, spent, heap, pos = start
+    chosen, heap = list(chosen), list(heap)
     st = oracle_state(oracle)
-    # a re-evaluated candidate is (ratio, j, stamp, gain, cost, id) for
-    # ids[j]; j rises with the id, and an entry is fresh iff its stamp is
-    # len(chosen)
-    heap = []
-    pos = 0  # order[pos] heads the sorted source
-    head = None  # its key (ratio, j), read once per advance
-    value = 0.0
-    spent = 0.0
-    while spent + c_min <= budget:
-        if head is None and pos < order.size:
-            j = order.item(pos)
-            head = ratios.item(j), j
-        # the two sources never hold the same j, so (ratio, j) decides
-        if head is not None and not (heap and heap[0] < head):
-            j = head[1]
-            stamp, gain, c, v = 0, singles.item(j), costs.item(j), ids.item(j)
-            pos += 1
-            head = None
+    if chosen:
+        if hasattr(st, "extend"):
+            st.extend(np.array(chosen, dtype=np.intp))
+        else:
+            for v in chosen:
+                st.add(v)
+    order, c_min = seed.order, seed.c_min
+    # a departure is recorded when a threshold passes both the largest so
+    # far, top, and the smallest budget that has not departed, low (so the
+    # first step records one, for the budgets below the cheapest cost); a
+    # pass that records nothing never passes top
+    top = low = -math.inf if forks is not None else math.inf
+    start_calls = oracle.query_count
+    # source entries (ratio, id, 0, gain, cost) of order[pos:pos + len(src)],
+    # the next one src[i]; a re-evaluated one goes on the heap as (ratio,
+    # id, stamp, gain, cost), fresh iff its stamp is len(chosen). Ids are
+    # distinct and ascend with the position in the seed, so (ratio, id)
+    # decides between the two sources as the stable order does
+    src, i, size = [], 0, _CHUNK
+    while True:
+        x = spent + c_min
+        if x > budget:
+            break
+        if i == len(src) and pos + i < order.size:
+            pos += i
+            at = order[pos:pos + size]
+            src = list(zip(seed.ratios[at].tolist(), seed.ids[at].tolist(), itertools.repeat(0),
+                           seed.singles[at].tolist(), seed.costs[at].tolist()))
+            i, size = 0, 2 * size
+        if i < len(src) and not (heap and heap[0] < src[i]):
+            _, v, stamp, gain, c = src[i]
+            i += 1
         elif heap:
-            _, j, stamp, gain, c, v = heapq.heappop(heap)
+            _, v, stamp, gain, c = heapq.heappop(heap)
         else:
             break
-        if spent + c > budget:
+        # the loop top's threshold, counted only now that an entry popped
+        if x > top:
+            if x > low:
+                low = forks.depart(top, x, len(chosen), value, spent,
+                                   oracle.query_count - start_calls, None, None)
+            top = x
+        x = spent + c
+        if x > budget:
             continue
+        if x > top:
+            if x > low:
+                low = forks.depart(top, x, len(chosen), value, spent,
+                                   oracle.query_count - start_calls, list(heap), pos + i)
+            top = x
         if stamp == len(chosen):
             if gain < 0:
                 break
-            if marks is not None:
-                marks.append(oracle.query_count)
             chosen.append(v)
             st.add(v)
             value += gain
             spent += c
         else:
             gain = st.marginal(v, value)
-            heapq.heappush(heap, (-gain / c, j, len(chosen), gain, c, v))
-    return chosen, value, spent, fit
+            heapq.heappush(heap, (-gain / c, v, len(chosen), gain, c))
+    asked = oracle.query_count - start_calls
+    if forks is not None:
+        forks.depart(top, math.inf, len(chosen), value, spent, asked, None, None)
+    return chosen, value, spent, asked
 
 
-def _solution(oracle, chosen, spent, singletons, start_calls) -> Solution:
+def _solution(oracle, chosen, spent, billed) -> Solution:
     """The solution of the ids ``chosen`` in commit order, valued by one
-    counted ``eval``. Its bill is that of a standalone solve: the
-    ``singletons`` of the feasible ids, which a sweep's seed asked once for
-    all its solves, plus every query asked since ``start_calls``."""
+    counted ``eval``. Its bill is that of a standalone solve: ``billed``,
+    the singletons of the feasible ids and the marginals of its pass, which
+    a sweep's set may have asked once for all its solves, plus the
+    ``eval``."""
     chosen = set(chosen)  # built by insertion in commit order
+    start_calls = oracle.query_count
     return Solution(
         ids=frozenset(chosen),
         value=oracle.eval(chosen) if chosen else 0.0,
         cost=spent,
-        oracle_calls=singletons + oracle.query_count - start_calls,
+        oracle_calls=billed + oracle.query_count - start_calls,
     )
 
 

@@ -274,7 +274,21 @@ def test_prune_report_keys_are_shared_by_every_pruner(tmp_path):
             assert report["per_budget_sizes"] == {"4.0": report["pruned_size"]}
         elif pruner != "quickprune":
             assert report["per_budget_sizes"] == {} and report["deletion_log"] == []
-            assert report["deletions"] == 0 and report["elapsed_seconds"] == 0.0
+            assert report["deletions"] == 0
+
+
+@pytest.mark.parametrize("pruner, extra", [("ss", ["--r", "2", "--c", "4"]),
+                                           ("topk", ["--target-size", "10"]),
+                                           ("random", ["--target-size", "10"])])
+def test_baseline_reports_time_their_prune(tmp_path, pruner, extra):
+    # the baselines' reports used to say they took 0.0 seconds
+    graph = _write_graph(tmp_path, kind="erdos_renyi", n=40, params={"p": 0.15}, seed=1)
+    report_file = tmp_path / "report.json"
+    rc = main(["prune", "--graph", str(graph), "--pruner", pruner,
+               "--out-ids", str(tmp_path / "ids"), "--out-report", str(report_file)] + extra)
+    assert rc == 0
+    elapsed = json.loads(report_file.read_text())["elapsed_seconds"]
+    assert type(elapsed) is float and math.isfinite(elapsed) and elapsed > 0
 
 
 def test_config_file_with_flag_override(tmp_path):

@@ -6,7 +6,7 @@ import random
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import setprune as sp
@@ -533,6 +533,143 @@ def test_a_size_constrained_solve_that_deviates_from_the_sweep_solves_standalone
     records = sp.sweep_budgets(oracle, unit_cost, range(200), {"p": set(range(0, 200, 3))},
                                budgets, solver)
     assert len(records) == 3
+
+
+@st.composite
+def knapsack_sweeps(draw):
+    """(oracle, cost_fn, U, outputs, budgets): cut, coverage, undirected
+    influence, an arbitrary set function (``EvalState``) or cut behind a
+    wrapper, on dyadic costs, and up to 16 budgets, each below the cheapest
+    cost, on one cost, on a sum of costs (so that ``spent + c`` lands on it
+    exactly) or anywhere up to past the total."""
+    n = draw(st.integers(1, 12))
+    costs = draw(st.lists(_COSTS, min_size=n, max_size=n))
+    edges = draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)),
+                          max_size=3 * n))
+    graph = dataclasses.replace(sp.from_edges(n, edges), costs=costs)
+    kind = draw(st.sampled_from(["cut", "coverage", "influence", "custom", "wrapper"]))
+    if kind == "coverage":
+        oracle = sp.CoverageOracle(graph)
+    elif kind == "influence":
+        pool = sp.LiveEdgeSamplePool(graph, p=draw(st.sampled_from([0.3, 0.7])),
+                                     m=draw(st.integers(1, 4)), seed=draw(st.integers(0, 99)))
+        oracle = sp.InfluenceOracle(pool)
+    elif kind == "custom":
+        salt = draw(st.integers(0, 2**16))
+        oracle = sp.CustomOracle(
+            n, lambda S: random.Random(hash((salt, *sorted(S)))).choice(_VALUES))
+    else:
+        oracle = sp.CutOracle(graph)
+        if kind == "wrapper":
+            oracle = PlainOracle(oracle)
+    U = draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=2 * n))
+    ground = sorted(set(U))
+    outputs = {name: draw(st.sets(st.sampled_from(ground))) for name in ("a", "b")}
+    budget = st.one_of(st.just(min(costs) / 2), st.sampled_from(costs),
+                       st.lists(st.sampled_from(costs), min_size=1, max_size=n).map(sum),
+                       st.floats(0.1, 1.5 * sum(costs)))
+    return oracle, graph.cost_fn(), U, outputs, draw(st.lists(budget, min_size=1, max_size=16))
+
+
+def _departs_at_a_heap_pop():
+    """Id 1 loses half its worth next to id 0, so the pass to 4 re-evaluates
+    it, takes id 2 and then pops it off the heap at ``spent + c = 4``: the
+    budget 3 departs there, with the sorted source already read."""
+    weights, costs = [10.0, 16.0, 7.0], [1.0, 2.0, 1.0]
+    oracle = sp.CustomOracle(3, lambda S: sum(weights[v] for v in S) - 8.0 * ({0, 1} <= S))
+    return oracle, costs.__getitem__, [0, 1, 2], {"a": {0, 1, 2}, "b": {1, 2}}, [4.0, 3.0]
+
+
+@given(knapsack_sweeps())
+@example(_departs_at_a_heap_pop())
+@settings(max_examples=300, deadline=None)
+def test_knapsack_sweep_forks_match_per_budget_reference_solves(instance):
+    # each solve reads its budget's fork of one pass per set, resuming it
+    # past a departure at a pop; every solution, bill included, must be the
+    # all-element heap's at that budget alone
+    oracle, cost_fn, U, outputs, budgets = instance
+    solutions = []
+    before = oracle.query_count
+    sp.sweep_budgets(oracle, cost_fn, U, outputs, budgets,
+                     _recording(sp.knapsack_solver, solutions))
+    asked = oracle.query_count - before
+    sets = [U, *(outputs[name] for name in sorted(outputs))]
+    want = [ref_greedy_knapsack(oracle, cost_fn, set(G), float(budget))
+            for budget in budgets for G in sets]
+    assert len(solutions) == len(want)
+    assert all(_same(g, w) for g, w in zip(solutions, want))
+    assert asked <= sum(sol.oracle_calls for sol in solutions)
+
+
+def test_a_budget_that_departs_at_a_pop_resumes_with_its_own_pick():
+    # the pass to 4 takes 0 and then 1, which costs 3; at budget 2 that pop
+    # is the departure, and the pass resumes to re-evaluate and take 2,
+    # which the longer pass never picks
+    weights, costs = [10.0, 15.0, 2.0], [1.0, 3.0, 1.0]
+    oracle = _modular(3, weights)
+    solutions = []
+    asked = []
+
+    def solver(oracle_, cost_fn, U, budget):
+        before = oracle_.query_count
+        solutions.append(sp.knapsack_solver(oracle_, cost_fn, U, budget))
+        asked.append(oracle_.query_count - before)
+        return solutions[-1]
+
+    sp.sweep_budgets(oracle, costs.__getitem__, range(3), {"all": range(3)}, [4.0, 2.0], solver)
+    assert [sol.ids for sol in solutions] == [{0, 1}, {0, 1}, {0, 2}, {0, 2}]
+    # the solves at 2 ask the resumed re-evaluation of 2 and their eval
+    assert asked[2:] == [2, 2]
+    for sol, budget in zip(solutions, [4.0, 4.0, 2.0, 2.0]):
+        assert _same(sol, ref_greedy_knapsack(oracle, costs.__getitem__, range(3), budget))
+
+
+@given(sweep_instances())
+@settings(max_examples=100, deadline=None)
+def test_a_unit_cost_knapsack_sweep_asks_one_pass_per_set(instance):
+    # under unit costs every budget departs at a loop top, so a knapsack
+    # sweep is prefix-closed: it asks, per set, no more than its singletons
+    # and one pass to the largest budget, plus one eval per non-empty
+    # solution, and no solve resumes the pass, so each set makes one state
+    # for its singletons and one for the pass
+    oracle, _, _, U, outputs, budgets = instance
+    budgets = [b for b in budgets if b > 0]
+    assume(budgets)
+    solutions = []
+    made = []
+    make = getattr(oracle, "state", None)
+    if make is not None:  # a wrapper's states are EvalStates that solvers make
+        oracle.state = lambda: made.append(1) or make()
+    before = oracle.query_count
+    sp.sweep_budgets(oracle, unit_cost, U, outputs, budgets,
+                     _recording(sp.knapsack_solver, solutions))
+    asked = oracle.query_count - before
+    assert len(made) <= 2 * (1 + len(outputs))
+    passes = 0
+    for G in [U, *outputs.values()]:
+        longest = sp.knapsack_solver(oracle, unit_cost, set(G), max(budgets))
+        passes += longest.oracle_calls - bool(longest.ids)
+    assert asked <= passes + sum(bool(sol.ids) for sol in solutions)
+
+
+@given(knapsack_sweeps(), st.sampled_from([0.5, 0.75, 0.999]))
+@settings(max_examples=100, deadline=None)
+def test_a_solve_at_a_budget_the_sweep_did_not_list_is_the_standalone_one(instance, scale):
+    # a solver that shrinks the sweep's budgets solves on the sweep's seeds
+    # at budgets that may depart at steps where no fork was recorded
+    oracle, cost_fn, U, outputs, budgets = instance
+    solutions = []
+
+    def solver(oracle_, cost_fn_, G, budget):
+        solutions.append(sp.knapsack_solver(oracle_, cost_fn_, G, scale * budget))
+        return solutions[-1]
+
+    sp.sweep_budgets(oracle, cost_fn, U, outputs, budgets, solver)
+    sets = [U, *(outputs[name] for name in sorted(outputs))]
+    want = [ref_greedy_knapsack(oracle, cost_fn, set(G), scale * budget)
+            for budget in budgets for G in sets]
+    assert len(solutions) == len(want)
+    assert all(_same(g, w) for g, w in zip(solutions, want))
 
 
 @pytest.mark.parametrize("solver", [sp.knapsack_solver, sp.cardinality_solver])
