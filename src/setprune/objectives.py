@@ -36,20 +36,17 @@ statistics in numpy arrays, so a marginal does not rescan ``S``. Their gains
 are integers in a fixed unit: the set's value is its integer ``total``,
 divided by ``divisor`` when that is not None. The cut state keeps per-node
 hit counts and answers in O(1). The cover state serves both weighted
-coverages: an id holds *keys* of integer weight, and a set is worth the
-weight of the keys its ids hold. A coverage id holds the nodes of N[e],
-each worth 1; an influence id holds its component in each sample, worth
-its size, over ``divisor``, the sample count. The oracle lays out the keys
-(``_rows``, ``_reach``, ``_cover``) and the state masks the covered ones.
-The batched hooks below read all ``m`` keys of an influence id. Its scalar
-``marginal`` and ``add`` loop in Python over its short key row instead:
-the components where the id is alone, which no other id holds and which
-are covered exactly when the id is in the set, make one entry worth their
-count. On the 1k-node bench graph (p = 0.01, 25 samples) a row averages
-4.4 entries. An add still marks all ``m`` keys, so a state's mask and
-total do not depend on which hooks built it. Coverage keeps its numpy
-``_cover``: its row is a whole closed neighbourhood, hundreds of keys at a
-hub, and no benchmark workload measures coverage.
+coverages: each id has a row of *keys*, each of integer weight, and a set
+is worth the weight of the distinct keys its ids hold. A coverage id holds
+the nodes of N[e], each worth 1. An influence id holds its own key, worth
+the number of samples where it is alone, and one key per component of two
+or more nodes it is in, worth the component's size; the total is over
+``divisor``, the sample count. On the 1k-node bench graph (p = 0.01, 25
+samples) an influence row averages 4.4 keys. The oracle lays out the keys
+(``_rows``, ``_reach``, ``_cover``, ``_weight``) and the state masks the
+covered ones, one flag per key. Coverage's ``_cover`` reads its row in
+numpy, since a hub's row holds hundreds of keys; influence's loops over
+its short row of ``(key, worth)`` pairs in Python.
 The hooks take ids already checked, as an array; the first two count no
 query:
 
@@ -68,9 +65,9 @@ Both also have the two hooks the pruner's walk needs:
   at a position that holds link ``l`` lowers the raw gain of every later
   position that holds it by ``amount[l]``, once. A cut link is an arc
   between two of the ids, worth 2 undirected and 1 directed (the hits it
-  adds); a cover link is a key that two or more of the ids hold and the set
-  does not cover, worth its weight. Which ids share what is the oracle's
-  ``_shared``;
+  adds); a cover link is a key that two or more of the ids hold, worth its
+  weight, or nothing once the set covers it. Which ids share what is the
+  oracle's ``_shared``;
 - ``extend(vs)``: adds the ids in one step, the same as adding them one by
   one (a repeated id, or ids that share arcs or keys, included).
 
@@ -355,14 +352,15 @@ class _Rows(dict):
 
 
 def _heads(csr, vs):
-    """The rows of the nodes ``vs`` of a CSR, one after another."""
+    """The rows of the nodes ``vs`` of a CSR, one after another, and the
+    length of each."""
     indptr, indices = csr
     starts = indptr[vs]
     sizes = indptr[vs + 1] - starts
     ends = np.cumsum(sizes)
     pos = np.repeat(starts - (ends - sizes), sizes)
     pos += np.arange(pos.size)
-    return indices[pos]
+    return indices[pos], sizes
 
 
 def _held(at, link, size: int) -> list:
@@ -388,7 +386,32 @@ def _linked(keys, at, size: int):
     return _held(at, np.cumsum(first) - 1, size), keys[first]
 
 
-class CoverageOracle(Oracle):
+class _CoverOracle(Oracle):
+    """An oracle whose states are cover states (``_CoverState``). The
+    subclass lays out the keys: ``_rows`` and ``_reach`` for the batched
+    hooks, ``_cover`` for the scalar ones, and ``_weight``, one integer per
+    key, with ``_divisor``."""
+
+    def state(self):
+        return _CoverState(self)
+
+    def _held_weight(self, S) -> int:
+        """The weight of the distinct keys the ids of the set ``S`` hold, in
+        O(keys read), not O(keys): each distinct key keeps exactly one of
+        the positions that wrote its slot."""
+        keys = self._rows(np.fromiter(S, dtype=np.intp, count=len(S)))[0]
+        order = np.arange(keys.size)
+        slot = np.empty(self._weight.size, dtype=np.intp)
+        slot[keys] = order
+        return int(self._weight[keys[slot[keys] == order]].sum())
+
+    def _shared(self, vs):
+        # every key that two or more of the ids' rows hold
+        keys, sizes = self._rows(vs)
+        return _linked(keys, np.repeat(np.arange(vs.size), sizes), vs.size)
+
+
+class CoverageOracle(_CoverOracle):
     """Number of nodes in S or adjacent to S (closed-neighborhood cover)."""
 
     kind = "coverage"
@@ -401,18 +424,9 @@ class CoverageOracle(Oracle):
         self._weight, self._divisor = np.broadcast_to(np.int64(1), graph.n), None
         self._links = None  # the last links a state asked, see _VectorState.links
 
-    def state(self):
-        return _CoverState(self)
-
     def _value(self, S):
         if len(S) > _NUMPY_SET:
-            ids = self._rows(np.fromiter(S, dtype=np.intp, count=len(S)))[0]
-            # count the distinct ids in O(len(ids)), not O(n): each distinct
-            # id keeps exactly one of the positions that wrote it
-            order = np.arange(ids.size)
-            slot = np.empty(self.n, dtype=np.intp)
-            slot[ids] = order
-            return int(np.count_nonzero(slot[ids] == order))
+            return self._held_weight(S)
         nbhd = self._nbhd
         covered = set(S)
         for v in S:
@@ -425,14 +439,14 @@ class CoverageOracle(Oracle):
 
     def _rows(self, vs):
         """N[v] of each of the ids ``vs``, one after another, each starting
-        with ``v``, and the position where each starts."""
+        with ``v``, and the size of each."""
         sizes = self._reach(vs)
         starts = np.cumsum(sizes) - sizes
         keys = np.repeat(vs, sizes)
         rest = np.ones(keys.size, dtype=bool)
         rest[starts] = False
-        keys[rest] = _heads(self._out, vs)
-        return keys, starts
+        keys[rest] = _heads(self._out, vs)[0]
+        return keys, sizes
 
     def _cover(self, e, covered, commit: bool) -> int:
         """The weight of e's keys that ``covered`` lacks; covers them when
@@ -444,11 +458,6 @@ class CoverageOracle(Oracle):
             covered[fresh] = True
             covered[e] = True
         return gain
-
-    def _shared(self, vs):
-        # every node that two or more of the ids' neighbourhoods hold
-        keys = self._rows(vs)[0]
-        return _linked(keys, np.repeat(np.arange(vs.size), self._reach(vs)), vs.size)
 
 
 class _CoverState(_VectorState):
@@ -476,12 +485,12 @@ class _CoverState(_VectorState):
 
     def raw(self, vs):
         oracle = self._oracle
-        if not self.total:  # every key weighs at least 1, so T > 0 once S is not empty
+        if not self.total:  # a key in a row weighs at least 1, so T > 0 once S is not empty
             return oracle._reach(vs)
-        keys, starts = oracle._rows(vs)
+        keys, sizes = oracle._rows(vs)
         weight = oracle._weight[keys]
         weight[self._covered[keys]] = 0
-        return np.add.reduceat(weight, starts)
+        return np.add.reduceat(weight, np.cumsum(sizes) - sizes)
 
     def _worth(self, keys):
         # a key the set covers is in no gain already
@@ -522,7 +531,7 @@ class CutOracle(Oracle):
         # arcs into each member of S from outside S
         if len(S) > _NUMPY_SET:
             vs = np.fromiter(S, dtype=np.intp, count=len(S))
-            heads = _heads(self._in, vs)
+            heads = _heads(self._in, vs)[0]
             # a membership mask set only where it is read: O(len(heads)), not O(n)
             member = np.empty(self.n, dtype=bool)
             member[heads] = False
@@ -540,8 +549,8 @@ class CutOracle(Oracle):
         # search among the sorted ids, is a link worth the hit it adds;
         # undirected, one of its two arcs is, worth both hits
         out = self._out
-        heads = _heads(out, vs)
-        a = np.repeat(np.arange(vs.size), out[0][vs + 1] - out[0][vs])  # each head's row
+        heads, sizes = _heads(out, vs)
+        a = np.repeat(np.arange(vs.size), sizes)  # each head's row
         order = np.argsort(vs)
         at = np.searchsorted(vs, heads, sorter=order)
         np.minimum(at, vs.size - 1, out=at)
@@ -602,7 +611,7 @@ class _CutState(_VectorState):
         # members gain when they join
         oracle, member, hits = self._oracle, self._member, self._hits
         vs = _distinct(vs[~member[vs]])
-        heads = _heads(oracle._out, vs)
+        heads = _heads(oracle._out, vs)[0]
         inner = -np.count_nonzero(member[heads])
         gain = self.raw(vs).sum()
         member[vs] = True
@@ -612,7 +621,7 @@ class _CutState(_VectorState):
             np.add.at(hits, heads, 2)
         else:
             np.add.at(hits, heads, 1)
-            np.add.at(hits, _heads(oracle._in, vs), 1)
+            np.add.at(hits, _heads(oracle._in, vs)[0], 1)
 
     @staticmethod
     def _worth(arcs):
@@ -629,18 +638,17 @@ class LiveEdgeSamplePool:
 
     The samples are stacked into one graph of ``m * n`` nodes: node ``v`` of
     sample ``i`` is node ``i * n + v``. Undirected pools keep its connected
-    components: ``roots[i, v]`` is the id of node ``v``'s component in
-    sample ``i``, its smallest node plus ``i * n``; ``sizes[c]`` is the size
-    of component ``c`` (zero for ids that name no component); ``reach[v]``
-    sums ``v``'s component sizes over the samples, so ``reach[v] / m`` is
-    the spread of ``{v}``. They also keep each id's short key row, as CSR
-    arrays ``key_rows = (starts, entries)``, each entry a ``(key, worth)``
-    pair (see ``_key_rows``): the samples where ``v`` is alone make one
-    entry, worth their count, and each of its components of two or more
-    nodes one entry, worth its size. A row holds from one entry to ``m``;
-    with few live edges most nodes are alone in most samples, and the rows
-    are far shorter than ``m``. Directed pools keep its live arcs instead,
-    as CSR rows ``arcs = (indptr, heads)`` over the stacked nodes.
+    components as keys, one integer weight each in ``weights``: key ``v``
+    stands for the samples where ``v`` is alone, worth their count, and key
+    ``n + c`` for the ``c``-th component of two or more nodes, in the order
+    of their smallest stacked nodes, worth its size. ``key_rows = (starts,
+    entries)`` lists each id's keys as CSR rows, each entry a ``(key,
+    worth)`` pair (see ``_key_rows``), and ``reach[v]`` sums row ``v``'s
+    worths, so ``reach[v] / m`` is the spread of ``{v}``. A row holds from
+    one entry to ``m``; with few live edges most nodes are alone in most
+    samples, and the rows are far shorter than ``m``. Directed pools keep
+    its live arcs instead, as CSR rows ``arcs = (indptr, heads)`` over the
+    stacked nodes.
     """
 
     def __init__(self, graph, p: float, m: int = 100, seed: int = 0):
@@ -657,10 +665,11 @@ class LiveEdgeSamplePool:
             raise InputError("seed must be non-negative")
         if m * graph.n > np.iinfo(np.intp).max:
             raise InputError(f"sample count m is too large to index {graph.n} nodes per sample")
-        # the least the pool takes per stacked node (8 + 8 + 1 bytes): a row
-        # start, a bincount and a visited mark directed, an id, a size and an
-        # edge mark undirected; undirected, its key rows take at least one
-        # entry (a key and a worth) and a row start per node (8 + 8 + 8)
+        # the least the pool takes per stacked node: a row start, a bincount
+        # and a visited mark directed (8 + 8 + 1 bytes); undirected a label
+        # and an edge mark (8 + 1), though the floor counts 17 both ways, and
+        # its key rows take at least one entry (a key and a worth) and a row
+        # start per node (8 + 8 + 8)
         need = 17 * m * graph.n + (0 if graph.directed else 24 * graph.n)
         if need > _physical_memory():
             raise InputError(f"sample count m = {m} needs at least {need} bytes of memory, "
@@ -680,30 +689,32 @@ class LiveEdgeSamplePool:
             self.arcs = indptr, live[np.argsort(tails, kind="stable"), 1]
             return
         labels = np.arange(size, dtype=np.int64)
-        on_edge = _components(labels, live)
-        self.roots = labels.reshape(m, self.n)
-        self.sizes = np.bincount(labels, minlength=size)
-        self.key_rows = _key_rows(self.roots, self.sizes, on_edge.reshape(m, self.n))
+        shared = _components(labels, live)
+        # rank the components by their smallest node, in the spent labels
+        comps = labels[shared]
+        roots = shared[comps == shared]
+        labels[roots] = np.arange(roots.size)
+        comps = labels[comps]
+        ids = shared % self.n
+        joined = np.bincount(ids, minlength=self.n)  # the samples where v is not alone
+        self.weights = np.concatenate([m - joined, np.bincount(comps, minlength=roots.size)])
+        self.key_rows = _key_rows(ids, comps + self.n, self.weights, self.n)
         starts, entries = self.key_rows
         self.reach = np.add.reduceat(entries[:, 1], starts[:-1])
 
     def mean_reach(self, S) -> float:
         """Average number of nodes reachable from S, distinct ids in
-        ``[0, n)``, across the samples. Directed, one breadth-first search
-        over the stacked samples from the ``m`` copies of S, level by level."""
+        ``[0, n)``, across the samples of a directed pool: one breadth-first
+        search over the stacked samples from the ``m`` copies of S, level by
+        level. An undirected pool's spread is its ``InfluenceOracle``'s."""
         vs = list(S)
-        if not self.directed:
-            roots = self.roots[:, vs]
-            if len(vs) > 1:  # one node's roots differ across samples already
-                roots = _distinct(roots)
-            return int(self.sizes[roots].sum()) / self.m
         # an empty list would broadcast as floats
         frontier = (np.arange(self.m)[:, None] * self.n + np.array(vs, dtype=np.intp)).ravel()
         visited = np.zeros(self.m * self.n, dtype=bool)
         visited[frontier] = True
         total = frontier.size
         while frontier.size:
-            heads = _heads(self.arcs, frontier)
+            heads = _heads(self.arcs, frontier)[0]
             frontier = _distinct(heads[~visited[heads]])
             visited[frontier] = True
             total += frontier.size
@@ -715,8 +726,8 @@ def _components(labels, edges):
     connected node over the (E, 2) ``edges``: hook the larger label of each
     edge whose ends differ onto the smaller, then jump pointers until every
     label is a root (Shiloach and Vishkin, 1982). Only nodes on an edge ever
-    leave their own label, so only they jump. Returns the mask of those
-    nodes: the nodes whose component has two or more."""
+    leave their own label, so only they jump. Returns those nodes in
+    ascending order: the nodes whose component has two or more."""
     on_edge = np.zeros(labels.size, dtype=bool)
     on_edge[edges] = True
     ids = np.flatnonzero(on_edge)
@@ -725,7 +736,7 @@ def _components(labels, edges):
         lu, lv = labels[u], labels[v]
         cross = lu != lv
         if not cross.any():
-            return on_edge
+            return ids
         u, v, lu, lv = u[cross], v[cross], lu[cross], lv[cross]
         np.minimum.at(labels, np.maximum(lu, lv), np.minimum(lu, lv))
         while True:
@@ -736,34 +747,20 @@ def _components(labels, edges):
             labels[ids] = up
 
 
-def _key_rows(roots, sizes, shared):
-    """The short key rows of an undirected pool's ids, as CSR arrays
-    ``(starts, entries)``: row ``v`` is ``entries[starts[v]:starts[v + 1]]``,
-    one ``(key, worth)`` pair a line. ``shared[i, v]`` marks node ``v`` of
-    sample ``i`` when its component has two or more nodes. The samples where
-    ``v`` is alone make one entry, first in the row: the key of the first of
-    them, worth their count. Each of ``v``'s larger components follows,
-    sample by sample, worth its size. Besides a byte per stacked node, every
-    temporary has one item per shared stacked node, as the rows do."""
-    m, n = roots.shape
-    by_id = shared.T.copy()
-    at = np.flatnonzero(by_id)  # v * m + i: id by id, then sample by sample
-    v = at // m
-    joined = np.bincount(v, minlength=n)  # the samples where v is not alone
-    lone = joined < m
+def _key_rows(ids, keys, weights, n: int):
+    """The key rows of an undirected pool's ids, as CSR arrays ``(starts,
+    entries)``: row ``v`` is ``entries[starts[v]:starts[v + 1]]``, one
+    ``(key, worth)`` pair a line, each worth ``weights[key]``. ``ids`` and
+    ``keys`` give, sample by sample, each stacked node on a live edge: its
+    id and its component's key. An id alone in some sample holds its own
+    key, first in its row; its other keys follow in sample order. Every
+    temporary has one item per id or per stacked node on a live edge."""
+    lone = np.flatnonzero(weights[:n])
+    ids = np.concatenate([lone, ids])
+    keys = np.concatenate([lone, keys])[np.argsort(ids, kind="stable")]
     starts = np.zeros(n + 1, dtype=np.int64)
-    np.cumsum(joined + lone, out=starts[1:])
-    entries = np.empty((starts.item(-1), 2), dtype=np.int64)
-    keys, worths = entries.T
-    ids = np.flatnonzero(lone)
-    first = starts[ids]
-    keys[first] = by_id.argmin(axis=1)[ids] * n + ids  # the first sample alone
-    worths[first] = m - joined[ids]
-    rest = np.arange(at.size) + np.cumsum(lone)[v]  # past the lone entries up to v
-    shared_keys = roots.ravel()[(at - v * m) * n + v]
-    keys[rest] = shared_keys
-    worths[rest] = sizes[shared_keys]
-    return starts, entries
+    np.cumsum(np.bincount(ids, minlength=n), out=starts[1:])
+    return starts, np.column_stack([keys, weights[keys]])
 
 
 def _distinct(a):
@@ -776,13 +773,12 @@ def _distinct(a):
     return r[fresh]
 
 
-class InfluenceOracle(Oracle):
+class InfluenceOracle(_CoverOracle):
     """Deterministic spread estimate over a frozen live-edge sample pool.
 
-    Undirected, its states are cover states over the pool's components:
-    the batched hooks read an id's ``m`` roots, the scalar ones its short
-    key row (``pool.key_rows``). Directed, it answers through ``EvalState``,
-    each gain a breadth-first search of ``mean_reach``."""
+    Undirected, its states are cover states over the pool's keys, each id's
+    row its ``pool.key_rows`` row. Directed, it answers through
+    ``EvalState``, each gain a breadth-first search of ``mean_reach``."""
 
     kind = "influence"
 
@@ -790,40 +786,35 @@ class InfluenceOracle(Oracle):
         super().__init__(pool.n)
         self.pool = pool
         if not pool.directed:
-            self._weight, self._divisor = pool.sizes, pool.m
+            self._weight, self._divisor = pool.weights, pool.m
         self._links = None  # the last links a state asked, see _VectorState.links
 
     def state(self):
-        return EvalState(self) if self.pool.directed else _CoverState(self)
+        return EvalState(self) if self.pool.directed else super().state()
 
     def _value(self, S):
-        return self.pool.mean_reach(S)
+        if self.pool.directed:
+            return self.pool.mean_reach(S)
+        return self._held_weight(S) / self.pool.m
 
     def _reach(self, vs):
         return self.pool.reach[vs]
 
     def _rows(self, vs):
-        # id by id, the roots of one id m apart; samples never share a root
-        m = self.pool.m
-        return self.pool.roots.T[vs].ravel(), np.arange(0, vs.size * m, m)
+        # every row holds at least one key, as reduceat needs
+        starts, entries = self.pool.key_rows
+        return _heads((starts, entries[:, 0]), vs)
 
     def _cover(self, e, covered, commit: bool) -> int:
-        # e's short key row stands for its m keys: the one-node components
-        # it collapses are covered exactly when e is in the set
         starts, entries = self.pool.key_rows
+        row = entries[starts.item(e):starts.item(e + 1)]
         gain = 0
-        for key, worth in entries[starts.item(e):starts.item(e + 1)].tolist():
+        for key, worth in row.tolist():
             if not covered.item(key):
                 gain += worth
         if commit:
-            covered[self.pool.roots[:, e]] = True
+            covered[row[:, 0]] = True
         return gain
-
-    def _shared(self, vs):
-        # only a component of two or more nodes can have two distinct ids
-        keys = self._rows(vs)[0]
-        at = np.flatnonzero(self.pool.sizes[keys] > 1)
-        return _linked(keys[at], at // self.pool.m, vs.size)
 
 
 class SimilarityKernel:
@@ -942,6 +933,9 @@ def estimate_gamma(oracle: Oracle, U, zero_tol: float = 1e-9) -> float:
 
     Exhaustive over all subsets, so ``|U| <= 12`` is enforced.
     """
+    require_finite(zero_tol=zero_tol)
+    if zero_tol < 0:
+        raise InputError("zero_tol must be non-negative")
     ids = sorted(set(U))
     k = len(ids)
     if k > 12:

@@ -738,6 +738,7 @@ def check_nhi(solution, cost_fn, kappa: float, eta: float) -> bool:
     The multi-budget retention guarantee assumes an optimal solution passes
     this check at every budget in the range. Vacuously true when empty.
     """
+    require_finite(kappa=kappa, eta=eta)
     limit = kappa * (1.0 - eta)
     return all(cost_fn(v) <= limit for v in solution)
 
@@ -751,6 +752,7 @@ def geometric_recovery_steps(beta: float, g: float) -> int:
     bound: between checkpoints the working set's value must grow
     geometrically, so only boundedly many elements fit before a deletion.
     """
+    require_finite(beta=beta, g=g)
     if beta <= 0:
         raise InputError("beta must be positive")
     if not 0 < g <= 1:

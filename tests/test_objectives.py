@@ -323,7 +323,8 @@ def test_pool_is_frozen_and_deterministic():
     g = random_graph(10, 0.4, 1)
     a = sp.LiveEdgeSamplePool(g, p=0.3, m=6, seed=42)
     b = sp.LiveEdgeSamplePool(g, p=0.3, m=6, seed=42)
-    assert np.array_equal(a.roots, b.roots) and np.array_equal(a.reach, b.reach)
+    for x, y in ((a.weights, b.weights), (a.reach, b.reach), *zip(a.key_rows, b.key_rows)):
+        assert np.array_equal(x, y)
     orc, other = sp.InfluenceOracle(a), sp.InfluenceOracle(b)
     first = orc.eval({0, 3})
     assert all(orc.eval({0, 3}) == first for _ in range(5))
@@ -374,7 +375,8 @@ def test_pool_accepts_numpy_integers_and_floats():
     a = sp.LiveEdgeSamplePool(g, p=np.float64(0.5), m=np.int64(3), seed=np.int32(2))
     b = sp.LiveEdgeSamplePool(g, p=0.5, m=3, seed=2)
     assert (a.m, a.seed) == (3, 2) and type(a.m) is int and type(a.seed) is int
-    assert np.array_equal(a.roots, b.roots)
+    assert np.array_equal(a.weights, b.weights)
+    assert all(np.array_equal(x, y) for x, y in zip(a.key_rows, b.key_rows))
 
 
 @pytest.mark.parametrize("directed", [False, True])
@@ -428,43 +430,39 @@ def test_pools_keep_only_the_state_their_direction_reads():
     g = random_graph(6, 0.5, 1)
     undirected = sp.LiveEdgeSamplePool(g, p=0.5, m=3)
     directed = sp.LiveEdgeSamplePool(sp.from_edges(3, [(0, 1), (1, 2)], directed=True), p=0.5, m=3)
-    assert not hasattr(undirected, "arcs")
-    assert not any(hasattr(directed, name) for name in ("roots", "sizes", "reach", "key_rows"))
+    assert not any(hasattr(undirected, name) for name in ("arcs", "roots", "sizes"))
+    assert not any(hasattr(directed, name) for name in ("weights", "reach", "key_rows"))
 
 
 def assert_pool_components_match_union_find(graph, pool):
-    """The pool's components against ``ref_components``: the same partition
-    per sample, each id the smallest node of its component plus ``i * n``,
-    equal ``sizes[roots]`` and ``reach``, and ``sizes`` zero at every id
-    that names no component."""
+    """The pool's keys against ``ref_components``: key ``v`` worth the
+    samples where ``v`` is alone, then one key per component of two or more
+    nodes, sample by sample and by smallest node, worth its size. Each id's
+    key row holds its own key first, if it is ever alone, then its larger
+    components in sample order, each with its worth; ``reach`` sums the
+    sizes of an id's components over the samples."""
     n, m = pool.n, pool.m
-    assert pool.roots.shape == (m, n) and pool.roots.dtype == np.int64
-    assert pool.sizes.shape == (m * n,) and pool.reach.shape == (n,)
+    alone, sizes, rows = [0] * n, [], [[] for _ in range(n)]
     reach = [0] * n
-    for i, ref in enumerate(ref_components(graph, pool)):
-        got = pool.roots[i].tolist()
-        assert len(set(zip(got, ref))) == len(set(got)) == len(set(ref))  # a bijection
+    for ref in ref_components(graph, pool):
         members = collections.defaultdict(list)
         for v, r in enumerate(ref):
             members[r].append(v)
-        assert got == [i * n + min(members[r]) for r in ref]
-        assert pool.sizes[pool.roots[i]].tolist() == [len(members[r]) for r in ref]
+        for group in sorted(members.values(), key=min):
+            if len(group) == 1:
+                alone[group[0]] += 1
+            else:
+                sizes.append(len(group))
+                for v in group:
+                    rows[v].append((n + len(sizes) - 1, len(group)))
         reach = [t + len(members[r]) for t, r in zip(reach, ref)]
-    assert pool.reach.tolist() == reach
-    unnamed = np.ones(m * n, dtype=bool)
-    unnamed[pool.roots.ravel()] = False
-    assert not pool.sizes[unnamed].any()
-    # each id's key row: the samples where it is alone as one entry, the
-    # first one's root worth their count, then its larger components in
-    # sample order, each worth its size
+    assert pool.weights.dtype == np.int64 and pool.weights.tolist() == alone + sizes
+    assert pool.reach.shape == (n,) and pool.reach.tolist() == reach
     starts, entries = pool.key_rows
     assert starts.tolist() == sorted(starts.tolist()) and starts.size == n + 1
-    assert starts[0] == 0 and entries.shape == (starts[-1], 2)
+    assert starts[0] == 0 and entries.shape == (starts[-1], 2) and entries.dtype == np.int64
     for v in range(n):
-        roots = pool.roots[:, v].tolist()
-        alone = [i for i, r in enumerate(roots) if pool.sizes[r] == 1]
-        row = [(roots[alone[0]], len(alone))] if alone else []
-        row += [(r, pool.sizes[r].item()) for r in roots if pool.sizes[r] > 1]
+        row = ([(v, alone[v])] if alone[v] else []) + rows[v]
         a, b = starts[v], starts[v + 1]
         assert [tuple(entry) for entry in entries[a:b].tolist()] == row
 
@@ -508,13 +506,13 @@ def test_pool_build_edge_cases(case):
     pool = sp.LiveEdgeSamplePool(graph, p=p, m=m, seed=3)
     assert_pool_components_match_union_find(graph, pool)
     n = graph.n
-    offsets = np.arange(m)[:, None] * n
-    if case in ("no-edges", "p-zero", "one-node"):  # every node is its own component
-        assert np.array_equal(pool.roots, offsets + np.arange(n))
+    if case in ("no-edges", "p-zero", "one-node"):  # every node is alone in every sample
+        assert pool.weights.tolist() == [m] * n
         assert pool.reach.tolist() == [m] * n
     if case in ("p-one-path", "one-node"):  # one component per sample
-        assert np.array_equal(pool.roots, np.broadcast_to(offsets, (m, n)))
         assert pool.reach.tolist() == [m * n] * n
+    if case == "p-one-path":  # never alone: one key per sample's component
+        assert pool.weights.tolist() == [0] * n + [n] * m
     orc = sp.InfluenceOracle(pool)
     assert orc.eval(range(n)) == n
     assert [orc.eval({v}) for v in range(n)] == (pool.reach / m).tolist()
@@ -530,7 +528,7 @@ def test_pool_build_draws_one_sample_at_a_time():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert pool.roots.shape == (200, 500)
+    assert pool.m == 200 and pool.reach.shape == (500,)
     assert peak < 40_000_000, peak
 
 
@@ -686,6 +684,14 @@ def test_gamma_oversize_raises():
     orc = sp.CustomOracle(20, len)
     with pytest.raises(InputError):
         sp.estimate_gamma(orc, range(13))
+
+
+@pytest.mark.parametrize("zero_tol", [-1.0, -1e-9, float("nan"), float("inf"), float("-inf")])
+def test_gamma_refuses_a_zero_tol_that_is_negative_or_not_finite(zero_tol):
+    # a negative or NaN tolerance let a zero denominator through: ZeroDivisionError
+    orc = sp.CustomOracle(3, lambda S: 0.0)
+    with pytest.raises(InputError, match="zero_tol"):
+        sp.estimate_gamma(orc, range(3), zero_tol=zero_tol)
 
 
 def test_gamma_returns_one_without_positive_denominator():

@@ -20,7 +20,8 @@ import setprune as sp
 from setprune import pruning
 from setprune.errors import InputError
 
-from conftest import PlainOracle, random_graph, random_similarity_kernel, unit_cost
+from conftest import (PlainOracle, random_graph, random_similarity_kernel, ref_components,
+                      unit_cost)
 
 KINDS = ("cut", "cut-directed", "influence", "influence-directed",
          "coverage", "simgraphcut", "custom")
@@ -48,6 +49,9 @@ def build_oracle(kind, seed):
     if kind == "influence":
         return sp.InfluenceOracle(sp.LiveEdgeSamplePool(random_graph(N, 0.4, seed),
                                                         p=0.5, m=7, seed=seed))
+    if kind == "influence-sparse":  # most ids alone in most samples
+        return sp.InfluenceOracle(sp.LiveEdgeSamplePool(random_graph(N, 0.4, seed),
+                                                        p=0.05, m=7, seed=seed))
     if kind == "influence-directed":
         return sp.InfluenceOracle(sp.LiveEdgeSamplePool(_directed_graph(N, seed),
                                                         p=0.5, m=7, seed=seed))
@@ -61,8 +65,10 @@ def build_oracle(kind, seed):
     return sp.CustomOracle(N, lambda S: math.sqrt(math.fsum(weights[v] for v in sorted(S))))
 
 
-# raw CSR graphs that list some arcs twice, and directed coverage
-STATE_KINDS = KINDS + ("cut-dup", "cut-directed-dup", "coverage-dup", "coverage-directed")
+# raw CSR graphs that list some arcs twice, directed coverage, and influence
+# at a p where an id is often the only one to hold its own key
+STATE_KINDS = KINDS + ("cut-dup", "cut-directed-dup", "coverage-dup", "coverage-directed",
+                       "influence-sparse")
 ids = st.integers(min_value=0, max_value=N - 1)
 ops = st.lists(st.one_of(
     st.tuples(st.just("add"), ids),
@@ -381,7 +387,8 @@ def test_singletons_reject_bad_ids_before_counting(kind):
 # the hooks the pruner's walk reads
 
 GATHER_KINDS = ("cut", "cut-directed", "cut-dup", "cut-directed-dup", "influence",
-                "influence-dup", "coverage", "coverage-dup", "coverage-directed")
+                "influence-dup", "influence-sparse", "coverage", "coverage-dup",
+                "coverage-directed")
 
 
 @given(st.sampled_from(GATHER_KINDS), st.integers(min_value=0, max_value=500),
@@ -472,7 +479,7 @@ def test_links_patch_walked_gains_and_bulk_adds_match_one_by_one(kind, seed, S, 
 
 
 # ---------------------------------------------------------------------------
-# the short key rows that undirected influence's scalar paths read
+# the key rows of undirected influence
 
 ROW_POOLS = ("p-zero", "p-one-connected", "one-sample", "isolated-node")
 
@@ -498,11 +505,10 @@ def test_key_rows_answer_like_all_m_keys(case, seed, adds):
     starts, entries = pool.key_rows
     lengths = np.diff(starts).tolist()
     keys, worths = entries.T.tolist()
-    if case == "p-zero":  # alone everywhere: one entry, sample 0's key, worth m
+    if case == "p-zero":  # alone everywhere: one entry, its own key, worth m
         assert lengths == [1] * N and keys == list(range(N)) and worths == [pool.m] * N
     elif case == "p-one-connected":  # never alone: each sample's one component
         assert lengths == [pool.m] * N and worths == [N] * (pool.m * N)
-        assert keys == [i * N for i in range(pool.m)] * N
     elif case == "one-sample":
         assert lengths == [1] * N
     else:
@@ -523,3 +529,18 @@ def test_key_rows_answer_like_all_m_keys(case, seed, adds):
             got = state.marginal(e, f_S)
             _same([got], state.gather(vs, f_S).tolist())
             _same([got], [oracle.eval(S | {e}) - f_S])
+
+
+def test_undirected_pools_keep_no_array_per_stacked_node():
+    # a state's mask has one flag per key: an id's own key, and one per
+    # component of two or more nodes in any sample
+    graph = random_graph(60, 0.05, 3)
+    pool = sp.LiveEdgeSamplePool(graph, p=0.05, m=40, seed=3)
+    kept = [a if a.base is None else a.base for value in vars(pool).values()
+            for a in (value if isinstance(value, tuple) else (value,))
+            if isinstance(a, np.ndarray)]
+    # weights, reach, row starts and (key, worth) entries; m * n is 2,400
+    assert len(kept) == 4 and all(a.size < pool.m * pool.n / 2 for a in kept)
+    shared = sum(1 for ref in ref_components(graph, pool) for r in set(ref) if ref.count(r) > 1)
+    assert 0 < shared and pool.weights.size == pool.n + shared
+    assert sp.InfluenceOracle(pool).state()._covered.size == pool.weights.size

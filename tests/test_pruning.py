@@ -1208,6 +1208,15 @@ def test_check_nhi():
     assert sp.check_nhi(set(), lambda v: 99.0, 1.0, 0.5)
 
 
+@pytest.mark.parametrize("kappa, eta", [(math.inf, 0.5), (2.0, math.nan), (math.nan, 0.5),
+                                        (2.0, -math.inf)])
+def test_check_nhi_refuses_a_kappa_or_eta_that_is_not_finite(kappa, eta):
+    # eta = nan once failed every non-empty solution, kappa = inf passed it
+    for solution in ({0}, set()):
+        with pytest.raises(InputError, match="finite"):
+            sp.check_nhi(solution, unit_cost, kappa, eta)
+
+
 # ---------------------------------------------------------------------------
 # geometric growth lemma
 
@@ -1223,6 +1232,14 @@ def test_geometric_recovery_steps_property(beta, g, seed):
     for _ in range(m):
         y *= (1 + beta) * rng.uniform(1.0, 1.5)
     assert y >= first / g * (1 - 1e-12)
+
+
+@pytest.mark.parametrize("beta, g", [(math.nan, 0.5), (math.inf, 0.5), (0.5, math.nan),
+                                     (0.5, math.inf), (-math.inf, 0.5)])
+def test_geometric_recovery_steps_refuses_values_that_are_not_finite(beta, g):
+    # beta = nan or inf once raised a bare ValueError from math.ceil
+    with pytest.raises(InputError, match="finite"):
+        sp.geometric_recovery_steps(beta, g)
 
 
 def test_geometric_recovery_steps_tight_at_minimal_growth():
