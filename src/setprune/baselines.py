@@ -5,6 +5,7 @@ randomized sparsifier driven by pairwise marginal-gain scores.
 from __future__ import annotations
 
 import math
+import operator
 import random
 from dataclasses import dataclass
 
@@ -22,7 +23,8 @@ class BaselineConfig:
 
     ``r`` scales the per-round probe count and ``c`` the per-round shrink
     factor of the sparsifier; the top-k and random pruners take their size
-    ``k`` directly.
+    ``k`` directly. All three fields must be integers (numpy integers are
+    kept as ints); anything else raises InputError.
     """
 
     r: int = 8
@@ -30,6 +32,12 @@ class BaselineConfig:
     seed: int = 0
 
     def __post_init__(self):
+        for name in ("r", "c", "seed"):
+            value = getattr(self, name)
+            try:
+                object.__setattr__(self, name, operator.index(value))
+            except TypeError:
+                raise InputError(f"{name} must be an integer, got {type(value).__name__}") from None
         if self.r < 1 or self.c < 1:
             raise InputError("r and c must be >= 1")
         try:

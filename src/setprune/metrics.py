@@ -108,16 +108,16 @@ def sweep_budgets(oracle, cost_fn, U, pruner_outputs: dict, budgets, solver,
     once per pruner by the caller. The full ground set is solved once per
     budget, before the pruned sets, and that solution goes into every
     pruner's record at the budget. The ground set and each pruned set are
-    built once per sweep, as frozensets that keep the solve seed (checked
-    ids, costs, singleton values and their order) that their first solve
-    builds for the sweep's largest budget; every later solve with the same
-    oracle and cost function reads that seed instead of building its own.
-    Those solves also share one lazy pass per set: the first runs it to the
-    largest budget and records where each of the sweep's budgets first
-    departs from it, and each solve takes the pass's commits up to its
-    departure, resuming the pass from there only when it departs at a pop
-    that the longer pass takes and it cannot afford. A size-constrained
-    solve always stops at its departure and asks only its final ``eval``.
+    built once per sweep, as frozensets of ids checked as integers that
+    keep the fork table their first solve records: a solve seed (checked
+    ids, costs, singleton values and their order) for the sweep's largest
+    budget and one lazy pass to it over that seed, with where each of the
+    sweep's budgets first departs from it. Every later solve with the same
+    oracle and cost function takes the pass's commits up to its departure,
+    resuming the pass from there only when it departs at a pop that the
+    longer pass takes and it cannot afford; a standalone solve is the same
+    path over a sweep of one budget. A size-constrained solve always stops
+    at its departure and asks only its final ``eval``.
     ``oracle_calls_solve`` stays the standalone bill of the two solves, so
     with a deterministic solver the records are those of per-budget
     ``evaluate_pruning`` calls; the queries actually asked are the

@@ -27,9 +27,13 @@ greedy solution) ask the oracle for a per-caller state with ``state()``.
 query. ``st.gains(ids, f_S)`` is the batch form: ``[st.marginal(v, f_S)
 for v in ids]`` bit for bit and in type (an int for cut when ``f_S`` is),
 counted as ``len(ids)`` queries, with every id checked before any is
-counted. A singleton batch is ``gains(ids, 0.0)`` on an empty state. A
+counted. A singleton batch is ``gains(ids, 0.0)`` on an empty state.
+Every state also has ``extend(vs)``: it adds the ids of an intp array,
+already checked, in one step and with no query, the same as adding them
+one by one (a repeated id, or ids that share arcs or keys, included). A
 state only grows: a caller that drops elements (the pruner, at a
-checkpoint deletion) makes a fresh state and adds the survivors again.
+checkpoint deletion) makes a fresh state and extends it by the survivors,
+and a greedy pass resumed from a fork fills its state the same way.
 
 Cut (either direction), coverage and undirected influence keep incremental
 statistics in numpy arrays, so a marginal does not rescan ``S``. Their gains
@@ -68,8 +72,8 @@ Both also have the two hooks the pruner's walk needs:
   adds); a cover link is a key that two or more of the ids hold, worth its
   weight, or nothing once the set covers it. Which ids share what is the
   oracle's ``_shared``;
-- ``extend(vs)``: adds the ids in one step, the same as adding them one by
-  one (a repeated id, or ids that share arcs or keys, included).
+- ``extend(vs)``, which every state has: a walk adds each group's ids in
+  one step.
 
 Similarity cut, custom and directed influence oracles, and any oracle-like
 wrapper without ``state()``, get an ``EvalState`` that answers through
@@ -205,6 +209,9 @@ class EvalState:
 
     def add(self, e):
         self.members.add(_check_id(e, self.oracle.n))
+
+    def extend(self, vs):
+        self.members.update(vs.tolist())
 
 
 def oracle_state(oracle):
@@ -667,10 +674,9 @@ class LiveEdgeSamplePool:
             raise InputError(f"sample count m is too large to index {graph.n} nodes per sample")
         # the least the pool takes per stacked node: a row start, a bincount
         # and a visited mark directed (8 + 8 + 1 bytes); undirected a label
-        # and an edge mark (8 + 1), though the floor counts 17 both ways, and
-        # its key rows take at least one entry (a key and a worth) and a row
-        # start per node (8 + 8 + 8)
-        need = 17 * m * graph.n + (0 if graph.directed else 24 * graph.n)
+        # and an edge mark (8 + 1), and its key rows take at least one entry
+        # (a key and a worth) and a row start per node (8 + 8 + 8)
+        need = 17 * m * graph.n if graph.directed else 9 * m * graph.n + 24 * graph.n
         if need > _physical_memory():
             raise InputError(f"sample count m = {m} needs at least {need} bytes of memory, "
                              f"more than this host has")

@@ -287,12 +287,12 @@ def _apply(state: SinglePrunerState, oracle, params: PruneParams, n: int, pos: i
         if removed:
             state.working = state.working[k:]
             state.working_set.difference_update(removed)
-            # States only grow: the survivors go into a new one, made after
-            # the old one is dropped (an influence mask is m * n bytes).
+            # States only grow: the survivors go into a new one in one
+            # extend, made after the old one is dropped (a cover state's
+            # mask holds a flag per key, a cut state's two arrays over n).
             state.oracle_state = None
             state.oracle_state = oracle_state(oracle)
-            for v in state.working:
-                state.oracle_state.add(v)
+            state.oracle_state.extend(np.array(state.working, dtype=np.intp))
             state.f_working = oracle.eval(state.working_set) if state.working_set else 0.0
             state.deletions += 1
         state.checkpoint_len = len(state.working)

@@ -11,25 +11,26 @@ not rescan it where the oracle has incremental statistics. A pass stops at
 a fresh negative gain, which only a non-monotone objective gives, so no
 solution is worth less than the empty set.
 
-A solve starts from a seed built in numpy: the ids of ``U`` are checked
-once and sorted without repeats into an array, the costs are read in one
-gather (``cost_array``, from the cost vector when the cost function
-carries one) and must be positive (NaN is refused), one counted batch from
-the empty state gives the singleton values of the ids that fit (a
-``gather`` and a ``count`` where the state has them), and one stable
-argsort of the gain-to-cost ratios orders them. A standalone solve builds
-the seed for its own budget. A ground set that ``metrics.sweep_budgets``
-hands in keeps the seed its first solve builds, over the ids that fit the
-sweep's largest budget, for every later solve with the same oracle and
-cost function: an entry whose cost is above a solve's budget is dropped
-at its pop with no query, so the larger seed gives the steps a seed of
-its own would. The lazy loop reads the sorted source in chunks of Python
-lists and only as far as it gets, so a solution's ids are Python ints and
-its value and cost Python floats whatever the type of ``U``. A candidate
-is ``(ratio, id, stamp, gain, cost)``, in the source and on the heap
-alike, so a heap pop reads no numpy scalar. A set function that is NaN on
-a singleton is refused. Every solver that takes a cost function refuses
-costs that are not positive.
+There is one solve path: every solve runs on a ground set of one sweep
+(``_SweepSet``, a frozenset of ids checked as integers that keeps the
+sweep's budgets) and reads that set's fork table, which holds the seed of
+its pass. A standalone solve is a sweep of one budget, and so is a solve
+with another oracle or cost function than the table's, or with a budget
+above the sweep's largest. The seed is built in numpy: the ids are checked
+against ``n`` and sorted into an array, their costs read in one gather
+(``cost_array``, from the cost vector when the cost function carries one)
+and must be positive (NaN is refused), one counted batch from the empty
+state gives the singleton values of the ids that fit the sweep's largest
+budget (a ``gather`` and a ``count`` where the state has them), and one
+stable argsort of the gain-to-cost ratios orders them. An entry whose cost
+is above a solve's budget is dropped at its pop with no query, so the
+larger seed gives the steps a seed of the solve's own would. The lazy loop
+reads the sorted source in chunks of Python lists and only as far as it
+gets, so a solution's ids are Python ints and its value and cost Python
+floats whatever the type of ``U``. A candidate is ``(ratio, id, stamp,
+gain, cost)``, in the source and on the heap alike, so a heap pop reads no
+numpy scalar. A set function that is NaN on a singleton is refused. Every
+solver that takes a cost function refuses costs that are not positive.
 
 The solves of a sweep's ground set share one pass (Minoux, 1978; CELF).
 The pass to a budget ``b`` runs the same steps as the pass to a larger
@@ -37,14 +38,16 @@ budget ``B`` up to its first departure from it: a loop top where even the
 cheapest entry no longer fits ``b`` (``spent + c_min > b``), where the
 pass to ``b`` stops, or a pop that the pass to ``B`` takes and the pass to
 ``b`` skips (``spent + c`` in ``(b, B]``), after which it goes on alone.
-So the first solve on a set's seed runs the pass to the sweep's largest
-budget once and records a fork table: at each sweep budget's first
-departure, the commits, value, cost and queries asked so far and, at a
-pop, the heap and the source position. A solve takes its fork's commits,
-or resumes the pass from its fork on a state rebuilt from them (one
-``extend`` where the state has it) with no query. Under unit costs every
-budget departs at a loop top, after its ``k``-th commit or where the
-longer pass stops, so a size-constrained solve only reads its fork.
+So the first solve on a set runs the pass to the sweep's largest budget
+once and records a fork table: at each sweep budget's first departure,
+the commits, value, cost and queries asked so far and, at a pop, the heap
+and the source position. A solve takes its fork's commits, or resumes the
+pass from its fork with no query. A pass makes its oracle state at its
+first commit or query and fills it with the commits so far in one
+``extend``, so a resume that only drops entries it cannot afford makes
+none. Under unit costs every budget departs at a loop top, after its
+``k``-th commit or where the longer pass stops, so a size-constrained
+solve only reads its fork.
 
 ``Solution.oracle_calls`` is the standalone bill whether or not the seed
 or the pass was shared: the singletons of the feasible ids, the marginals
@@ -104,8 +107,8 @@ def greedy_cardinality(oracle, U, k: int) -> Solution:
     Selects up to ``k`` elements, each round committing the element with the
     largest fresh marginal gain, ties going to the smaller id. Equivalent to
     naive greedy whenever the oracle is submodular. This is the density pass
-    of ``greedy_knapsack`` with every cost 1.0 and budget ``k``; the solves
-    of one sweep set read their picks from the set's fork table.
+    of ``greedy_knapsack`` with every cost 1.0 and budget ``k``, read from
+    a fork table like every solve.
     """
     try:
         k = operator.index(k)
@@ -115,8 +118,8 @@ def greedy_cardinality(oracle, U, k: int) -> Solution:
         raise InputError("k must be non-negative")
     # a k past n changes nothing; the cap keeps it comparable with float64 costs
     k = min(k, oracle.n)
-    seed, chosen, _, spent, asked = _greedy(oracle, None, U, k)
-    return _solution(oracle, chosen, spent, _fitting(seed, k).size + asked)
+    table, chosen, _, spent, asked = _greedy(oracle, None, U, k)
+    return _solution(oracle, chosen, spent, np.flatnonzero(table.costs <= k).size + asked)
 
 
 def greedy_knapsack(oracle, cost_fn, U, kappa: float) -> Solution:
@@ -125,118 +128,66 @@ def greedy_knapsack(oracle, cost_fn, U, kappa: float) -> Solution:
     require_finite(kappa=kappa)
     if kappa <= 0:
         raise InputError("kappa must be positive")
-    seed, chosen, value, spent, asked = _greedy(oracle, cost_fn, U, kappa)
-    fit = _fitting(seed, kappa)
+    table, chosen, value, spent, asked = _greedy(oracle, cost_fn, U, kappa)
+    fit = np.flatnonzero(table.costs <= kappa)
     if fit.size:
         # the first best singleton, when it beats the density pass and zero
-        best = fit[seed.singles[fit].argmax()]
-        if seed.singles.item(best) > max(value, 0.0):
-            chosen = [seed.ids.item(best)]
-            spent = seed.costs.item(best)
+        best = fit[table.singles[fit].argmax()]
+        if table.singles.item(best) > max(value, 0.0):
+            chosen = [table.ids.item(best)]
+            spent = table.costs.item(best)
     return _solution(oracle, chosen, spent, fit.size + asked)
 
 
-@dataclass(frozen=True, eq=False)
-class _Seed:
-    """What a solve reads before its lazy loop, for the ids of a ground set
-    whose cost fits a budget: the ids ascending, their costs, their
-    singleton values, the ratios ``-f / c``, the ratios' stable argsort
-    ``order`` and the cheapest cost ``c_min`` (inf when no id fits). Built
-    for one oracle and one cost function (None for unit costs)."""
-
-    oracle: object
-    cost_fn: object
-    ids: np.ndarray
-    costs: np.ndarray
-    singles: np.ndarray
-    ratios: np.ndarray
-    order: np.ndarray
-    c_min: float
-
-
 class _SweepSet(frozenset):
-    """A ground set of one sweep: a frozenset that keeps the sweep's
-    ``budgets`` ascending, the seed its first solve builds over the ids
-    whose cost fits ``reach``, the largest budget, and ``forks``, the fork
-    table of one pass over that seed to ``reach``, which the first solve on
-    the seed records."""
+    """A ground set of one sweep: a frozenset of ids checked as integers
+    that keeps the sweep's ``budgets`` ascending and ``forks``, the fork
+    table its first solve builds. InputError for an id that is not an
+    integer."""
 
-    __slots__ = ("budgets", "seed", "forks")
+    __slots__ = ("budgets", "forks")
 
     def __new__(cls, ids, budgets):
-        self = super().__new__(cls, ids)
+        try:
+            self = super().__new__(cls, map(operator.index, ids))
+        except TypeError as exc:
+            raise InputError(f"element ids must be integers: {exc}") from None
         self.budgets = budgets
-        self.seed = None
         self.forks = None
         return self
 
-    @property
-    def reach(self) -> float:
-        return self.budgets[-1] if self.budgets else -math.inf
-
-
-def _seed(oracle, cost_fn, U, budget) -> _Seed:
-    """The seed of a solve of ``U`` at ``budget``: the one a sweep's set
-    keeps, when it was built for this oracle and cost function and reaches
-    ``budget``, else a new one over the ids that fit ``budget``."""
-    if isinstance(U, _SweepSet) and budget <= U.reach:
-        if U.seed is None:
-            U.seed = _new_seed(oracle, cost_fn, U, U.reach)
-        if U.seed.oracle is oracle and U.seed.cost_fn is cost_fn:
-            return U.seed
-    return _new_seed(oracle, cost_fn, U, budget)
-
-
-def _new_seed(oracle, cost_fn, U, reach) -> _Seed:
-    """Check the ids of ``U`` and sort them without repeats, read their
-    costs in one gather (all 1.0 when ``cost_fn`` is None), keep the ids
-    whose cost fits ``reach`` and ask their singleton values in one counted
-    batch: a ``gather`` from the empty state and one ``count`` where the
-    state has them, else ``gains``. Nothing is asked when none fits.
-    InputError for an id that is not an integer in ``[0, oracle.n)``, a
-    cost that is not positive, or a singleton value that is NaN."""
-    ids = np.sort(_checked_array(U, oracle.n))
-    ids = ids[np.diff(ids, prepend=-1) != 0]
-    costs = np.ones(ids.size) if cost_fn is None else cost_array(cost_fn, ids)
-    fits = costs <= reach
-    ids, costs = ids[fits], costs[fits]
-    singles = np.empty(0)
-    if ids.size:
-        st = oracle_state(oracle)
-        if hasattr(st, "gather"):
-            st.count(ids.size)
-            singles = st.gather(ids, 0.0)
-        else:
-            singles = np.array(st.gains(ids, 0.0), dtype=np.float64)
-        if np.isnan(singles).any():
-            raise InputError("the set function is NaN on a singleton")
-    # the same IEEE operations as -f / c on Python floats
-    ratios = -singles / costs
-    return _Seed(oracle, cost_fn, ids, costs, singles, ratios,
-                 np.argsort(ratios, kind="stable"),
-                 costs.min().item() if costs.size else math.inf)
-
-
-def _fitting(seed, budget) -> np.ndarray:
-    """The positions in ``seed`` of the entries whose cost fits ``budget``."""
-    return np.flatnonzero(seed.costs <= budget)
-
 
 def _greedy(oracle, cost_fn, U, budget):
-    """``(seed, chosen, value, spent, asked)`` of the density pass over the
-    seed of ``U`` to ``budget``: read from the fork table of a sweep set's
-    seed, which the first solve on it records, else run on its own."""
-    seed = _seed(oracle, cost_fn, U, budget)
-    if seed is not getattr(U, "seed", None):
-        return (seed, *_density_pass(oracle, seed, budget))
+    """``(table, chosen, value, spent, asked)`` of the density pass over the
+    ids of ``U`` to ``budget``, read from the fork table of a sweep set,
+    which its first solve builds. A ground set that is not a sweep set
+    reaching ``budget`` whose table, if it has one yet, was built for this
+    oracle and cost function is solved as a sweep of one budget."""
+    table = getattr(U, "forks", None)
+    if not (isinstance(U, _SweepSet) and U.budgets and budget <= U.budgets[-1] and (
+            table is None or table.oracle is oracle and table.cost_fn is cost_fn)):
+        U = _SweepSet(U, [budget])
     if U.forks is None:
-        U.forks = _Forks(oracle, seed, U.budgets)
-    return (seed, *U.forks.solve(oracle, seed, budget))
+        U.forks = _Forks(oracle, cost_fn, U)
+    return (U.forks, *U.forks.solve(budget))
 
 
 class _Forks:
-    """The fork table of one pass over a sweep set's seed to its largest
-    budget: where each of the sweep's budgets first departs from it.
+    """The fork table of a sweep set ``U`` for one oracle and one cost
+    function (None for unit costs): the seed of the lazy pass over the ids
+    of ``U`` whose cost fits the sweep's largest budget, and where each of
+    the sweep's budgets first departs from that pass.
+
+    The seed is the ids ascending, their ``costs``, their ``singles``
+    values, the ``ratios`` ``-f / c``, the ratios' stable argsort ``order``
+    and the cheapest cost ``c_min`` (inf when no id fits). Building it
+    checks the ids against ``oracle.n``, reads their costs in one gather
+    (all 1.0 when ``cost_fn`` is None) and asks the singleton values of
+    the ids that fit in one counted batch: a ``gather`` from the empty
+    state and one ``count`` where the state has them, else ``gains``.
+    Nothing is asked when none fits. InputError for an id outside ``[0,
+    oracle.n)``, a cost that is not positive, or a singleton value that is
+    NaN.
 
     A departure is a step whose threshold ``x`` exceeds the budget ``b``
     while no earlier step's did. At a loop top from which the longer pass
@@ -251,12 +202,32 @@ class _Forks:
     before its step. Under unit costs every threshold is an integer, so a
     size-constrained solve at ``int(b)`` reads the fork of ``b``."""
 
-    __slots__ = ("chosen", "_los", "_forks", "_budgets", "_next")
+    __slots__ = ("oracle", "cost_fn", "ids", "costs", "singles", "ratios", "order", "c_min",
+                 "chosen", "_los", "_forks", "_budgets", "_next")
 
-    def __init__(self, oracle, seed, budgets):
+    def __init__(self, oracle, cost_fn, U):
+        self.oracle, self.cost_fn = oracle, cost_fn
+        ids = np.sort(_checked_array(U, oracle.n))
+        costs = np.ones(ids.size) if cost_fn is None else cost_array(cost_fn, ids)
+        fits = costs <= U.budgets[-1]
+        ids, costs = ids[fits], costs[fits]
+        singles = np.empty(0)
+        if ids.size:
+            st = oracle_state(oracle)
+            if hasattr(st, "gather"):
+                st.count(ids.size)
+                singles = st.gather(ids, 0.0)
+            else:
+                singles = np.array(st.gains(ids, 0.0), dtype=np.float64)
+            if np.isnan(singles).any():
+                raise InputError("the set function is NaN on a singleton")
+        # the same IEEE operations as -f / c on Python floats
+        self.ids, self.costs, self.singles, self.ratios = ids, costs, singles, -singles / costs
+        self.order = np.argsort(self.ratios, kind="stable")
+        self.c_min = costs.min().item() if costs.size else math.inf
         self._los, self._forks = [], []
-        self._budgets, self._next = budgets, 0
-        self.chosen = _density_pass(oracle, seed, budgets[-1], forks=self)[0]
+        self._budgets, self._next = U.budgets, 0
+        self.chosen = _density_pass(self, U.budgets[-1], record=True)[0]
 
     def depart(self, lo, hi, *fork) -> float:
         """Record the fork of the budgets in ``[lo, hi)``; return the
@@ -269,18 +240,18 @@ class _Forks:
         self._forks.append((hi, *fork))
         return budgets[k] if k < len(budgets) else math.inf
 
-    def solve(self, oracle, seed, budget):
+    def solve(self, budget):
         """``(chosen, value, spent, asked)`` of the pass to ``budget``: its
         fork's commits, or the pass resumed from its fork; a budget no fork
-        serves runs its own pass."""
+        serves runs its own pass over the seed."""
         i = bisect.bisect_right(self._los, budget) - 1
         if i < 0 or budget >= self._forks[i][0]:
-            return _density_pass(oracle, seed, budget)
+            return _density_pass(self, budget)
         _, n, value, spent, asked, heap, pos = self._forks[i]
         if heap is None:
             return self.chosen[:n], value, spent, asked
         chosen, value, spent, more = _density_pass(
-            oracle, seed, budget, (self.chosen[:n], value, spent, heap, pos))
+            self, budget, (self.chosen[:n], value, spent, heap, pos))
         return chosen, value, spent, asked + more
 
 
@@ -288,9 +259,9 @@ class _Forks:
 _CHUNK = 32
 
 
-def _density_pass(oracle, seed, budget, start=((), 0.0, 0.0, (), 0), forks=None):
-    """Lazy cost-benefit greedy over the entries of ``seed`` whose cost
-    fits ``budget``: ``(chosen, value, spent, asked)``, where ``chosen``
+def _density_pass(table, budget, start=((), 0.0, 0.0, (), 0), record=False):
+    """Lazy cost-benefit greedy over the seed entries of ``table``, a
+    ``_Forks``, whose cost fits ``budget``: ``(chosen, value, spent, asked)``, where ``chosen``
     lists the committed ids in commit order and ``asked`` counts the
     queries the pass asked. Nothing is asked when none fits.
 
@@ -309,25 +280,21 @@ def _density_pass(oracle, seed, budget, start=((), 0.0, 0.0, (), 0), forks=None)
 
     ``start`` is ``(chosen, value, spent, heap, pos)``, a point of a pass
     to a larger budget where this one departs from it: the pass resumes
-    there on a state rebuilt from ``chosen`` with no query (``extend``
-    where the state has it), and ``asked`` counts only the queries after
-    it. With ``forks``, a ``_Forks``, the pass records its departures.
+    there, and ``asked`` counts only the queries after it. The oracle
+    state is made at the first commit or query, holding ``chosen`` (one
+    ``extend``, no query), so a resumed pass that only drops entries it
+    cannot afford makes none. With ``record``, the pass records its
+    departures in ``table``.
     """
     chosen, value, spent, heap, pos = start
     chosen, heap = list(chosen), list(heap)
-    st = oracle_state(oracle)
-    if chosen:
-        if hasattr(st, "extend"):
-            st.extend(np.array(chosen, dtype=np.intp))
-        else:
-            for v in chosen:
-                st.add(v)
-    order, c_min = seed.order, seed.c_min
+    st = None
+    oracle, order, c_min = table.oracle, table.order, table.c_min
     # a departure is recorded when a threshold passes both the largest so
     # far, top, and the smallest budget that has not departed, low (so the
     # first step records one, for the budgets below the cheapest cost); a
     # pass that records nothing never passes top
-    top = low = -math.inf if forks is not None else math.inf
+    top = low = -math.inf if record else math.inf
     start_calls = oracle.query_count
     # source entries (ratio, id, 0, gain, cost) of order[pos:pos + len(src)],
     # the next one src[i]; a re-evaluated one goes on the heap as (ratio,
@@ -342,8 +309,8 @@ def _density_pass(oracle, seed, budget, start=((), 0.0, 0.0, (), 0), forks=None)
         if i == len(src) and pos + i < order.size:
             pos += i
             at = order[pos:pos + size]
-            src = list(zip(seed.ratios[at].tolist(), seed.ids[at].tolist(), itertools.repeat(0),
-                           seed.singles[at].tolist(), seed.costs[at].tolist()))
+            src = list(zip(table.ratios[at].tolist(), table.ids[at].tolist(), itertools.repeat(0),
+                           table.singles[at].tolist(), table.costs[at].tolist()))
             i, size = 0, 2 * size
         if i < len(src) and not (heap and heap[0] < src[i]):
             _, v, stamp, gain, c = src[i]
@@ -355,7 +322,7 @@ def _density_pass(oracle, seed, budget, start=((), 0.0, 0.0, (), 0), forks=None)
         # the loop top's threshold, counted only now that an entry popped
         if x > top:
             if x > low:
-                low = forks.depart(top, x, len(chosen), value, spent,
+                low = table.depart(top, x, len(chosen), value, spent,
                                    oracle.query_count - start_calls, None, None)
             top = x
         x = spent + c
@@ -363,9 +330,12 @@ def _density_pass(oracle, seed, budget, start=((), 0.0, 0.0, (), 0), forks=None)
             continue
         if x > top:
             if x > low:
-                low = forks.depart(top, x, len(chosen), value, spent,
+                low = table.depart(top, x, len(chosen), value, spent,
                                    oracle.query_count - start_calls, list(heap), pos + i)
             top = x
+        if st is None:
+            st = oracle_state(oracle)
+            st.extend(np.array(chosen, dtype=np.intp))
         if stamp == len(chosen):
             if gain < 0:
                 break
@@ -377,8 +347,8 @@ def _density_pass(oracle, seed, budget, start=((), 0.0, 0.0, (), 0), forks=None)
             gain = st.marginal(v, value)
             heapq.heappush(heap, (-gain / c, v, len(chosen), gain, c))
     asked = oracle.query_count - start_calls
-    if forks is not None:
-        forks.depart(top, math.inf, len(chosen), value, spent, asked, None, None)
+    if record:
+        table.depart(top, math.inf, len(chosen), value, spent, asked, None, None)
     return chosen, value, spent, asked
 
 

@@ -3,6 +3,7 @@ import dataclasses
 import math
 import random
 
+import numpy as np
 import pytest
 
 import setprune as sp
@@ -102,6 +103,23 @@ def test_baseline_config_validation():
         with pytest.raises(InputError, match="r is past the float range"):
             sp.BaselineConfig(r=r)
     sp.BaselineConfig(c=10**400)  # c divides an int length: any size works
+
+
+@pytest.mark.parametrize("field, bad", [("c", 1.5), ("r", math.nan), ("r", 8.0),
+                                        ("seed", [1]), ("seed", 1.5)])
+def test_baseline_config_refuses_values_that_are_not_integers(field, bad):
+    # c = 1.5 once failed inside ss_prune with TypeError, r = nan returned the
+    # ground set unpruned, and seed = [1] failed in random.Random
+    with pytest.raises(InputError, match=f"{field} must be an integer"):
+        sp.BaselineConfig(**{field: bad})
+
+
+def test_baseline_config_keeps_numpy_integers_as_ints():
+    config = sp.BaselineConfig(r=np.int64(2), c=np.int32(4), seed=np.int64(9))
+    assert all(type(v) is int for v in (config.r, config.c, config.seed))
+    orc = sp.CoverageOracle(random_graph(80, 0.1, 3))
+    assert (sp.ss_prune(orc, range(80), config)
+            == sp.ss_prune(orc, range(80), sp.BaselineConfig(r=2, c=4, seed=9)))
 
 
 def test_ss_returns_everything_below_merge_threshold():

@@ -380,10 +380,11 @@ def test_pool_accepts_numpy_integers_and_floats():
 
 
 @pytest.mark.parametrize("directed", [False, True])
-def test_pool_memory_floor_is_17_bytes_per_node_and_sample(monkeypatch, directed):
-    # undirected, the key rows add at least an entry and a row start per node
+def test_pool_memory_floor_counts_its_bytes_per_node_and_sample(monkeypatch, directed):
+    # 17 bytes per node and sample directed, 9 undirected, where the key
+    # rows add at least an entry and a row start per node
     graph = sp.from_edges(5, [(0, 1), (1, 2), (3, 4)], directed=directed)
-    need = 17 * 6 * 5 + (0 if directed else 24 * 5)
+    need = 17 * 6 * 5 if directed else 9 * 6 * 5 + 24 * 5
     monkeypatch.setattr(objectives, "_physical_memory", lambda: need - 1)
     with pytest.raises(InputError, match=f"needs at least {need} bytes"):
         sp.LiveEdgeSamplePool(graph, p=0.5, m=6)

@@ -74,15 +74,15 @@ ops = st.lists(st.one_of(
     st.tuples(st.just("add"), ids),
     st.tuples(st.just("marginal"), ids, st.sampled_from([0.0, 0.25, 1e-9])),
     st.tuples(st.just("gains"), st.lists(ids, max_size=6), st.sampled_from([0.0, 0.25])),
-    st.tuples(st.just("rebuild"), st.frozensets(ids)),
+    st.tuples(st.just("rebuild"), st.lists(ids), st.booleans()),
 ), max_size=25)
 
 
-@given(st.sampled_from(STATE_KINDS), st.integers(min_value=0, max_value=500), ops)
+@given(st.sampled_from(STATE_KINDS + ("plain",)), st.integers(min_value=0, max_value=500), ops)
 @settings(max_examples=150, deadline=None)
 def test_state_matches_fresh_eval(kind, seed, steps):
-    oracle = build_oracle(kind, seed)
-    state = oracle.state()
+    oracle = build_singleton_oracle(kind, seed)
+    state = sp.oracle_state(oracle)
     S = set()
     for step in steps:
         before = oracle.query_count
@@ -108,11 +108,15 @@ def test_state_matches_fresh_eval(kind, seed, steps):
             assert oracle.query_count == before + len(vs)
             assert repr(got) == repr([oracle.eval(S | {v}) - f_S for v in vs])
         else:
-            # what the pruner does at a deletion: a fresh state, S added again
-            state = oracle.state()
+            # what the pruner does at a deletion: a fresh state, S added
+            # again in one extend (repeats included) or one by one
+            state = sp.oracle_state(oracle)
             S = set(step[1])
-            for v in S:
-                state.add(v)
+            if step[2]:
+                state.extend(np.array(step[1], dtype=np.intp))
+            else:
+                for v in step[1]:
+                    state.add(v)
             assert oracle.query_count == before
 
 

@@ -652,6 +652,27 @@ def test_a_unit_cost_knapsack_sweep_asks_one_pass_per_set(instance):
     assert asked <= passes + sum(bool(sol.ids) for sol in solutions)
 
 
+def test_a_resume_that_only_drops_entries_makes_no_state():
+    # ids 0, 1, 2 cost 1, 5, 5 and gain 3, 10, 9: the pass to 10 commits 0,
+    # then pops 1 at spent + c = 6, where budget 5 departs; resumed there,
+    # the pass to 5 can afford nothing left, so it asks nothing and makes
+    # no state. Each set makes one state for its singletons and one for
+    # the pass to 10
+    oracle = _modular(3, [3.0, 10.0, 9.0])
+    costs = [1.0, 5.0, 5.0]
+    made = []
+    make = oracle.state
+    oracle.state = lambda: made.append(1) or make()
+    solutions = []
+    sp.sweep_budgets(oracle, costs.__getitem__, range(3), {"all": {0, 1, 2}}, [10.0, 5.0],
+                     _recording(sp.knapsack_solver, solutions))
+    assert len(made) == 4
+    want = [ref_greedy_knapsack(oracle, costs.__getitem__, range(3), budget)
+            for budget in (10.0, 10.0, 5.0, 5.0)]
+    assert all(_same(g, w) for g, w in zip(solutions, want))
+    assert [sorted(sol.ids) for sol in solutions] == [[0, 1], [0, 1], [1], [1]]
+
+
 @given(knapsack_sweeps(), st.sampled_from([0.5, 0.75, 0.999]))
 @settings(max_examples=100, deadline=None)
 def test_a_solve_at_a_budget_the_sweep_did_not_list_is_the_standalone_one(instance, scale):
@@ -701,12 +722,23 @@ def test_solution_ids_leave_the_solver_as_python_ints(solve, U):
 @pytest.mark.parametrize("solve", _SOLVES + [
     lambda orc, U: sp.greedy_knapsack(orc, _cost_fns([1.0] * 4)[0], U, 3.0),
 ])
-@pytest.mark.parametrize("bad", [2.5, -1, 4, 2**70, "1"])
+@pytest.mark.parametrize("bad", [2.5, -1, 4, 2**70, "1", [0]])
 def test_solvers_refuse_a_bad_id_before_any_query(solve, bad):
     # with a cost vector the knapsack path used to raise IndexError on 2.5
     orc = _modular(4, [1.0, 2.0, 0.5, 3.0])
     with pytest.raises(InputError):
         solve(orc, [0, bad])
+    assert orc.query_count == 0
+
+
+@pytest.mark.parametrize("solver", [sp.cardinality_solver, sp.knapsack_solver])
+@pytest.mark.parametrize("bad", [[0], 2.5, "1"])
+def test_sweeps_refuse_an_id_that_is_not_an_integer(solver, bad):
+    # an unhashable id once raised TypeError while the sweep built its sets
+    orc = _modular(4, [1.0, 2.0, 0.5, 3.0])
+    for U, pruned in (([0, 1, bad], {0}), (range(4), [0, bad])):
+        with pytest.raises(InputError, match="integer"):
+            sp.sweep_budgets(orc, unit_cost, U, {"x": pruned}, [2, 3], solver)
     assert orc.query_count == 0
 
 
